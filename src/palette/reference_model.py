@@ -353,18 +353,59 @@ class TinyTransformer:
         return dlogits
 
     def greedy_decode(self, prompt_tokens: Sequence[int], max_new_tokens: int = 48) -> list[int]:
+        """Greedy continuation of the prompt, stopping at EOS, max_seq or max_new_tokens.
+
+        One forward pass over the prompt fills a per-call key/value cache;
+        each further token then costs one single-row step over that cache.
+        """
         tokens = self._check_tokens(prompt_tokens)
+        cfg = self.cfg
+        pos = len(tokens)
         out: list[int] = []
-        for _ in range(max_new_tokens):
-            if len(tokens) >= self.cfg.max_seq:
-                break
-            _, logits = self.hidden_and_logits(tokens)
-            nxt = int(np.argmax(logits[-1]))
+        if max_new_tokens <= 0 or pos >= cfg.max_seq:
+            return out
+        trace = self.forward_trace(tokens)
+        h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+        keys, values = [], []
+        for c in trace.layers:
+            k = np.empty((h, cfg.max_seq, dh))
+            v = np.empty((h, cfg.max_seq, dh))
+            k[:, :pos], v[:, :pos] = c.k, c.v
+            keys.append(k)
+            values.append(v)
+        logits = trace.logits[-1]
+        while True:
+            nxt = int(np.argmax(logits))
             if nxt == EOS:
                 break
             out.append(nxt)
-            tokens = tokens + [nxt]
+            if len(out) >= max_new_tokens or pos + 1 >= cfg.max_seq:
+                break
+            logits = self._decode_step(nxt, pos, keys, values)
+            pos += 1
         return out
+
+    def _decode_step(self, token: int, pos: int, keys: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
+        """Logits after `token` at position `pos`, given cached K/V for positions < pos.
+
+        Writes the token's K/V at `pos`; attending over 0..pos needs no mask.
+        """
+        cfg, p = self.cfg, self.params
+        h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+        x = p["embed.tok"][[token]] + p["embed.pos"][pos : pos + 1]
+        for i in range(cfg.n_layers):
+            n1, _ = _rmsnorm(x, p[f"layer{i}.ln1.gain"])
+            q = (n1 @ p[f"layer{i}.attn.q"]).reshape(h, 1, dh)
+            keys[i][:, pos] = (n1 @ p[f"layer{i}.attn.k"]).reshape(h, dh)
+            values[i][:, pos] = (n1 @ p[f"layer{i}.attn.v"]).reshape(h, dh)
+            k, v = keys[i][:, : pos + 1], values[i][:, : pos + 1]
+            probs = _softmax_rows(q @ k.transpose(0, 2, 1) / math.sqrt(dh))
+            ctx = (probs @ v).reshape(1, cfg.d_model)
+            x = x + ctx @ p[f"layer{i}.attn.o"]
+            n2, _ = _rmsnorm(x, p[f"layer{i}.ln2.gain"])
+            x = x + _gelu(n2 @ p[f"layer{i}.ffn.w_in"]) @ p[f"layer{i}.ffn.w_out"]
+        hidden, _ = _rmsnorm(x, p["final_ln.gain"])
+        return (hidden @ p["head.out"])[0]
 
 
 # --- checkpoint-level operations -------------------------------------------

@@ -1,12 +1,19 @@
-"""Independent brute-force re-implementations of the merge formulas.
+"""Independent brute-force re-implementations of the merge formulas and of
+greedy decoding.
 
-Pure-Python loops over plain float lists, kept deliberately naive so they
-share no code path with the numpy implementations they check.
+The merge oracles are pure-Python loops over plain float lists, kept
+deliberately naive so they share no code path with the numpy
+implementations they check. The decode oracle re-runs the full forward pass
+for every new token, so it shares no cache with the incremental decoder.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from palette.reference_model import EOS
 
 
 def as_lists(ckpt) -> dict[str, list[float]]:
@@ -98,3 +105,18 @@ def max_abs_diff(result_ckpt, expected: dict[str, list[float]]) -> float:
         for got, want in zip(spec.data, expected[name]):
             worst = max(worst, abs(float(got) - want))
     return worst
+
+
+def bf_greedy_decode(model, prompt, n):
+    """Greedy decoding with one full forward pass over the sequence per token."""
+    tokens = [int(t) for t in prompt]
+    out = []
+    for _ in range(n):
+        if len(tokens) >= model.cfg.max_seq:
+            break
+        nxt = int(np.argmax(model.forward_trace(tokens).logits[-1]))
+        if nxt == EOS:
+            break
+        out.append(nxt)
+        tokens = tokens + [nxt]
+    return out

@@ -18,6 +18,7 @@ from palette.reference_model import (
 from palette.tensor_store import load_checkpoint, save_checkpoint
 
 from helpers import tiny_config, tiny_model
+from oracles import bf_greedy_decode
 
 
 def test_config_validation():
@@ -161,3 +162,83 @@ def test_greedy_decode_deterministic_and_stops():
     out2 = model.greedy_decode(prompt, max_new_tokens=10)
     assert out1 == out2
     assert len(out1) <= 10
+
+
+def _decode_model(seed, max_seq=64):
+    return TinyTransformer.from_checkpoint(tiny_model(seed=seed, max_seq=max_seq, n_layers=2))
+
+
+def _random_prompt(rng, length):
+    return [BOS] + [int(t) for t in rng.integers(0, 256, length - 1)]
+
+
+def test_greedy_decode_matches_full_forward_oracle():
+    rng = np.random.default_rng(5)
+    for seed in (0, 1, 2, 3):
+        model = _decode_model(seed)
+        max_seq = model.cfg.max_seq
+        for length in (1, 7, max_seq - 1, max_seq):
+            prompt = _random_prompt(rng, length)
+            for n in (0, 1, 48):
+                assert model.greedy_decode(prompt, n) == bf_greedy_decode(model, prompt, n)
+
+
+def test_greedy_decode_fills_context_to_max_seq():
+    model = _decode_model(0, max_seq=32)
+    prompt = _random_prompt(np.random.default_rng(1), 20)
+    out = model.greedy_decode(prompt, 48)
+    assert out == bf_greedy_decode(model, prompt, 48)
+    assert EOS not in out and len(prompt) + len(out) == 32
+
+
+def test_greedy_decode_stops_at_eos():
+    model = _decode_model(1)
+    prompt = _random_prompt(np.random.default_rng(2), 9)
+    free = model.greedy_decode(prompt, 48)
+    assert len(free) == 48 and EOS not in free
+
+    # EOS gets twice the head column of the token decoded k-th, so it beats
+    # that token wherever it wins with a positive logit: here first at k.
+    for k in (0, 5):
+        stopped = model.clone()
+        stopped.params["head.out"][:, EOS] = 2.0 * stopped.params["head.out"][:, free[k]]
+        out = stopped.greedy_decode(prompt, 48)
+        assert out == bf_greedy_decode(stopped, prompt, 48)
+        assert out == free[:k]
+
+
+def test_cached_step_logits_match_full_forward(monkeypatch):
+    model = _decode_model(2)
+    prompt = _random_prompt(np.random.default_rng(3), 11)
+    steps = []
+    step = TinyTransformer._decode_step
+
+    def recording_step(self, token, pos, keys, values):
+        logits = step(self, token, pos, keys, values)
+        steps.append((pos, logits))
+        return logits
+
+    monkeypatch.setattr(TinyTransformer, "_decode_step", recording_step)
+    out = model.greedy_decode(prompt, 40)
+    assert len(steps) == len(out) - 1 == 39
+    full = prompt + out
+    for pos, logits in steps:
+        expected = model.forward_trace(full[: pos + 1]).logits[-1]
+        assert np.abs(logits - expected).max() <= 1e-12
+
+
+def test_greedy_decode_runs_one_forward_pass(monkeypatch):
+    model = _decode_model(0, max_seq=96)
+    prompt = _random_prompt(np.random.default_rng(4), 30)
+    calls = []
+    forward_trace = TinyTransformer.forward_trace
+
+    def counting_forward_trace(self, tokens):
+        calls.append(len(tokens))
+        return forward_trace(self, tokens)
+
+    monkeypatch.setattr(TinyTransformer, "forward_trace", counting_forward_trace)
+    for n in (1, 2, 48, 500):
+        calls.clear()
+        model.greedy_decode(prompt, n)
+        assert calls == [len(prompt)]
