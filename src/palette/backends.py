@@ -145,7 +145,8 @@ class LocalReference:
 
     def _prompt_tokens(self, prompt: str, reserve: int) -> list[int]:
         budget = self.model.cfg.max_seq - reserve - 2
-        raw = prompt.encode("utf-8")[-max(budget, 0):]
+        raw = prompt.encode("utf-8")
+        raw = raw[max(len(raw) - budget, 0):]
         return [BOS] + list(raw) + [SEP]
 
     def complete(self, prompt: str) -> str:
