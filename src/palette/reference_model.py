@@ -135,11 +135,11 @@ def encode_pair(query: str, response: str, max_seq: int = ModelConfig.max_seq) -
 # --- numerics ---------------------------------------------------------------
 
 def _gelu(u: np.ndarray) -> np.ndarray:
-    return 0.5 * u * (1.0 + np.tanh(_GELU_C * (u + _GELU_A * u**3)))
+    return 0.5 * u * (1.0 + np.tanh(_GELU_C * (u + _GELU_A * (u * u * u))))
 
 
 def _dgelu(u: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (u + _GELU_A * u**3))
+    t = np.tanh(_GELU_C * (u + _GELU_A * (u * u * u)))
     return 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * u * u)
 
 
