@@ -129,7 +129,7 @@ def test_local_reference_truncates_long_prompts():
 
 @pytest.mark.parametrize("max_new_tokens, kept", [(28, 2), (29, 1), (30, 0), (31, 0), (40, 0)])
 def test_local_reference_prompt_budget_at_and_below_zero(max_new_tokens, kept):
-    # max_seq 32 leaves 32 - max_new_tokens - 2 prompt bytes: 1, 0, then below 0.
+    # max_seq 32 leaves 32 - max_new_tokens - 2 prompt bytes: 2, 1, 0, then below 0.
     backend = LocalReference(tiny_model(max_seq=32), max_new_tokens=max_new_tokens)
     prompt = "abcdefghij" * 10
     tokens = backend._prompt_tokens(prompt, max_new_tokens)

@@ -177,18 +177,10 @@ def test_greedy_decode_matches_full_forward_oracle():
     for seed in (0, 1, 2, 3):
         model = _decode_model(seed)
         max_seq = model.cfg.max_seq
-        for length in (1, 7, max_seq - 1, max_seq):
+        for length in (1, 7, 30, max_seq - 1, max_seq):
             prompt = _random_prompt(rng, length)
             for n in (0, 1, 48):
                 assert model.greedy_decode(prompt, n) == bf_greedy_decode(model, prompt, n)
-
-
-def test_greedy_decode_fills_context_to_max_seq():
-    model = _decode_model(0, max_seq=32)
-    prompt = _random_prompt(np.random.default_rng(1), 20)
-    out = model.greedy_decode(prompt, 48)
-    assert out == bf_greedy_decode(model, prompt, 48)
-    assert EOS not in out and len(prompt) + len(out) == 32
 
 
 def test_greedy_decode_stops_at_eos():
