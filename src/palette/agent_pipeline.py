@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .common import CONTINENTS, dumps_canonical, fingerprint
+from .common import CONTINENTS, dumps_canonical, fingerprint, iter_jsonl
 from .errors import (
     AllZero,
     BackendFailure,
@@ -88,41 +88,36 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
     requested country are skipped.
     """
     items = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            selections = row.get("selections", {})
-            if country not in selections and row.get("country") != country:
-                continue
-            gold = list(selections.get(country, row.get("gold", [])))
-            if not gold:
-                raise ValueError(f"item {lineno}: no gold distribution for {country!r}")
-            options = list(row["options"])
-            if len(gold) > len(options):
-                logger.info(
-                    "item %d: truncating gold from %d to %d options and renormalizing",
-                    lineno, len(gold), len(options),
-                )
-                gold = gold[: len(options)]
-            elif len(gold) < len(options):
-                logger.info(
-                    "item %d: truncating options from %d to %d gold entries",
-                    lineno, len(options), len(gold),
-                )
-                options = options[: len(gold)]
-            gold = normalize_distribution(gold)
-            items.append(
-                OpinionItem(
-                    question=row["question"],
-                    options=options,
-                    gold=gold,
-                    country=country,
-                    qid=str(row.get("id", f"q{lineno:04d}")),
-                )
+    for lineno, row in iter_jsonl(path):
+        selections = row.get("selections", {})
+        if country not in selections and row.get("country") != country:
+            continue
+        gold = list(selections.get(country, row.get("gold", [])))
+        if not gold:
+            raise ValueError(f"item {lineno}: no gold distribution for {country!r}")
+        options = list(row["options"])
+        if len(gold) > len(options):
+            logger.info(
+                "item %d: truncating gold from %d to %d options and renormalizing",
+                lineno, len(gold), len(options),
             )
+            gold = gold[: len(options)]
+        elif len(gold) < len(options):
+            logger.info(
+                "item %d: truncating options from %d to %d gold entries",
+                lineno, len(options), len(gold),
+            )
+            options = options[: len(gold)]
+        gold = normalize_distribution(gold)
+        items.append(
+            OpinionItem(
+                question=row["question"],
+                options=options,
+                gold=gold,
+                country=country,
+                qid=str(row.get("id", f"q{lineno:04d}")),
+            )
+        )
     return items
 
 
@@ -266,7 +261,6 @@ def fuse_meta(
     temperature: float = 1.0,
     ffn_pattern: str = "*.ffn.*",
     gate_override: Sequence[float] | None = None,
-    delta_mode: bool = False,
 ) -> tuple[Checkpoint, GateWeights]:
     """Route the country/query context through the gate and fuse the experts'
     feed-forward tensors onto the base. Returns (fused params, gate used)."""
@@ -281,7 +275,7 @@ def fuse_meta(
             raise ValueError("either gate_matrix or gate_override is required")
         text = routing_text(country, query if mode == "per-request" else None)
         weights = route_prompt(base, gate_matrix, text, temperature)
-    fused = moerges_fuse(base, ordered, list(weights), ffn_pattern, delta_mode)
+    fused = moerges_fuse(base, ordered, list(weights), ffn_pattern)
     return fused, weights
 
 

@@ -16,14 +16,13 @@ length-normalized probability with ``true_odds=True``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .common import fingerprint
+from .common import fingerprint, iter_jsonl, write_jsonl
 from .errors import EmptyDataset, WrongRejectionCount
 from .reference_model import TinyTransformer, encode_pair
 from .tensor_store import Checkpoint
@@ -45,16 +44,13 @@ class PreferenceRecord:
                 f"expected {N_REJECTED} rejected responses, got {len(self.rejected)}"
             )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "query": self.query,
-                "preferred": self.preferred,
-                "rejected": list(self.rejected),
-                "continent": self.continent,
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "query": self.query,
+            "preferred": self.preferred,
+            "rejected": list(self.rejected),
+            "continent": self.continent,
+        }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PreferenceRecord":
@@ -67,19 +63,11 @@ class PreferenceRecord:
 
 
 def load_records_jsonl(path) -> list[PreferenceRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(PreferenceRecord.from_dict(json.loads(line)))
-    return records
+    return [PreferenceRecord.from_dict(row) for _, row in iter_jsonl(path)]
 
 
 def save_records_jsonl(records: Sequence[PreferenceRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
+    write_jsonl(path, (rec.to_dict() for rec in records))
 
 
 @dataclass(frozen=True)
@@ -215,8 +203,7 @@ def _loss_internal(
         if coeff == 0.0:
             continue
         dlogits = model.logprob_dlogits(trace, prompts[idx], conts[idx], coeff)
-        for name, g in trace.backward(dlogits).items():
-            grads[name] += g
+        trace.backward(dlogits, grads)
     return breakdown, grads
 
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .common import CONTINENTS, atomic_write_text, dumps_canonical, round9
+from .common import CONTINENTS, atomic_write_text, dumps_canonical, iter_jsonl, round9, write_jsonl
 from .errors import PaletteError
 from . import agent_pipeline, align_trainer, data_synth, gate_router, merge_engine, metrics
 from .backends import LocalReference, RemoteChat, ScriptedMock
@@ -277,12 +277,10 @@ def _build_eval_config(args) -> agent_pipeline.PipelineConfig:
         if not args.model:
             raise _UsageError("--model is required with --meta-backend local")
         base = load_checkpoint(args.model)
-        experts = {}
-        for pair in args.expert:
-            label, sep, path = pair.partition("=")
-            if not sep or label not in CONTINENTS:
-                raise _UsageError(f"--expert must look like CONTINENT=PATH, got {pair!r}")
-            experts[label] = load_checkpoint(path)
+        experts = dict(_parse_experts(args.expert))
+        unknown = sorted(set(experts) - set(CONTINENTS))
+        if unknown:
+            raise _UsageError(f"--expert labels must be continents {CONTINENTS}, got {unknown}")
         if len(experts) != len(CONTINENTS) and not args.no_moerges:
             raise _UsageError("local eval needs all five --expert CONTINENT=PATH (or --no-moerges)")
         agents = {
@@ -334,12 +332,7 @@ def _synth_backend(args):
 
 def _cmd_synth(args) -> int:
     if args.synth_command == "run":
-        queries = []
-        with open(args.queries, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    queries.append(json.loads(line))
+        queries = [row for _, row in iter_jsonl(args.queries)]
         cfg = data_synth.SynthConfig(backend=_synth_backend(args), max_rounds=args.max_rounds)
         records = data_synth.run_synthesis(cfg, queries, args.out)
         approved = sum(1 for r in records if r.approved)
@@ -352,9 +345,7 @@ def _cmd_synth(args) -> int:
         print(f"wrote {len(pairs)} preference records to {args.output}")
         return 0
     rows = data_synth.import_prism(args.input)
-    atomic_write_text(
-        args.output, "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
-    )
+    write_jsonl(args.output, rows)
     print(f"imported {len(rows)} queries to {args.output}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Shared constants and deterministic-serialization helpers."""
+"""Shared constants, deterministic serialization and the JSONL file format."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import math
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import BadInput
 
 # Fixed continental order used everywhere a 5-way label axis appears.
 CONTINENTS = ("Africa", "America", "Asia", "Europe", "Oceania")
@@ -64,3 +66,46 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+# --- JSONL: one JSON object per line, keys sorted -------------------------------
+
+def _jsonl_line(row) -> str:
+    return json.dumps(row, sort_keys=True) + "\n"
+
+
+def iter_jsonl(path):
+    """Yield ``(index, row)`` for each non-blank line of a JSONL file.
+
+    ``index`` is the 0-based position of the line in the file, blank lines
+    included (what ``enumerate`` over the file gives). A line that does not
+    parse, or is not a JSON object, raises BadInput naming the file and the
+    1-based line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for index, line in enumerate(fh):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise BadInput(f"{path}:{index + 1}: {exc}", path=str(path), line=index + 1) from exc
+            if not isinstance(row, dict):
+                raise BadInput(
+                    f"{path}:{index + 1}: expected a JSON object, got {type(row).__name__}",
+                    path=str(path),
+                    line=index + 1,
+                )
+            yield index, row
+
+
+def write_jsonl(path, rows) -> None:
+    """Write all rows as a whole file, atomically."""
+    atomic_write_text(path, "".join(_jsonl_line(row) for row in rows))
+
+
+def append_jsonl(path, row) -> None:
+    """Append one row to a JSONL file."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(_jsonl_line(row))

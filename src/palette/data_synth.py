@@ -13,14 +13,13 @@ completed calls.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .align_trainer import PreferenceRecord
-from .common import CONTINENTS
+from .common import CONTINENTS, append_jsonl, iter_jsonl
 from .errors import IncompleteQuery
 from .templates import render_template
 
@@ -36,8 +35,6 @@ class SynthConfig:
     backend: object
     max_rounds: int = DEFAULT_MAX_ROUNDS
     templates_dir: object = None
-    seed: int = 42
-    continents: tuple[str, ...] = CONTINENTS
 
     def __post_init__(self):
         if self.max_rounds < 1:
@@ -174,13 +171,8 @@ class StepStore:
         self.path = Path(path)
         self._cache: dict[tuple[str, str, str], str] = {}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    row = json.loads(line)
-                    self._cache[(row["query_id"], row["continent"], row["step"])] = row["output"]
+            for _, row in iter_jsonl(self.path):
+                self._cache[(row["query_id"], row["continent"], row["step"])] = row["output"]
 
     def get_or_call(self, query_id: str, continent: str, step: str, fn: Callable[[], str]) -> str:
         key = (query_id, continent, step)
@@ -188,14 +180,9 @@ class StepStore:
             return self._cache[key]
         output = fn()
         self._cache[key] = output
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {"query_id": query_id, "continent": continent, "step": step, "output": output},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        append_jsonl(
+            self.path, {"query_id": query_id, "continent": continent, "step": step, "output": output}
+        )
         return output
 
 
@@ -207,14 +194,7 @@ def load_synth_records(path) -> list[SynthRecord]:
     """Read SynthRecords from a per-continent JSONL file or a directory of them."""
     path = Path(path)
     files = sorted(path.glob("records_*.jsonl")) if path.is_dir() else [path]
-    records = []
-    for file in files:
-        with open(file, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(SynthRecord.from_dict(json.loads(line)))
-    return records
+    return [SynthRecord.from_dict(row) for file in files for _, row in iter_jsonl(file)]
 
 
 def run_synthesis(
@@ -234,7 +214,7 @@ def run_synthesis(
     records = []
     for row in queries:
         qid, query = str(row["id"]), row["query"]
-        for continent in cfg.continents:
+        for continent in CONTINENTS:
             if (qid, continent) in done:
                 records.append(done[(qid, continent)])
                 continue
@@ -271,8 +251,7 @@ def run_synthesis(
                 rounds_used=rounds_used,
                 approved=approved,
             )
-            with open(records_file(out_dir, continent), "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            append_jsonl(records_file(out_dir, continent), record.to_dict())
             records.append(record)
     return records
 
@@ -345,20 +324,7 @@ def _extract(row: Mapping[str, object], index: int) -> dict[str, str] | None:
 def import_prism(path) -> list[dict[str, str]]:
     """Convert a question CSV or JSONL export into {"id","query"} rows."""
     path = Path(path)
-    rows: list[dict[str, str]] = []
-    if path.suffix.lower() == ".csv":
-        with open(path, encoding="utf-8", newline="") as fh:
-            for i, row in enumerate(csv.DictReader(fh)):
-                extracted = _extract(row, i)
-                if extracted:
-                    rows.append(extracted)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            for i, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                extracted = _extract(json.loads(line), i)
-                if extracted:
-                    rows.append(extracted)
-    return rows
+    if path.suffix.lower() != ".csv":
+        return [r for i, row in iter_jsonl(path) if (r := _extract(row, i))]
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [r for i, row in enumerate(csv.DictReader(fh)) if (r := _extract(row, i))]

@@ -17,6 +17,14 @@ class PaletteError(Exception):
         self.context = context
 
 
+# --- common ---------------------------------------------------------------
+
+class BadInput(PaletteError):
+    """A data file line that is not a JSON object; context names path and line."""
+
+    code = "bad_input"
+
+
 # --- tensor_store ---------------------------------------------------------
 
 class MalformedHeader(PaletteError):

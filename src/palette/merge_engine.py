@@ -9,7 +9,7 @@ bit-identically from the base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -220,7 +220,6 @@ class MergeRequest:
     gate: Sequence[float] | None = None
     ffn_pattern: str = "*.ffn.*"
     delta_mode: bool = False
-    labels_seen: set = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.method not in MERGE_METHODS:
@@ -230,7 +229,6 @@ class MergeRequest:
         labels = [label for label, _ in self.experts]
         if len(set(labels)) != len(labels):
             raise SchemaMismatch(f"expert labels must be unique, got {labels}")
-        self.labels_seen = set(labels)
 
 
 def run_merge(request: MergeRequest) -> Checkpoint:

@@ -182,15 +182,15 @@ class Trace:
         self.hidden: np.ndarray | None = None
         self.logits: np.ndarray | None = None
 
-    def backward(self, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of sum(dlogits * logits) w.r.t. every parameter."""
+    def backward(self, dlogits: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+        """Add the gradients of sum(dlogits * logits) w.r.t. every parameter
+        into ``grads`` (one array per parameter, shaped like it)."""
         m = self.model
         p = m.params
         cfg = m.cfg
         T = len(self.tokens)
         h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         inv_sqrt_dh = 1.0 / math.sqrt(dh)
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
 
         grads["head.out"] += self.hidden.T @ dlogits
         d_hidden = dlogits @ p["head.out"].T
@@ -232,9 +232,13 @@ class Trace:
             grads[f"layer{i}.ln1.gain"] += dg1
             dx = dx_mid + dx_in_norm
 
-        np.add.at(grads["embed.tok"], self.tokens, dx)
+        # Sum repeated tokens' rows before the single add, so the result is
+        # bit-identical to adding a zero-started scatter.
+        uniq, inverse = np.unique(self.tokens, return_inverse=True)
+        rows = np.zeros((len(uniq), dx.shape[1]), dtype=grads["embed.tok"].dtype)
+        np.add.at(rows, inverse, dx)
+        grads["embed.tok"][uniq] += rows
         grads["embed.pos"][:T] += dx
-        return grads
 
 
 class TinyTransformer:

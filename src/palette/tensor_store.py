@@ -18,7 +18,7 @@ import math
 import re
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -274,22 +274,6 @@ def delta(a: Checkpoint, b: Checkpoint) -> Checkpoint:
     return Checkpoint(specs, a.metadata)
 
 
-@dataclass(frozen=True)
-class TensorSubset:
-    """An ordered set of tensor names selected from some checkpoint."""
-
-    names: tuple[str, ...] = field(default_factory=tuple)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __iter__(self):
-        return iter(self.names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
-
-
 def _glob_to_regex(pattern: str) -> re.Pattern:
     # Only * and ? wildcards; everything else (including brackets) is literal.
     parts = []
@@ -303,14 +287,14 @@ def _glob_to_regex(pattern: str) -> re.Pattern:
     return re.compile("".join(parts) + r"\Z")
 
 
-def select_ffn(ckpt: Checkpoint, pattern: str = "*.ffn.*") -> TensorSubset:
+def select_ffn(ckpt: Checkpoint, pattern: str = "*.ffn.*") -> tuple[str, ...]:
     """Select tensor names matching a glob (feed-forward tensors by default).
 
     An empty match warns (EmptySelectionWarning) but still returns the
-    empty subset.
+    empty tuple.
     """
     rx = _glob_to_regex(pattern)
     names = tuple(name for name in ckpt.names if rx.match(name))
     if not names:
         warnings.warn(f"pattern {pattern!r} matched no tensors", EmptySelectionWarning, stacklevel=2)
-    return TensorSubset(names=names)
+    return names

@@ -261,9 +261,10 @@ def test_load_opinion_items_truncates_and_renormalizes(tmp_path):
             "country": "AUS",
         },
     ]
-    path.write_text("\n".join(json.dumps(r) for r in rows))
+    path.write_text("\n" + "\n".join(json.dumps(r) for r in rows))  # the blank line counts
     items = load_opinion_items(path, "NZL")
     assert len(items) == 1
+    assert items[0].qid == "q0001"
     expected = normalize_distribution(NZL_GOLD_FULL[:4])
     assert np.allclose(items[0].gold, expected, atol=1e-12)
     assert len(items[0].options) == 4

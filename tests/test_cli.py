@@ -227,3 +227,70 @@ def test_float_output_uses_nine_significant_digits(tmp_path, capsys):
     out = capsys.readouterr().out
     value = out.split(":")[1].strip().rstrip("}")
     assert len(value.replace("0.", "").rstrip("0")) <= 9
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("eval", "--country", "NZL", "--meta-backend", "mock", "--items", "{bad}", "-o", "{out}"),
+        ("align", "--model", "{model}", "--data", "{bad}", "-o", "{out}"),
+        ("synth", "run", "--queries", "{bad}", "--backend", "mock", "--out", "{out}"),
+        ("synth", "pairs", "--records", "{bad}", "-o", "{out}"),
+        ("synth", "import-prism", "--input", "{bad}", "-o", "{out}"),
+    ],
+    ids=["eval", "align", "synth run", "synth pairs", "synth import-prism"],
+)
+def test_malformed_jsonl_exits_bad_input(tmp_path, capsys, model_path, command):
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+    bad.write_text('\n{"cut\n')
+    argv = [a.format(bad=bad, out=out, model=model_path) for a in command]
+    assert run_cli(*argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(bad), "line": 2}
+    assert not out.exists()
+
+
+def _synth_dir(tmp_path, n_queries):
+    queries = tmp_path / "q.jsonl"
+    queries.write_text(
+        "".join(json.dumps({"id": f"q{i}", "query": f"question {i}"}) + "\n" for i in range(n_queries))
+    )
+    transcript = tmp_path / "transcript.json"
+    transcript.write_text(json.dumps({"default": "[Approved]"}))
+    out_dir = tmp_path / "synth"
+    argv = ("synth", "run", "--queries", str(queries), "--backend", "mock",
+            "--transcript", str(transcript), "--out", str(out_dir))
+    assert run_cli(*argv) == 0
+    return out_dir, argv
+
+
+def test_synth_resume_over_torn_step_store_is_bad_input(tmp_path, capsys):
+    out_dir, argv = _synth_dir(tmp_path, 1)
+    steps = out_dir / "steps.jsonl"
+    text = steps.read_text()
+    steps.write_text(text[:-10])  # a crash cut the last line
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(steps), "line": len(text.splitlines())}
+
+
+def test_synth_pairs_leaves_no_partial_output(tmp_path, capsys, monkeypatch):
+    out_dir, _ = _synth_dir(tmp_path, 2)
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("earlier output\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    dumps, calls = json.dumps, []
+
+    def failing_dumps(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # fail after the first record was encoded
+            raise OSError("simulated write failure")
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    assert run_cli("synth", "pairs", "--records", str(out_dir), "-o", str(pairs)) == 2
+    assert pairs.read_text() == "earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before

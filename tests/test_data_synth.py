@@ -274,10 +274,10 @@ def test_import_prism_jsonl(tmp_path):
         {"utterance": "how should children address elders?"},
         {"noise": True},
     ]
-    path.write_text("\n".join(json.dumps(r) for r in rows))
+    path.write_text("\n\n".join(json.dumps(r) for r in rows))  # blank lines count toward default ids
     out = import_prism(path)
     assert out[0] == {"id": "a1", "query": "what happens when we die?"}
-    assert out[1]["query"] == "how should children address elders?"
+    assert out[1] == {"id": "q00002", "query": "how should children address elders?"}
     assert len(out) == 2
 
 

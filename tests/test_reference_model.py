@@ -234,3 +234,19 @@ def test_greedy_decode_runs_one_forward_pass(monkeypatch):
         calls.clear()
         model.greedy_decode(prompt, n)
         assert calls == [len(prompt)]
+
+
+def test_backward_adds_into_the_callers_gradients():
+    # Repeated tokens scatter several rows into one embed.tok row; adding into
+    # a filled buffer must equal adding a zero-started pass, bit for bit.
+    model = TinyTransformer.from_checkpoint(tiny_model())
+    trace = model.forward_trace([BOS, 5, 7, 5, 5, 9, 7])
+    dlogits = np.random.default_rng(0).standard_normal(trace.logits.shape)
+    fresh = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    trace.backward(dlogits, fresh)
+    rng = np.random.default_rng(1)
+    start = {name: rng.standard_normal(arr.shape) for name, arr in model.params.items()}
+    grads = {name: arr.copy() for name, arr in start.items()}
+    trace.backward(dlogits, grads)
+    for name in start:
+        assert np.array_equal(grads[name], start[name] + fresh[name]), name
