@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .common import CONTINENTS, dumps_canonical, fingerprint, iter_jsonl
+from .common import CONTINENTS, bad_line, dumps_canonical, fingerprint, iter_jsonl
 from .errors import (
     AllZero,
     BackendFailure,
@@ -88,13 +88,13 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
     requested country are skipped.
     """
     items = []
-    for lineno, row in iter_jsonl(path):
+    for lineno, row in iter_jsonl(path, required=("question", "options")):
         selections = row.get("selections", {})
         if country not in selections and row.get("country") != country:
             continue
         gold = list(selections.get(country, row.get("gold", [])))
         if not gold:
-            raise ValueError(f"item {lineno}: no gold distribution for {country!r}")
+            raise bad_line(path, lineno, f"no gold distribution for {country!r}")
         options = list(row["options"])
         if len(gold) > len(options):
             logger.info(

@@ -63,7 +63,8 @@ class PreferenceRecord:
 
 
 def load_records_jsonl(path) -> list[PreferenceRecord]:
-    return [PreferenceRecord.from_dict(row) for _, row in iter_jsonl(path)]
+    rows = iter_jsonl(path, required=("query", "preferred", "rejected"))
+    return [PreferenceRecord.from_dict(row) for _, row in rows]
 
 
 def save_records_jsonl(records: Sequence[PreferenceRecord], path) -> None:

@@ -332,7 +332,7 @@ def _synth_backend(args):
 
 def _cmd_synth(args) -> int:
     if args.synth_command == "run":
-        queries = [row for _, row in iter_jsonl(args.queries)]
+        queries = [row for _, row in iter_jsonl(args.queries, required=("id", "query"))]
         cfg = data_synth.SynthConfig(backend=_synth_backend(args), max_rounds=args.max_rounds)
         records = data_synth.run_synthesis(cfg, queries, args.out)
         approved = sum(1 for r in records if r.approved)

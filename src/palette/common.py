@@ -8,8 +8,9 @@ import math
 import os
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
-from .errors import BadInput
+from .errors import BadInput, IoFailure
 
 # Fixed continental order used everywhere a 5-way label axis appears.
 CONTINENTS = ("Africa", "America", "Asia", "Europe", "Oceania")
@@ -74,29 +75,44 @@ def _jsonl_line(row) -> str:
     return json.dumps(row, sort_keys=True) + "\n"
 
 
-def iter_jsonl(path):
+def bad_line(path, index: int, message: str, **context) -> BadInput:
+    """BadInput for the 0-based line ``index`` of ``path``, named ``file:line`` (1-based)."""
+    return BadInput(f"{path}:{index + 1}: {message}", path=str(path), line=index + 1, **context)
+
+
+def iter_jsonl(path, required: Sequence[str] = ()):
     """Yield ``(index, row)`` for each non-blank line of a JSONL file.
 
     ``index`` is the 0-based position of the line in the file, blank lines
-    included (what ``enumerate`` over the file gives). A line that does not
-    parse, or is not a JSON object, raises BadInput naming the file and the
-    1-based line.
+    included (what ``enumerate`` over the file gives). A line that is not
+    valid UTF-8, does not parse, is not a JSON object or lacks one of the
+    ``required`` keys raises BadInput naming the file and the 1-based line.
+    A file that cannot be opened raises IoFailure naming the path.
     """
-    with open(path, encoding="utf-8") as fh:
+    try:
+        # surrogateescape defers a decoding error to the line that holds it.
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}", path=str(path)) from exc
+    with fh:
         for index, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise bad_line(path, index, "not valid UTF-8") from exc
             try:
                 row = json.loads(line)
             except ValueError as exc:
-                raise BadInput(f"{path}:{index + 1}: {exc}", path=str(path), line=index + 1) from exc
+                raise bad_line(path, index, str(exc)) from exc
             if not isinstance(row, dict):
-                raise BadInput(
-                    f"{path}:{index + 1}: expected a JSON object, got {type(row).__name__}",
-                    path=str(path),
-                    line=index + 1,
-                )
+                raise bad_line(path, index, f"expected a JSON object, got {type(row).__name__}")
+            for key in required:
+                if key not in row:
+                    raise bad_line(path, index, f"missing key {key!r}", key=key)
             yield index, row
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -171,7 +171,8 @@ class StepStore:
         self.path = Path(path)
         self._cache: dict[tuple[str, str, str], str] = {}
         if self.path.exists():
-            for _, row in iter_jsonl(self.path):
+            rows = iter_jsonl(self.path, required=("query_id", "continent", "step", "output"))
+            for _, row in rows:
                 self._cache[(row["query_id"], row["continent"], row["step"])] = row["output"]
 
     def get_or_call(self, query_id: str, continent: str, step: str, fn: Callable[[], str]) -> str:
@@ -194,7 +195,10 @@ def load_synth_records(path) -> list[SynthRecord]:
     """Read SynthRecords from a per-continent JSONL file or a directory of them."""
     path = Path(path)
     files = sorted(path.glob("records_*.jsonl")) if path.is_dir() else [path]
-    return [SynthRecord.from_dict(row) for file in files for _, row in iter_jsonl(file)]
+    required = [f.name for f in fields(SynthRecord)]
+    return [
+        SynthRecord.from_dict(row) for file in files for _, row in iter_jsonl(file, required)
+    ]
 
 
 def run_synthesis(

@@ -20,7 +20,8 @@ class PaletteError(Exception):
 # --- common ---------------------------------------------------------------
 
 class BadInput(PaletteError):
-    """A data file line that is not a JSON object; context names path and line."""
+    """A data file line that cannot be read as the expected JSON object; context
+    names path and line."""
 
     code = "bad_input"
 

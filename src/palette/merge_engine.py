@@ -64,14 +64,25 @@ def task_arithmetic(
 
 
 def _trim_top_magnitude(tau: np.ndarray, keep: int) -> np.ndarray:
-    """Zero all but the `keep` largest-magnitude entries (ties: lower index wins)."""
+    """Zero all but the `keep` largest-magnitude entries (ties: lower index wins).
+
+    A linear-time selection: find the keep-th smallest key of -|tau|, keep
+    every entry strictly below it, then fill the remaining slots with the
+    lowest-index entries equal to it. NaN keys order last, as in a sort, so
+    NaN entries survive only when fewer than `keep` entries are not NaN.
+    """
     if keep >= tau.size:
         return tau.copy()
-    order = np.lexsort((np.arange(tau.size), -np.abs(tau)))
-    out = np.zeros_like(tau)
-    kept = order[:keep]
-    out[kept] = tau[kept]
-    return out
+    neg = -np.abs(tau)
+    thr = np.partition(neg, keep - 1)[keep - 1]
+    if np.isnan(thr):
+        at_thr = np.isnan(neg)
+        kept = ~at_thr
+    else:
+        kept = neg < thr
+        at_thr = neg == thr
+    kept[np.flatnonzero(at_thr)[: keep - np.count_nonzero(kept)]] = True
+    return np.where(kept, tau, 0.0)
 
 
 def ties_merge(
@@ -96,16 +107,12 @@ def ties_merge(
     for name, spec in base.items():
         base64 = spec.data.astype(np.float64)
         keep = math.ceil(density * spec.data.size)
-        trimmed = np.stack(
-            [
-                _trim_top_magnitude(e[name].data.astype(np.float64) - base64, keep)
-                for e in experts
-            ]
-        )
-        total = trimmed.sum(axis=0)
-        elected = np.where(total >= 0.0, 1.0, -1.0)
-        match = (np.sign(trimmed) == elected) & (trimmed != 0.0)
+        trimmed = np.stack([_trim_top_magnitude(e[name].data - base64, keep) for e in experts])
+        plus = trimmed.sum(axis=0) >= 0.0  # a NaN sum elects -
+        match = ((trimmed > 0.0) & plus) | ((trimmed < 0.0) & ~plus)
         counts = match.sum(axis=0)
+        # A product, not np.where: an unmatched NaN or inf entry times 0 is NaN,
+        # so it makes the mean at its index NaN whenever another entry matched.
         summed = (trimmed * match).sum(axis=0)
         merged = np.divide(summed, counts, out=np.zeros_like(summed), where=counts > 0)
         arrays[name] = base64 + scale * merged

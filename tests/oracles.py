@@ -3,8 +3,10 @@ greedy decoding.
 
 The merge oracles are pure-Python loops over plain float lists, kept
 deliberately naive so they share no code path with the numpy
-implementations they check. The decode oracle re-runs the full forward pass
-for every new token, so it shares no cache with the incremental decoder.
+implementations they check. The trim oracle is the full two-key sort that
+the linear-time TIES selection must match byte for byte. The decode oracle
+re-runs the full forward pass for every new token, so it shares no cache
+with the incremental decoder.
 """
 
 from __future__ import annotations
@@ -30,6 +32,17 @@ def bf_task_arithmetic(base, experts, coeffs):
                 v += c * (e[name][i] - base[name][i])
             vals.append(v)
         out[name] = vals
+    return out
+
+
+def lexsort_trim_top_magnitude(tau: np.ndarray, keep: int) -> np.ndarray:
+    """Zero all but the `keep` largest-magnitude entries (ties: lower index wins)."""
+    if keep >= tau.size:
+        return tau.copy()
+    order = np.lexsort((np.arange(tau.size), -np.abs(tau)))
+    out = np.zeros_like(tau)
+    kept = order[:keep]
+    out[kept] = tau[kept]
     return out
 
 

@@ -229,26 +229,55 @@ def test_float_output_uses_nine_significant_digits(tmp_path, capsys):
     assert len(value.replace("0.", "").rstrip("0")) <= 9
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ("eval", "--country", "NZL", "--meta-backend", "mock", "--items", "{bad}", "-o", "{out}"),
-        ("align", "--model", "{model}", "--data", "{bad}", "-o", "{out}"),
-        ("synth", "run", "--queries", "{bad}", "--backend", "mock", "--out", "{out}"),
-        ("synth", "pairs", "--records", "{bad}", "-o", "{out}"),
-        ("synth", "import-prism", "--input", "{bad}", "-o", "{out}"),
-    ],
-    ids=["eval", "align", "synth run", "synth pairs", "synth import-prism"],
-)
+READER_COMMANDS = [
+    ("eval", "--country", "NZL", "--meta-backend", "mock", "--items", "{bad}", "-o", "{out}"),
+    ("align", "--model", "{model}", "--data", "{bad}", "-o", "{out}"),
+    ("synth", "run", "--queries", "{bad}", "--backend", "mock", "--out", "{out}"),
+    ("synth", "pairs", "--records", "{bad}", "-o", "{out}"),
+    ("synth", "import-prism", "--input", "{bad}", "-o", "{out}"),
+]
+READER_IDS = ["eval", "align", "synth run", "synth pairs", "synth import-prism"]
+
+
+def _run_reader(command, bad, out, model, capsys):
+    argv = [a.format(bad=bad, out=out, model=model) for a in command]
+    assert run_cli(*argv) == 2
+    assert not out.exists()
+    return json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", READER_COMMANDS, ids=READER_IDS)
 def test_malformed_jsonl_exits_bad_input(tmp_path, capsys, model_path, command):
     bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
     bad.write_text('\n{"cut\n')
-    argv = [a.format(bad=bad, out=out, model=model_path) for a in command]
-    assert run_cli(*argv) == 2
-    err = json.loads(capsys.readouterr().err)
+    err = _run_reader(command, bad, out, model_path, capsys)
     assert err["code"] == "bad_input"
     assert err["context"] == {"path": str(bad), "line": 2}
-    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", READER_COMMANDS, ids=READER_IDS)
+def test_invalid_utf8_exits_bad_input(tmp_path, capsys, model_path, command):
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+    bad.write_bytes(b'\n{"question": "caf\xe9"}\n')
+    err = _run_reader(command, bad, out, model_path, capsys)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(bad), "line": 2}
+
+
+@pytest.mark.parametrize("command", READER_COMMANDS, ids=READER_IDS)
+def test_missing_input_file_exits_io_failure(tmp_path, capsys, model_path, command):
+    missing, out = tmp_path / "missing.jsonl", tmp_path / "out"
+    err = _run_reader(command, missing, out, model_path, capsys)
+    assert err["code"] == "io_failure"
+    assert err["context"] == {"path": str(missing)}
+
+
+def test_item_missing_a_key_exits_bad_input(tmp_path, capsys):
+    items, out = tmp_path / "items.jsonl", tmp_path / "out"
+    items.write_text('{"question": "q", "gold": [1, 1], "country": "NZL"}\n')
+    err = _run_reader(READER_COMMANDS[0], items, out, None, capsys)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(items), "line": 1, "key": "options"}
 
 
 def _synth_dir(tmp_path, n_queries):

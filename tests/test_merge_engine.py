@@ -10,8 +10,10 @@ from palette.errors import (
     TooFewExperts,
     UnnormalizedGate,
 )
+from palette import merge_engine
 from palette.merge_engine import (
     MergeRequest,
+    _trim_top_magnitude,
     gate_weighted_sum,
     model_stock,
     moerges_fuse,
@@ -21,7 +23,15 @@ from palette.merge_engine import (
 )
 
 from helpers import ckpt, like, random_checkpoint
-from oracles import as_lists, bf_model_stock, bf_moerges, bf_task_arithmetic, bf_ties, max_abs_diff
+from oracles import (
+    as_lists,
+    bf_model_stock,
+    bf_moerges,
+    bf_task_arithmetic,
+    bf_ties,
+    lexsort_trim_top_magnitude,
+    max_abs_diff,
+)
 
 
 # --- task arithmetic ---------------------------------------------------------
@@ -101,6 +111,79 @@ def test_ties_magnitude_tie_breaks_by_lower_index():
     base = ckpt(w=[0.0, 0.0])
     out = ties_merge(base, [ckpt(w=[-2.0, 2.0])], density=0.5)
     assert list(out["w"].data) == [-2.0, 0.0]
+
+
+NAN, INF = float("nan"), float("inf")
+TRIM_CASES = {
+    "ties_at_threshold": [3.0, -3.0, 1.0, 2.0, -2.0, 3.0, 1.0, -1.0, 2.0, -3.0, 2.0, -1.0],
+    "signed_zeros": [0.0, -0.0, 0.5, -0.0, 0.0, -0.5, 0.0, -0.0],
+    "nan": [NAN, 2.0, -2.0, NAN, 0.0, 1.0, NAN, -1.0, NAN, -0.0],
+    "all_nan_but_one": [NAN, NAN, -0.0, NAN, NAN],
+    "inf": [INF, -INF, 1.0, NAN, INF, -2.0, 0.0, -INF, 2.0],
+    "random_integers": np.where(
+        np.random.default_rng(12).random(64) < 0.15,
+        NAN,
+        np.random.default_rng(13).integers(-3, 4, 64),
+    ).tolist(),
+}
+
+
+@pytest.mark.parametrize("values", TRIM_CASES.values(), ids=TRIM_CASES.keys())
+def test_trim_top_magnitude_matches_the_sort_oracle(values):
+    # every keep from 1 to past the size, so NaN counts fall on both sides of size - keep
+    tau = np.array(values)
+    for keep in range(1, tau.size + 2):
+        got = _trim_top_magnitude(tau, keep)
+        want = lexsort_trim_top_magnitude(tau, keep)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), keep
+        if keep >= tau.size:
+            assert not np.shares_memory(got, tau)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_ties_non_finite_entries_poison_only_their_own_index():
+    # An unmatched NaN or inf makes the mean at its index NaN when another entry matched.
+    base = ckpt(w=[0.0, 0.0, 0.0, 0.0])
+    experts = [ckpt(w=[NAN, NAN, INF, INF]), ckpt(w=[-1.0, 1.0, -INF, -1.0])]
+    out = ties_merge(base, experts, density=1.0)["w"].data
+    assert np.array_equal(out, [NAN, 0.0, NAN, INF], equal_nan=True)
+
+
+def _integer_ties_case():
+    rng = np.random.default_rng(14)
+    base = ckpt(w=rng.integers(-2, 3, 12_000), b=rng.integers(-2, 3, 300))
+    experts = [
+        ckpt(**{name: spec.data + rng.integers(-3, 4, spec.data.size) for name, spec in base.items()})
+        for _ in range(5)
+    ]
+    return base, experts
+
+
+def test_ties_integer_task_vectors_match_the_sort_oracle(monkeypatch):
+    base, experts = _integer_ties_case()
+    base_l, experts_l = as_lists(base), [as_lists(e) for e in experts]
+    for density, scale in ((0.2, 1.0), (0.5, 0.7), (0.95, -1.0)):
+        got = ties_merge(base, experts, density, scale)
+        with monkeypatch.context() as patch:
+            patch.setattr(merge_engine, "_trim_top_magnitude", lexsort_trim_top_magnitude)
+            want = ties_merge(base, experts, density, scale)
+        brute = bf_ties(base_l, experts_l, density, scale)
+        for name in base.names:
+            assert got[name].data.tobytes() == want[name].data.tobytes(), (name, density)
+            assert got[name].data.tobytes() == np.float32(brute[name]).tobytes(), (name, density)
+
+
+def test_ties_merge_does_not_sort(monkeypatch):
+    base, experts = _integer_ties_case()
+    want = ties_merge(base, experts, 0.2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ties_merge sorted an array")
+
+    for name in ("lexsort", "argsort", "sort"):
+        monkeypatch.setattr(np, name, refuse)
+    got = ties_merge(base, experts, 0.2)
+    assert got == want
 
 
 # --- model stock ----------------------------------------------------------------
