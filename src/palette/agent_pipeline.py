@@ -108,16 +108,17 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
                 lineno, len(options), len(gold),
             )
             options = options[: len(gold)]
-        gold = normalize_distribution(gold)
-        items.append(
-            OpinionItem(
+        try:
+            item = OpinionItem(
                 question=row["question"],
                 options=options,
-                gold=gold,
+                gold=normalize_distribution(gold),
                 country=country,
                 qid=str(row.get("id", f"q{lineno:04d}")),
             )
-        )
+        except (TypeError, ValueError) as exc:
+            raise bad_line(path, lineno, str(exc)) from exc
+        items.append(item)
     return items
 
 

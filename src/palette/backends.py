@@ -8,13 +8,13 @@ read off sequence log-probabilities instead of parsed from generated text.
 
 from __future__ import annotations
 
-import os
+import json
 from typing import Mapping, Sequence
 
 import numpy as np
-import requests
 
-from .errors import BackendFailure
+from .common import post_json
+from .errors import BackendFailure, EndpointUnreachable
 from .reference_model import BOS, SEP, TinyTransformer, detokenize
 from .tensor_store import Checkpoint
 
@@ -70,8 +70,8 @@ class RemoteChat:
 
     Wire contract: POST {base_url}/v1/chat/completions with JSON
     {"model": ..., "messages": [{"role", "content"}...], "temperature": 0};
-    the reply text is choices[0].message.content. A bearer token is read
-    from the configured environment variable when set.
+    the reply text is choices[0].message.content. `common.post_json` sends it,
+    with a bearer token from the configured environment variable and retries.
     """
 
     kind = "remote"
@@ -83,43 +83,27 @@ class RemoteChat:
         auth_env: str = API_KEY_ENV,
         timeout: float = 60.0,
         label: str = "remote",
-        session: requests.Session | None = None,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.auth_env = auth_env
         self.timeout = timeout
         self.label = label
-        self.session = session
         self.calls: list[str] = []
 
     def complete(self, prompt: str) -> str:
         self.calls.append(prompt)
-        headers = {}
-        token = os.environ.get(self.auth_env, "")
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        http = self.session or requests
+        message = {"role": "user", "content": prompt}
+        payload = {"model": self.model, "messages": [message], "temperature": 0}
         try:
-            resp = http.post(
-                f"{self.base_url}/v1/chat/completions",
-                json={
-                    "model": self.model,
-                    "messages": [{"role": "user", "content": prompt}],
-                    "temperature": 0,
-                },
-                headers=headers,
-                timeout=self.timeout,
+            body = post_json(
+                f"{self.base_url}/v1/chat/completions", payload,
+                auth_env=self.auth_env, timeout=self.timeout,
             )
-        except requests.RequestException as exc:
-            raise BackendFailure(f"chat request failed: {exc}", self.label) from exc
-        if resp.status_code != 200:
-            raise BackendFailure(
-                f"chat endpoint returned HTTP {resp.status_code}", self.label,
-                status=resp.status_code,
-            )
+        except EndpointUnreachable as exc:
+            raise BackendFailure(f"chat request failed: {exc}", self.label, **exc.context) from exc
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            return json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendFailure(f"malformed chat response: {exc}", self.label) from exc
 

@@ -1,16 +1,20 @@
-"""Shared constants, deterministic serialization and the JSONL file format."""
+"""Shared constants, deterministic serialization, the JSONL format and the HTTP client."""
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import os
 import tempfile
+import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 from typing import Sequence
 
-from .errors import BadInput, IoFailure
+from .errors import BadInput, EndpointUnreachable, IoFailure
 
 # Fixed continental order used everywhere a 5-way label axis appears.
 CONTINENTS = ("Africa", "America", "Asia", "Europe", "Oceania")
@@ -80,6 +84,11 @@ def bad_line(path, index: int, message: str, **context) -> BadInput:
     return BadInput(f"{path}:{index + 1}: {message}", path=str(path), line=index + 1, **context)
 
 
+def unreadable(path, exc: OSError) -> IoFailure:
+    """IoFailure for a file that cannot be opened or read, naming ``path``."""
+    return IoFailure(f"cannot read {path}: {exc}", path=str(path))
+
+
 def iter_jsonl(path, required: Sequence[str] = ()):
     """Yield ``(index, row)`` for each non-blank line of a JSONL file.
 
@@ -93,7 +102,7 @@ def iter_jsonl(path, required: Sequence[str] = ()):
         # surrogateescape defers a decoding error to the line that holds it.
         fh = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}", path=str(path)) from exc
+        raise unreadable(path, exc) from exc
     with fh:
         for index, line in enumerate(fh):
             line = line.strip()
@@ -125,3 +134,44 @@ def append_jsonl(path, row) -> None:
     """Append one row to a JSONL file."""
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(_jsonl_line(row))
+
+
+# --- HTTP: one JSON POST with retries -------------------------------------------
+
+def post_json(
+    url: str, payload, *, auth_env: str, timeout: float, retries: int = 3, backoff: float = 0.25
+) -> bytes:
+    """POST ``payload`` as JSON and return the body of a 200 reply.
+
+    Sends a bearer token from ``auth_env`` when that variable is set. Makes up
+    to ``retries`` attempts, one connection each, and retries connection errors
+    and 5xx replies after ``backoff * 2**(attempt - 1)`` seconds. Any other
+    status, or the last failure, raises EndpointUnreachable (``url``, ``status``).
+    """
+    headers = {"Content-Type": "application/json"}
+    token = os.environ.get(auth_env, "")
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    try:
+        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers)
+    except ValueError as exc:
+        raise EndpointUnreachable(f"bad URL {url!r}: {exc}", url=url) from exc
+    failure, context = "no attempts made", {}
+    for attempt in range(retries):
+        if attempt:
+            time.sleep(backoff * 2 ** (attempt - 1))
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                if resp.status == 200:
+                    return resp.read()
+                status = resp.status
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            status = exc.code
+        except (OSError, http.client.HTTPException) as exc:
+            failure, context = f"{type(exc).__name__}: {exc}", {}
+            continue
+        if status is None or status < 500:
+            raise EndpointUnreachable(f"{url} returned HTTP {status}", url=url, status=status)
+        failure, context = f"HTTP {status}", {"status": status}
+    raise EndpointUnreachable(f"{url}: {failure} after {retries} attempts", url=url, **context)

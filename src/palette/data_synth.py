@@ -13,13 +13,14 @@ completed calls.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .align_trainer import PreferenceRecord
-from .common import CONTINENTS, append_jsonl, iter_jsonl
+from .common import CONTINENTS, append_jsonl, bad_line, iter_jsonl, unreadable
 from .errors import IncompleteQuery
 from .templates import render_template
 
@@ -196,9 +197,14 @@ def load_synth_records(path) -> list[SynthRecord]:
     path = Path(path)
     files = sorted(path.glob("records_*.jsonl")) if path.is_dir() else [path]
     required = [f.name for f in fields(SynthRecord)]
-    return [
-        SynthRecord.from_dict(row) for file in files for _, row in iter_jsonl(file, required)
-    ]
+    records = []
+    for file in files:
+        for index, row in iter_jsonl(file, required):
+            try:
+                records.append(SynthRecord.from_dict(row))
+            except TypeError as exc:
+                raise bad_line(file, index, str(exc)) from exc
+    return records
 
 
 def run_synthesis(
@@ -330,5 +336,13 @@ def import_prism(path) -> list[dict[str, str]]:
     path = Path(path)
     if path.suffix.lower() != ".csv":
         return [r for i, row in iter_jsonl(path) if (r := _extract(row, i))]
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [r for i, row in enumerate(csv.DictReader(fh)) if (r := _extract(row, i))]
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise unreadable(path, exc) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise bad_line(path, data.count(b"\n", 0, exc.start), "not valid UTF-8") from exc
+    rows = csv.DictReader(io.StringIO(text, newline=""))
+    return [r for i, row in enumerate(rows) if (r := _extract(row, i))]

@@ -7,23 +7,19 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import threading
-import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Sequence
 from urllib.parse import urlparse
 
 import numpy as np
-import requests
 
-from .common import round9
+from .common import post_json, round9
 from .errors import (
     AllZero,
     EmptyText,
-    EndpointUnreachable,
     LengthMismatch,
     MalformedScorerResponse,
     NegativeEntry,
@@ -118,51 +114,23 @@ def semantic_score(
     r_llm: str,
     retries: int = 3,
     backoff: float = 0.25,
-    session: requests.Session | None = None,
 ) -> float:
     """POST the text pair to {base_url}/score and return the consistency
-    probability; transient failures are retried with exponential backoff."""
+    probability; connection errors and 5xx replies are retried (`common.post_json`)."""
     if not r_gold or not r_llm:
         raise EmptyText("both texts must be non-empty")
     url = endpoint.base_url.rstrip("/") + "/score"
-    headers = {}
-    token = os.environ.get(endpoint.auth_env, "")
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    http = session or requests
-
-    last_error = "no attempts made"
-    for attempt in range(retries):
-        if attempt:
-            time.sleep(backoff * 2 ** (attempt - 1))
-        try:
-            resp = http.post(
-                url,
-                json={"premise": r_gold, "hypothesis": r_llm},
-                headers=headers,
-                timeout=endpoint.timeout,
-            )
-        except requests.RequestException as exc:
-            last_error = f"{type(exc).__name__}: {exc}"
-            continue
-        if resp.status_code >= 500:
-            last_error = f"HTTP {resp.status_code}"
-            continue
-        if resp.status_code != 200:
-            raise EndpointUnreachable(
-                f"scorer returned HTTP {resp.status_code}", url=url, status=resp.status_code
-            )
-        try:
-            body = resp.json()
-            score = body["score"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise MalformedScorerResponse(f"bad scorer response: {exc}", url=url) from exc
-        if not isinstance(score, (int, float)) or isinstance(score, bool) or not (0.0 <= score <= 1.0):
-            raise MalformedScorerResponse(f"score {score!r} is not a float in [0, 1]", url=url)
-        return float(score)
-    raise EndpointUnreachable(
-        f"scorer unreachable after {retries} attempts ({last_error})", url=url
+    body = post_json(
+        url, {"premise": r_gold, "hypothesis": r_llm},
+        auth_env=endpoint.auth_env, timeout=endpoint.timeout, retries=retries, backoff=backoff,
     )
+    try:
+        score = json.loads(body)["score"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedScorerResponse(f"bad scorer response: {exc}", url=url) from exc
+    if not isinstance(score, (int, float)) or isinstance(score, bool) or not (0.0 <= score <= 1.0):
+        raise MalformedScorerResponse(f"score {score!r} is not a float in [0, 1]", url=url)
+    return float(score)
 
 
 # --- offline mock scorer -----------------------------------------------------

@@ -15,16 +15,6 @@ from typing import Mapping
 
 from .errors import TemplateError
 
-TEMPLATE_NAMES = (
-    "draft",
-    "regulate",
-    "final",
-    "synth_response",
-    "synth_feedback",
-    "synth_aggregate",
-    "synth_judge",
-)
-
 
 def load_template(name: str, templates_dir: str | Path | None = None) -> str:
     filename = f"{name}.txt"

@@ -127,9 +127,6 @@ class Checkpoint:
         md.update({k: str(v) for k, v in entries.items()})
         return Checkpoint(self.specs(), md)
 
-    def schema(self) -> dict[str, tuple[int, ...]]:
-        return {name: spec.shape for name, spec in self.items()}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Checkpoint):
             return NotImplemented

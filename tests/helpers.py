@@ -1,6 +1,11 @@
-"""Shared test helpers: checkpoint builders, toy datasets, fixture records."""
+"""Shared test helpers: checkpoint builders, toy datasets, fixture records and
+a loopback HTTP server with scripted replies."""
 
 from __future__ import annotations
+
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -122,3 +127,51 @@ def toy_preference_dataset(n_queries=50, seed=42) -> list[PreferenceRecord]:
                 )
             )
     return records
+
+
+class ReplyServer:
+    """Loopback HTTP server for client tests. The n-th POST gets the n-th
+    ``(status, body)`` of ``replies``, and the last one repeats. Each request's
+    path, JSON body and Authorization header go to ``requests_seen``."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests_seen = []
+        self._server = None
+        self._thread = None
+
+    @property
+    def base_url(self):
+        host, port = self._server.server_address
+        return f"http://{host}:{port}"
+
+    def __enter__(self):
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", 0))
+                outer.requests_seen.append({
+                    "path": self.path,
+                    "body": json.loads(self.rfile.read(length)),
+                    "auth": self.headers.get("Authorization"),
+                })
+                status, body = outer.replies[min(len(outer.requests_seen), len(outer.replies)) - 1]
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._server.shutdown()
+        self._thread.join()
+        self._server.server_close()

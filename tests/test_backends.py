@@ -1,6 +1,8 @@
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import socket
+import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -8,61 +10,45 @@ from palette.backends import LocalReference, RemoteChat, ScriptedMock, option_di
 from palette.errors import BackendFailure
 from palette.reference_model import BOS, SEP, TinyTransformer
 
-from helpers import tiny_model
+from helpers import ReplyServer, tiny_model
 
 
-class MockChatServer:
-    """Minimal chat-completions endpoint used to exercise the wire contract."""
+def chat_body(text):
+    return json.dumps({"choices": [{"message": {"role": "assistant", "content": text}}]}).encode()
+
+
+class MockChatServer(ReplyServer):
+    """Chat-completions endpoint that answers every call with `reply` and `status`."""
 
     def __init__(self, reply="pong", status=200):
-        self.reply = reply
-        self.status = status
-        self.requests_seen = []
-        self._server = None
-        self._thread = None
+        super().__init__([(status, chat_body(reply))])
 
-    @property
-    def base_url(self):
-        host, port = self._server.server_address
-        return f"http://{host}:{port}"
 
-    def __enter__(self):
-        outer = self
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The seconds of every `time.sleep` call, which returns at once."""
+    seen = []
+    monkeypatch.setattr(time, "sleep", seen.append)
+    return seen
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                if self.path != "/v1/chat/completions":
-                    self.send_error(404)
-                    return
-                length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length))
-                outer.requests_seen.append(
-                    {"body": body, "auth": self.headers.get("Authorization")}
-                )
-                if outer.status != 200:
-                    self.send_error(outer.status)
-                    return
-                payload = json.dumps(
-                    {"choices": [{"message": {"role": "assistant", "content": outer.reply}}]}
-                ).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
 
-            def log_message(self, *args):
-                pass
+@pytest.fixture
+def attempts(monkeypatch):
+    """One entry per `urlopen` call: None, or the error it raised."""
+    seen = []
+    urlopen = urllib.request.urlopen
 
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
-        return self
+    def recording_urlopen(*args, **kwargs):
+        try:
+            response = urlopen(*args, **kwargs)
+        except OSError as exc:  # URLError and HTTPError
+            seen.append(exc)
+            raise
+        seen.append(None)
+        return response
 
-    def __exit__(self, *exc):
-        self._server.shutdown()
-        self._thread.join()
-        self._server.server_close()
+    monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+    return seen
 
 
 def test_scripted_mock_resolution_order():
@@ -93,6 +79,7 @@ def test_remote_chat_wire_contract(monkeypatch):
         reply = backend.complete("hello there")
     assert reply == "hello back"
     seen = server.requests_seen[-1]
+    assert seen["path"] == "/v1/chat/completions"
     assert seen["auth"] == "Bearer key123"
     assert seen["body"]["model"] == "toy-model"
     assert seen["body"]["temperature"] == 0
@@ -111,6 +98,49 @@ def test_remote_chat_connection_error():
     backend = RemoteChat("http://127.0.0.1:1", model="toy", timeout=0.2)
     with pytest.raises(BackendFailure):
         backend.complete("x")
+
+
+def test_remote_chat_retries_a_5xx_reply(sleeps):
+    with ReplyServer([(503, b"{}"), (200, chat_body("pong"))]) as server:
+        reply = RemoteChat(server.base_url, model="toy", label="meta").complete("x")
+    assert reply == "pong"
+    assert len(server.requests_seen) == 2
+    assert sleeps == [0.25]
+
+
+def test_remote_chat_4xx_fails_at_once(sleeps, attempts):
+    with MockChatServer(status=404) as server:
+        backend = RemoteChat(server.base_url, model="toy", label="meta")
+        with pytest.raises(BackendFailure) as exc:
+            backend.complete("x")
+    assert exc.value.code == "backend_failure"
+    assert exc.value.label == "meta"
+    assert exc.value.context["status"] == 404
+    assert len(server.requests_seen) == 1
+    assert sleeps == []
+    assert len(attempts) == 1
+    assert isinstance(attempts[0], urllib.error.HTTPError) and attempts[0].fp.closed
+
+
+def test_remote_chat_5xx_to_the_end_keeps_the_status(sleeps):
+    with MockChatServer(status=503) as server:
+        with pytest.raises(BackendFailure) as exc:
+            RemoteChat(server.base_url, model="toy", label="meta").complete("x")
+    assert exc.value.context["status"] == 503
+    assert len(server.requests_seen) == 3
+    assert sleeps == [0.25, 0.5]
+
+
+def test_remote_chat_refused_connection_fails_after_three_attempts(sleeps, attempts):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))  # bound but not listening: connections are refused
+        url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+        with pytest.raises(BackendFailure) as exc:
+            RemoteChat(url, model="toy", label="Asia", timeout=2.0).complete("x")
+    assert exc.value.label == "Asia"
+    assert "status" not in exc.value.context
+    assert len(attempts) == 3
+    assert sleeps == [0.25, 0.5]
 
 
 def test_local_reference_deterministic():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import palette
 from palette.cli import main
 from palette.common import CONTINENTS
 from palette.tensor_store import load_checkpoint, save_checkpoint
@@ -237,6 +242,9 @@ READER_COMMANDS = [
     ("synth", "import-prism", "--input", "{bad}", "-o", "{out}"),
 ]
 READER_IDS = ["eval", "align", "synth run", "synth pairs", "synth import-prism"]
+# Every reader with a JSONL input, then `synth import-prism` over a CSV file.
+INPUT_CASES = [(command, ".jsonl") for command in READER_COMMANDS] + [(READER_COMMANDS[-1], ".csv")]
+INPUT_IDS = READER_IDS + ["synth import-prism csv"]
 
 
 def _run_reader(command, bad, out, model, capsys):
@@ -255,18 +263,18 @@ def test_malformed_jsonl_exits_bad_input(tmp_path, capsys, model_path, command):
     assert err["context"] == {"path": str(bad), "line": 2}
 
 
-@pytest.mark.parametrize("command", READER_COMMANDS, ids=READER_IDS)
-def test_invalid_utf8_exits_bad_input(tmp_path, capsys, model_path, command):
-    bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+@pytest.mark.parametrize("command, suffix", INPUT_CASES, ids=INPUT_IDS)
+def test_invalid_utf8_exits_bad_input(tmp_path, capsys, model_path, command, suffix):
+    bad, out = tmp_path / f"bad{suffix}", tmp_path / "out"
     bad.write_bytes(b'\n{"question": "caf\xe9"}\n')
     err = _run_reader(command, bad, out, model_path, capsys)
     assert err["code"] == "bad_input"
     assert err["context"] == {"path": str(bad), "line": 2}
 
 
-@pytest.mark.parametrize("command", READER_COMMANDS, ids=READER_IDS)
-def test_missing_input_file_exits_io_failure(tmp_path, capsys, model_path, command):
-    missing, out = tmp_path / "missing.jsonl", tmp_path / "out"
+@pytest.mark.parametrize("command, suffix", INPUT_CASES, ids=INPUT_IDS)
+def test_missing_input_file_exits_io_failure(tmp_path, capsys, model_path, command, suffix):
+    missing, out = tmp_path / f"missing{suffix}", tmp_path / "out"
     err = _run_reader(command, missing, out, model_path, capsys)
     assert err["code"] == "io_failure"
     assert err["context"] == {"path": str(missing)}
@@ -278,6 +286,16 @@ def test_item_missing_a_key_exits_bad_input(tmp_path, capsys):
     err = _run_reader(READER_COMMANDS[0], items, out, None, capsys)
     assert err["code"] == "bad_input"
     assert err["context"] == {"path": str(items), "line": 1, "key": "options"}
+
+
+def test_item_with_one_option_exits_bad_input(tmp_path, capsys):
+    items, out = tmp_path / "items.jsonl", tmp_path / "out"
+    items.write_text('\n{"question": "q", "options": ["a"], "gold": [1], "country": "NZL"}\n')
+    err = _run_reader(READER_COMMANDS[0], items, out, None, capsys)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(items), "line": 2}
+    assert err["message"].startswith(f"{items}:2: ")
+    assert "at least 2 options" in err["message"]
 
 
 def _synth_dir(tmp_path, n_queries):
@@ -304,6 +322,25 @@ def test_synth_resume_over_torn_step_store_is_bad_input(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "bad_input"
     assert err["context"] == {"path": str(steps), "line": len(text.splitlines())}
+
+
+def test_synth_record_with_an_extra_key_exits_bad_input(tmp_path, capsys):
+    out_dir, _ = _synth_dir(tmp_path, 1)
+    records = out_dir / "records_Asia.jsonl"
+    row = json.loads(records.read_text())
+    records.write_text("\n" + json.dumps({**row, "extra": 1}) + "\n")
+    capsys.readouterr()
+    err = _run_reader(READER_COMMANDS[3], out_dir, tmp_path / "pairs.jsonl", None, capsys)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(records), "line": 2}
+    assert "'extra'" in err["message"]
+
+
+def test_cli_imports_without_requests():
+    src = str(Path(palette.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    check = "import palette.cli, sys; assert 'requests' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)
 
 
 def test_synth_pairs_leaves_no_partial_output(tmp_path, capsys, monkeypatch):

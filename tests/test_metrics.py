@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from palette.metrics import (
     semantic_score,
     token_overlap_score,
 )
+
+from helpers import ReplyServer
 
 # Sample Pearson for ([1,2,3],[2,4,7]) is 15/sqrt(228); acceptance check C6b
 # pins the same value.
@@ -205,35 +208,34 @@ def test_semantic_score_unreachable_after_retries():
 
 
 def test_semantic_score_malformed_response():
-    class FakeResponse:
-        status_code = 200
-
-        def json(self):
-            return {"not_score": 1}
-
-    class FakeSession:
-        def post(self, *args, **kwargs):
-            return FakeResponse()
-
-    endpoint = NliScorerEndpoint(base_url="http://example.invalid")
-    with pytest.raises(MalformedScorerResponse):
-        semantic_score(endpoint, "a", "b", session=FakeSession(), backoff=0.0)
+    with ReplyServer([(200, b'{"not_score": 1}')]) as server:
+        endpoint = NliScorerEndpoint(base_url=server.base_url)
+        with pytest.raises(MalformedScorerResponse):
+            semantic_score(endpoint, "a", "b", backoff=0.0)
 
 
 def test_semantic_score_out_of_range_score():
-    class FakeResponse:
-        status_code = 200
+    with MockScorerServer(score_fn=lambda p, h: 1.5) as server:
+        endpoint = NliScorerEndpoint(base_url=server.base_url)
+        with pytest.raises(MalformedScorerResponse):
+            semantic_score(endpoint, "a", "b", backoff=0.0)
 
-        def json(self):
-            return {"score": 1.5}
 
-    class FakeSession:
-        def post(self, *args, **kwargs):
-            return FakeResponse()
-
-    endpoint = NliScorerEndpoint(base_url="http://example.invalid")
-    with pytest.raises(MalformedScorerResponse):
-        semantic_score(endpoint, "a", "b", session=FakeSession(), backoff=0.0)
+def test_semantic_score_shares_the_chat_retry_rule(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    with ReplyServer([(503, b"{}"), (200, b'{"score": 0.5}')]) as server:
+        endpoint = NliScorerEndpoint(base_url=server.base_url)
+        assert semantic_score(endpoint, "a", "b") == 0.5
+    assert len(server.requests_seen) == 2
+    assert sleeps == [0.25]
+    with ReplyServer([(404, b"{}")]) as server:
+        endpoint = NliScorerEndpoint(base_url=server.base_url)
+        with pytest.raises(EndpointUnreachable) as exc:
+            semantic_score(endpoint, "a", "b")
+    assert exc.value.context == {"url": server.base_url + "/score", "status": 404}
+    assert len(server.requests_seen) == 1
+    assert sleeps == [0.25]
 
 
 def test_endpoint_requires_absolute_url():
