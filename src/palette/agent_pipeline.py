@@ -125,7 +125,12 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
 # --- stages -------------------------------------------------------------------
 
 def draft(agents: Mapping[str, object], cq: CountryQuery, templates_dir=None) -> Draft:
-    """Fan out to all five continent agents; fails atomically if any agent fails."""
+    """Ask all five continent agents; fails atomically if any agent fails.
+
+    Remote agents wait on HTTP, so they are asked at once on a thread pool.
+    Every other agent is compute under the GIL and is asked in continental
+    order on the calling thread, which starts no thread when none is remote.
+    """
     missing = [c for c in CONTINENTS if c not in agents]
     if missing:
         raise BackendFailure(f"no agent configured for {missing[0]}", missing[0])
@@ -141,12 +146,17 @@ def draft(agents: Mapping[str, object], cq: CountryQuery, templates_dir=None) ->
         return agents[continent].complete(prompt)
 
     with ThreadPoolExecutor(max_workers=len(CONTINENTS)) as pool:
-        futures = {c: pool.submit(ask, c) for c in CONTINENTS}
+        futures = {
+            c: pool.submit(ask, c)
+            for c in CONTINENTS
+            if getattr(agents[c], "kind", None) == "remote"
+        }
         results: dict[str, str] = {}
         failure: tuple[str, Exception] | None = None
         for continent in CONTINENTS:
             try:
-                results[continent] = futures[continent].result()
+                future = futures.get(continent)
+                results[continent] = future.result() if future else ask(continent)
             except Exception as exc:
                 if failure is None:
                     failure = (continent, exc)

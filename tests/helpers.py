@@ -145,6 +145,10 @@ class ReplyServer:
         host, port = self._server.server_address
         return f"http://{host}:{port}"
 
+    def respond(self):
+        """The ``(status, body)`` for the request just recorded."""
+        return self.replies[min(len(self.requests_seen), len(self.replies)) - 1]
+
     def __enter__(self):
         outer = self
 
@@ -156,7 +160,7 @@ class ReplyServer:
                     "body": json.loads(self.rfile.read(length)),
                     "auth": self.headers.get("Authorization"),
                 })
-                status, body = outer.replies[min(len(outer.requests_seen), len(outer.replies)) - 1]
+                status, body = outer.respond()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))

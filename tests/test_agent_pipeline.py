@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from palette.agent_pipeline import (
     run_item,
     self_regulate,
 )
-from palette.backends import LocalReference, ScriptedMock
+from palette.backends import LocalReference, RemoteChat, ScriptedMock
 from palette.common import CONTINENTS
 from palette.errors import BackendFailure, EmptyDataset, UnparseableDistribution
 from palette.gate_router import init_gate
@@ -26,7 +27,7 @@ from palette.metrics import alignment_score, normalize_distribution
 from palette.reference_model import forward, init_model
 from palette.tensor_store import Checkpoint
 
-from helpers import tiny_config, tiny_model
+from helpers import ReplyServer, tiny_config, tiny_model
 
 NZL_QUESTION = (
     "Most people consider both freedom and equality to be important, but if you had "
@@ -80,6 +81,90 @@ def test_draft_atomic_failure_names_continent():
     with pytest.raises(BackendFailure) as exc:
         draft(agents, CountryQuery("NZL", "q?"))
     assert exc.value.label == "Asia"
+
+
+def _chat_reply(text):
+    return 200, json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+
+def _record_thread(agent, seen):
+    """Make ``agent.complete`` append (label, thread id, live threads) to ``seen``."""
+    complete = agent.complete
+
+    def recording(prompt):
+        seen.append((agent.label, threading.get_ident(), threading.active_count()))
+        return complete(prompt)
+
+    agent.complete = recording
+    return agent
+
+
+def test_draft_asks_local_agents_in_order_on_the_calling_thread():
+    model = tiny_model()
+    seen = []
+    agents = {
+        c: _record_thread(
+            LocalReference(model, max_new_tokens=3, label=c) if i % 2
+            else ScriptedMock(default=f"resp-{c}", label=c),
+            seen,
+        )
+        for i, c in enumerate(CONTINENTS)
+    }
+    threads_before = threading.active_count()
+    d = draft(agents, CountryQuery("NZL", "q?"))
+    assert seen == [(c, threading.get_ident(), threads_before) for c in CONTINENTS]
+    assert all(len(agent.calls) == 1 for agent in agents.values())
+    assert [text for _, text in d.entries][::2] == [f"resp-{c}" for c in CONTINENTS[::2]]
+
+
+class AllOpenServer(ReplyServer):
+    """Chat endpoint that answers only once ``n`` requests are open together.
+
+    A request that waits ``timeout`` seconds for the others gets a 400, as
+    does every later one, so a client that sends the requests one by one
+    fails instead of hanging.
+    """
+
+    def __init__(self, n, timeout=10.0):
+        super().__init__([_chat_reply("drafted")])
+        self.barrier = threading.Barrier(n, timeout=timeout)
+
+    def respond(self):
+        try:
+            self.barrier.wait()
+        except threading.BrokenBarrierError:
+            return 400, b"{}"
+        return super().respond()
+
+
+def test_draft_asks_remote_agents_at_once():
+    with AllOpenServer(len(CONTINENTS)) as server:
+        agents = {c: RemoteChat(server.base_url, "toy", label=c) for c in CONTINENTS}
+        d = draft(agents, CountryQuery("NZL", "q?"))
+    assert [text for _, text in d.entries] == ["drafted"] * len(CONTINENTS)
+    assert all(len(agent.calls) == 1 for agent in agents.values())
+    assert len(server.requests_seen) == len(CONTINENTS)
+
+
+@pytest.mark.parametrize("first", ["local", "remote"])
+def test_draft_failure_asks_every_agent_once_and_names_the_first(first):
+    # America fails on the `first` kind of agent and Asia on the other kind;
+    # the remaining three agents answer, one of them remotely.
+    with ReplyServer([_chat_reply("ok")]) as good, ReplyServer([(404, b"{}")]) as bad:
+        failing = {
+            "local": ScriptedMock(label="failing"),
+            "remote": RemoteChat(bad.base_url, "toy", label="failing"),
+        }
+        agents = {c: ScriptedMock(default="ok", label=c) for c in CONTINENTS}
+        agents["Africa"] = RemoteChat(good.base_url, "toy", label="Africa")
+        agents["America"] = failing[first]
+        agents["Asia"] = failing["remote" if first == "local" else "local"]
+        with pytest.raises(BackendFailure) as exc:
+            draft(agents, CountryQuery("NZL", "q?"))
+    assert exc.value.label == "America"
+    assert "draft stage failed for America" in str(exc.value)
+    assert all(len(agent.calls) == 1 for agent in agents.values())
+    assert len(good.requests_seen) == 1 and len(bad.requests_seen) == 1
 
 
 def test_draft_requires_all_agents():
