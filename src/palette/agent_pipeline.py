@@ -383,7 +383,6 @@ class PipelineConfig:
     templates_dir: object = None
     no_draft: bool = False
     no_regulate: bool = False
-    no_moerges: bool = False
     pearson_mode: str = "pooled"  # or "per_question_mean"
 
     def meta_provider(self):
@@ -398,7 +397,6 @@ class PipelineConfig:
             "meta": provider.describe(),
             "no_draft": self.no_draft,
             "no_regulate": self.no_regulate,
-            "no_moerges": self.no_moerges,
             "pearson_mode": self.pearson_mode,
         }
 

@@ -298,7 +298,6 @@ def _build_eval_config(args) -> agent_pipeline.PipelineConfig:
         meta=meta,
         no_draft=args.no_draft,
         no_regulate=args.no_regulate,
-        no_moerges=args.no_moerges,
         pearson_mode=args.pearson_mode,
     )
 

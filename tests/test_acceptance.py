@@ -356,11 +356,7 @@ def test_c10_ablation_flags():
     run_item(PipelineConfig(agents={}, meta=fused_meta, no_draft=True), item_small, "X")
     assert len(fused_meta.fusions) == 1
     unfused_meta = FusedLocalMeta(base, experts, gate, no_fuse=True, max_new_tokens=4)
-    run_item(
-        PipelineConfig(agents={}, meta=unfused_meta, no_draft=True, no_moerges=True),
-        item_small,
-        "X",
-    )
+    run_item(PipelineConfig(agents={}, meta=unfused_meta, no_draft=True), item_small, "X")
     assert len(unfused_meta.fusions) == 0
     assert unfused_meta.backend_for("X", "pick").params == base
 
