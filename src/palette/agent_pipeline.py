@@ -90,12 +90,16 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
     items = []
     for lineno, row in iter_jsonl(path, required=("question", "options")):
         selections = row.get("selections", {})
+        if not isinstance(selections, dict):
+            raise bad_line(path, lineno, '"selections" must be an object')
         if country not in selections and row.get("country") != country:
             continue
-        gold = list(selections.get(country, row.get("gold", [])))
+        gold = selections.get(country, row.get("gold", []))
+        options = row["options"]
+        if not isinstance(gold, list) or not isinstance(options, list):
+            raise bad_line(path, lineno, f"options and the gold for {country!r} must be arrays")
         if not gold:
             raise bad_line(path, lineno, f"no gold distribution for {country!r}")
-        options = list(row["options"])
         if len(gold) > len(options):
             logger.info(
                 "item %d: truncating gold from %d to %d options and renormalizing",

@@ -137,10 +137,12 @@ def self_judge_refine(
     call = cached or (lambda _key, fn: fn())
     current = response
     for round_no in range(1, max_rounds + 1):
-        judge_prompt = render_template(
-            "synth_judge", templates_dir, continent=continent, query=query, response=current
+        verdict = call(
+            f"judge{round_no}",
+            lambda: backend.complete(render_template(
+                "synth_judge", templates_dir, continent=continent, query=query, response=current
+            )),
         )
-        verdict = call(f"judge{round_no}", lambda: backend.complete(judge_prompt))
         if APPROVED_MARKER in verdict:
             return current, round_no, True
         if REVISE_MARKER not in verdict:
@@ -345,4 +347,8 @@ def import_prism(path) -> list[dict[str, str]]:
     except UnicodeDecodeError as exc:
         raise bad_line(path, data.count(b"\n", 0, exc.start), "not valid UTF-8") from exc
     rows = csv.DictReader(io.StringIO(text, newline=""))
-    return [r for i, row in enumerate(rows) if (r := _extract(row, i))]
+    try:
+        return [r for i, row in enumerate(rows) if (r := _extract(row, i))]
+    except csv.Error as exc:
+        # line_num counts the lines read in full, so it is the failing line's index.
+        raise bad_line(path, rows.line_num, str(exc)) from exc

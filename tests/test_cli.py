@@ -290,12 +290,31 @@ def test_item_missing_a_key_exits_bad_input(tmp_path, capsys):
 
 def test_item_with_one_option_exits_bad_input(tmp_path, capsys):
     items, out = tmp_path / "items.jsonl", tmp_path / "out"
-    items.write_text('\n{"question": "q", "options": ["a"], "gold": [1], "country": "NZL"}\n')
-    err = _run_reader(READER_COMMANDS[0], items, out, None, capsys)
+    # A row with one option, then rows whose fields have the wrong JSON type.
+    rows = [
+        ('{"question": "q", "options": ["a"], "gold": [1], "country": "NZL"}', "at least 2 options"),
+        ('{"question": "q", "options": 5, "gold": [1, 1], "country": "NZL"}', "must be arrays"),
+        ('{"question": "q", "options": ["a", "b"], "gold": 3, "country": "NZL"}', "must be arrays"),
+        ('{"question": "q", "options": ["a", "b"], "selections": [1], "country": "NZL"}',
+         '"selections" must be an object'),
+    ]
+    for row, reason in rows:
+        items.write_text(f"\n{row}\n")
+        err = _run_reader(READER_COMMANDS[0], items, out, None, capsys)
+        assert err["code"] == "bad_input"
+        assert err["context"] == {"path": str(items), "line": 2}
+        assert err["message"].startswith(f"{items}:2: ")
+        assert reason in err["message"]
+
+
+def test_csv_field_over_the_size_limit_exits_bad_input(tmp_path, capsys):
+    bad, out = tmp_path / "big.csv", tmp_path / "out"
+    bad.write_text("id,question\nq0,fine\nq1," + "x" * 200_000 + "\n")
+    err = _run_reader(READER_COMMANDS[-1], bad, out, None, capsys)
     assert err["code"] == "bad_input"
-    assert err["context"] == {"path": str(items), "line": 2}
-    assert err["message"].startswith(f"{items}:2: ")
-    assert "at least 2 options" in err["message"]
+    assert err["context"] == {"path": str(bad), "line": 3}
+    assert err["message"].startswith(f"{bad}:3: ")
+    assert "field larger than field limit" in err["message"]
 
 
 def _synth_dir(tmp_path, n_queries):

@@ -202,6 +202,27 @@ def test_run_synthesis_is_resumable_without_duplicate_calls(tmp_path):
     assert [r.to_dict() for r in records2] == [r.to_dict() for r in records]
 
 
+def test_replay_from_the_step_store_renders_no_template(tmp_path, monkeypatch):
+    # "[Revise]" on every judge call: 3 steps, then 3 judge-and-revise rounds per cell
+    backend = ScriptedMock(default="[Revise] say more")
+    run_synthesis(SynthConfig(backend=backend, max_rounds=3), make_queries(2), tmp_path)
+    assert len(backend.calls) == 2 * 5 * 9
+    records = {f.name: f.read_bytes() for f in tmp_path.glob("records_*.jsonl")}
+    steps = (tmp_path / "steps.jsonl").read_bytes()
+    for name in records:
+        (tmp_path / name).unlink()
+
+    renders = []
+    monkeypatch.setattr(
+        "palette.data_synth.render_template", lambda name, *a, **kw: renders.append(name)
+    )
+    idle = ScriptedMock(label="idle")  # fails on any call
+    run_synthesis(SynthConfig(backend=idle, max_rounds=3), make_queries(2), tmp_path)
+    assert renders == [] and idle.calls == []
+    assert {f.name: f.read_bytes() for f in tmp_path.glob("records_*.jsonl")} == records
+    assert (tmp_path / "steps.jsonl").read_bytes() == steps
+
+
 def test_step_store_round_trip(tmp_path):
     store = StepStore(tmp_path / "steps.jsonl")
     calls = []
