@@ -128,7 +128,7 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
 
 # --- stages -------------------------------------------------------------------
 
-def draft(agents: Mapping[str, object], cq: CountryQuery, templates_dir=None) -> Draft:
+def draft(agents: Mapping[str, object], cq: CountryQuery) -> Draft:
     """Ask all five continent agents; fails atomically if any agent fails.
 
     Remote agents wait on HTTP, so they are asked at once on a thread pool.
@@ -141,11 +141,7 @@ def draft(agents: Mapping[str, object], cq: CountryQuery, templates_dir=None) ->
 
     def ask(continent: str) -> str:
         prompt = render_template(
-            "draft",
-            templates_dir,
-            continent=continent,
-            country=cq.country,
-            query=cq.query,
+            "draft", continent=continent, country=cq.country, query=cq.query
         )
         return agents[continent].complete(prompt)
 
@@ -170,14 +166,10 @@ def draft(agents: Mapping[str, object], cq: CountryQuery, templates_dir=None) ->
     return Draft(entries=tuple((c, results[c]) for c in CONTINENTS))
 
 
-def self_regulate(meta, draft_obj: Draft, cq: CountryQuery, templates_dir=None) -> str:
+def self_regulate(meta, draft_obj: Draft, cq: CountryQuery) -> str:
     """One meta call that recontextualizes all five tagged drafts for the country."""
     prompt = render_template(
-        "regulate",
-        templates_dir,
-        country=cq.country,
-        query=cq.query,
-        drafts=draft_obj.as_text(),
+        "regulate", country=cq.country, query=cq.query, drafts=draft_obj.as_text()
     )
     return meta.complete(prompt)
 
@@ -186,10 +178,9 @@ def _lettered_options(options: Sequence[str]) -> str:
     return "\n".join(f"{OPTION_LETTERS[i]}. {opt}" for i, opt in enumerate(options))
 
 
-def final_prompt(item: OpinionItem, country: str, context: str, templates_dir=None) -> str:
+def final_prompt(item: OpinionItem, country: str, context: str) -> str:
     return render_template(
         "final",
-        templates_dir,
         country=country,
         query=item.question,
         options=_lettered_options(item.options),
@@ -217,11 +208,7 @@ def _parse_probability_array(text: str, n: int) -> list[float] | None:
 
 
 def final_decision(
-    meta,
-    regulated: str,
-    item: OpinionItem,
-    country: str,
-    templates_dir=None,
+    meta, regulated: str, item: OpinionItem, country: str
 ) -> tuple[str, list[float]]:
     """Produce (answer letter, normalized distribution over options).
 
@@ -229,7 +216,7 @@ def final_decision(
     softmax them; text backends must reply with a JSON probability array and
     are re-prompted up to three times before UnparseableDistribution.
     """
-    prompt = final_prompt(item, country, regulated, templates_dir)
+    prompt = final_prompt(item, country, regulated)
     if hasattr(meta, "score_options"):
         scores = meta.score_options(prompt, item.options)
         p_gen = option_distribution_from_scores(scores)
@@ -273,8 +260,6 @@ def fuse_meta(
     query: str | None = None,
     *,
     mode: str = "per-request",
-    temperature: float = 1.0,
-    ffn_pattern: str = "*.ffn.*",
     gate_override: Sequence[float] | None = None,
 ) -> tuple[Checkpoint, GateWeights]:
     """Route the country/query context through the gate and fuse the experts'
@@ -289,8 +274,8 @@ def fuse_meta(
         if gate_matrix is None:
             raise ValueError("either gate_matrix or gate_override is required")
         text = routing_text(country, query if mode == "per-request" else None)
-        weights = route_prompt(base, gate_matrix, text, temperature)
-    fused = moerges_fuse(base, ordered, list(weights), ffn_pattern)
+        weights = route_prompt(base, gate_matrix, text)
+    fused = moerges_fuse(base, ordered, list(weights))
     return fused, weights
 
 
@@ -311,8 +296,6 @@ class FusedLocalMeta:
         gate_matrix: GateMatrix | None,
         *,
         mode: str = "per-request",
-        temperature: float = 1.0,
-        ffn_pattern: str = "*.ffn.*",
         no_fuse: bool = False,
         max_new_tokens: int = 48,
     ):
@@ -322,8 +305,6 @@ class FusedLocalMeta:
         self.experts = dict(experts)
         self.gate_matrix = gate_matrix
         self.mode = mode
-        self.temperature = temperature
-        self.ffn_pattern = ffn_pattern
         self.no_fuse = no_fuse
         self.max_new_tokens = max_new_tokens
         self.fusions: list[dict] = []
@@ -340,14 +321,7 @@ class FusedLocalMeta:
         if self.mode == "per-country" and country in self._country_cache:
             return self._country_cache[country]
         fused, weights = fuse_meta(
-            self.base,
-            self.experts,
-            self.gate_matrix,
-            country,
-            query,
-            mode=self.mode,
-            temperature=self.temperature,
-            ffn_pattern=self.ffn_pattern,
+            self.base, self.experts, self.gate_matrix, country, query, mode=self.mode
         )
         self.fusions.append({"country": country, "gate": list(weights)})
         backend = LocalReference(fused, self.max_new_tokens, label="meta-fused")
@@ -360,8 +334,9 @@ class FusedLocalMeta:
             "kind": "local-fused",
             "mode": self.mode,
             "no_fuse": self.no_fuse,
-            "ffn_pattern": self.ffn_pattern,
-            "temperature": self.temperature,
+            # Fixed since fusion lost these options; kept so fingerprints hold.
+            "ffn_pattern": "*.ffn.*",
+            "temperature": 1.0,
         }
 
 
@@ -384,7 +359,6 @@ class StaticMeta:
 class PipelineConfig:
     agents: Mapping[str, object]
     meta: object  # a provider with backend_for(), or any backend
-    templates_dir: object = None
     no_draft: bool = False
     no_regulate: bool = False
     pearson_mode: str = "pooled"  # or "per_question_mean"
@@ -433,17 +407,17 @@ def run_item(config: PipelineConfig, item: OpinionItem, country: str) -> tuple[s
     if config.no_draft:
         context = ""
     else:
-        draft_obj = draft(config.agents, cq, config.templates_dir)
+        draft_obj = draft(config.agents, cq)
         if config.no_regulate:
             context = draft_obj.as_text()
         else:
-            context = self_regulate(meta, draft_obj, cq, config.templates_dir)
-    return final_decision(meta, context, item, country, config.templates_dir)
+            context = self_regulate(meta, draft_obj, cq)
+    return final_decision(meta, context, item, country)
 
 
-def prompting_baseline(meta, item: OpinionItem, country: str, templates_dir=None):
+def prompting_baseline(meta, item: OpinionItem, country: str):
     """Direct country-context prompting: the final stage with empty context."""
-    return final_decision(meta, "", item, country, templates_dir)
+    return final_decision(meta, "", item, country)
 
 
 def evaluate_country(

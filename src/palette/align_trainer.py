@@ -28,6 +28,7 @@ from .reference_model import TinyTransformer, encode_pair
 from .tensor_store import Checkpoint
 
 N_REJECTED = 4
+MOMENTUM = 0.9  # SGD velocity decay
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,6 @@ class TrainConfig:
     epochs: int = 2
     batch_size: int = 8
     seed: int = 42
-    momentum: float = 0.9
     true_odds: bool = False
     length_normalize: bool = True
 
@@ -318,7 +318,7 @@ def train(
                 "epochs": cfg.epochs,
                 "batch_size": cfg.batch_size,
                 "seed": cfg.seed,
-                "momentum": cfg.momentum,
+                "momentum": MOMENTUM,
                 "true_odds": cfg.true_odds,
                 "length_normalize": cfg.length_normalize,
             }
@@ -349,7 +349,7 @@ def train(
                     acc[name] += g
             inv = 1.0 / len(batch)
             for name, arr in model.params.items():
-                velocity[name] = cfg.momentum * velocity[name] + acc[name] * inv
+                velocity[name] = MOMENTUM * velocity[name] + acc[name] * inv
                 arr -= cfg.learning_rate * velocity[name]
         report.epoch_total.append(sums["total"] / n)
         report.epoch_sft.append(sums["sft"] / n)

@@ -94,7 +94,6 @@ def build_parser() -> _Parser:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--gate", help="comma-separated gate weights, one per expert")
     p.add_argument("--ffn-pattern", default="*.ffn.*")
-    p.add_argument("--delta-mode", action="store_true")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("gate", help="gate initialization and routing")
@@ -206,7 +205,6 @@ def _cmd_merge(args) -> int:
         scale=args.scale,
         gate=gate,
         ffn_pattern=args.ffn_pattern,
-        delta_mode=args.delta_mode,
     )
     save_checkpoint(merge_engine.run_merge(request), args.output)
     print(f"wrote merged checkpoint to {args.output}")

@@ -35,7 +35,6 @@ DEFAULT_MAX_ROUNDS = 3
 class SynthConfig:
     backend: object
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    templates_dir: object = None
 
     def __post_init__(self):
         if self.max_rounds < 1:
@@ -74,41 +73,32 @@ class SynthRecord:
 
 # --- individual steps -----------------------------------------------------------
 
-def generate_response(backend, query: str, continent: str, exemplars: str = "", templates_dir=None) -> str:
+def generate_response(backend, query: str, continent: str, exemplars: str = "") -> str:
     if not query:
         raise ValueError("query must be non-empty")
     prompt = render_template(
-        "synth_response", templates_dir, continent=continent, query=query, exemplars=exemplars
+        "synth_response", continent=continent, query=query, exemplars=exemplars
     )
     return backend.complete(prompt)
 
 
-def cross_feedback(
-    backend, response: str, continent: str, other_continents: Sequence[str], templates_dir=None
-) -> str:
+def cross_feedback(backend, response: str, continent: str) -> str:
     if not response:
         raise ValueError("response must be non-empty")
-    expected = set(CONTINENTS) - {continent}
-    if set(other_continents) != expected or len(other_continents) != len(expected):
-        raise ValueError(
-            f"other_continents must be exactly the 4 non-{continent} labels, got {list(other_continents)}"
-        )
     prompt = render_template(
         "synth_feedback",
-        templates_dir,
         continent=continent,
-        other_continents=", ".join(sorted(other_continents)),
+        other_continents=", ".join(sorted(set(CONTINENTS) - {continent})),
         response=response,
     )
     return backend.complete(prompt)
 
 
-def aggregate(backend, query: str, base_response: str, feedback: str, continent: str, templates_dir=None) -> str:
+def aggregate(backend, query: str, base_response: str, feedback: str, continent: str) -> str:
     if not (query and base_response and feedback):
         raise ValueError("query, base_response, and feedback must all be non-empty")
     prompt = render_template(
         "synth_aggregate",
-        templates_dir,
         continent=continent,
         query=query,
         base_response=base_response,
@@ -123,7 +113,6 @@ def self_judge_refine(
     response: str,
     continent: str,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    templates_dir=None,
     cached: Callable[[str, Callable[[], str]], str] | None = None,
 ) -> tuple[str, int, bool]:
     """Judge/revise loop. Returns (final response, rounds used, approved).
@@ -140,7 +129,7 @@ def self_judge_refine(
         verdict = call(
             f"judge{round_no}",
             lambda: backend.complete(render_template(
-                "synth_judge", templates_dir, continent=continent, query=query, response=current
+                "synth_judge", continent=continent, query=query, response=current
             )),
         )
         if APPROVED_MARKER in verdict:
@@ -156,7 +145,7 @@ def self_judge_refine(
         revised = current
         current = call(
             f"revise{round_no}",
-            lambda: aggregate(backend, query, revised, explanation, continent, templates_dir),
+            lambda: aggregate(backend, query, revised, explanation, continent),
         )
     return current, max_rounds, False
 
@@ -230,18 +219,17 @@ def run_synthesis(
             if (qid, continent) in done:
                 records.append(done[(qid, continent)])
                 continue
-            others = [c for c in CONTINENTS if c != continent]
             base_response = store.get_or_call(
                 qid, continent, "response",
-                lambda: generate_response(cfg.backend, query, continent, "", cfg.templates_dir),
+                lambda: generate_response(cfg.backend, query, continent),
             )
             feedback = store.get_or_call(
                 qid, continent, "feedback",
-                lambda: cross_feedback(cfg.backend, base_response, continent, others, cfg.templates_dir),
+                lambda: cross_feedback(cfg.backend, base_response, continent),
             )
             aggregated = store.get_or_call(
                 qid, continent, "aggregate",
-                lambda: aggregate(cfg.backend, query, base_response, feedback, continent, cfg.templates_dir),
+                lambda: aggregate(cfg.backend, query, base_response, feedback, continent),
             )
             final, rounds_used, approved = self_judge_refine(
                 cfg.backend,
@@ -249,7 +237,6 @@ def run_synthesis(
                 aggregated,
                 continent,
                 cfg.max_rounds,
-                cfg.templates_dir,
                 cached=lambda step, fn: store.get_or_call(qid, continent, step, fn),
             )
             record = SynthRecord(

@@ -179,16 +179,13 @@ def moerges_fuse(
     experts: Sequence[Checkpoint],
     gate: Sequence[float],
     ffn_pattern: str = "*.ffn.*",
-    delta_mode: bool = False,
 ) -> Checkpoint:
     """Compose frozen shared tensors from the base with a gate-weighted sum
     of the experts' feed-forward tensors.
 
     Tensors matching `ffn_pattern` become sum_c gate[c] * expert_c; all other
-    tensors are copied bit-identically from the base. With `delta_mode` the
-    fused tensors are base + sum_c gate[c] * (expert_c - base) instead (equal
-    to the pure sum up to rounding whenever the gate sums to 1). The gate is
-    recorded in the output metadata.
+    tensors are copied bit-identically from the base. The gate is recorded in
+    the output metadata.
     """
     _check_experts(base, experts)
     weights = _validate_gate(gate, len(experts))
@@ -198,11 +195,8 @@ def moerges_fuse(
     specs = []
     for name, spec in base.items():
         if name in ffn_names:
-            value = fused[name]
-            if delta_mode:
-                base64 = spec.data.astype(np.float64)
-                value = base64 + value - sum(weights) * base64
-            specs.append(TensorSpec(name=name, shape=spec.shape, data=value.astype(np.float32)))
+            value = fused[name].astype(np.float32)
+            specs.append(TensorSpec(name=name, shape=spec.shape, data=value))
         else:
             specs.append(TensorSpec(name=name, shape=spec.shape, data=spec.data.copy()))
 
@@ -226,7 +220,6 @@ class MergeRequest:
     scale: float = 1.0
     gate: Sequence[float] | None = None
     ffn_pattern: str = "*.ffn.*"
-    delta_mode: bool = False
 
     def __post_init__(self):
         if self.method not in MERGE_METHODS:
@@ -251,6 +244,4 @@ def run_merge(request: MergeRequest) -> Checkpoint:
         return model_stock(request.base, experts)
     if request.gate is None:
         raise GateDimensionMismatch("moerges merge requires a gate vector")
-    return moerges_fuse(
-        request.base, experts, request.gate, request.ffn_pattern, request.delta_mode
-    )
+    return moerges_fuse(request.base, experts, request.gate, request.ffn_pattern)

@@ -43,12 +43,11 @@ def check_distribution(p: Sequence[float], name: str = "distribution") -> np.nda
     return arr
 
 
-def normalize_distribution(raw: Sequence[float], smoothing: float = 0.0) -> list[float]:
-    """Divide by the sum (optionally after additive smoothing)."""
-    arr = np.asarray(raw, dtype=np.float64)
+def normalize_distribution(raw: Sequence[float]) -> list[float]:
+    """Divide by the sum; a -0.0 entry comes out as 0.0."""
+    arr = np.asarray(raw, dtype=np.float64) + 0.0
     if np.any(arr < 0):
         raise NegativeEntry("raw vector contains negative entries")
-    arr = arr + smoothing
     total = float(arr.sum())
     if total <= 0.0:
         raise AllZero("raw vector has no positive mass")

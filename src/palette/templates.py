@@ -1,29 +1,22 @@
 """Plain-text prompt templates with `{placeholder}` fields.
 
-Templates ship inside the package; a custom directory can override any of
-them by file name. Rendering fails fast if the template references a field
-the caller did not supply, so no prompt ever reaches a backend with an
-unfilled placeholder.
+Templates ship inside the package. Rendering fails fast if the template
+references a field the caller did not supply, so no prompt ever reaches a
+backend with an unfilled placeholder.
 """
 
 from __future__ import annotations
 
 import string
 from importlib import resources
-from pathlib import Path
 from typing import Mapping
 
 from .errors import TemplateError
 
 
-def load_template(name: str, templates_dir: str | Path | None = None) -> str:
-    filename = f"{name}.txt"
-    if templates_dir is not None:
-        path = Path(templates_dir) / filename
-        if path.exists():
-            return path.read_text(encoding="utf-8")
+def load_template(name: str) -> str:
     try:
-        return (resources.files("palette") / "templates" / filename).read_text(encoding="utf-8")
+        return (resources.files("palette") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise TemplateError(f"no template named {name!r}") from exc
 
@@ -46,5 +39,5 @@ def render(template: str, fields: Mapping[str, object]) -> str:
         raise TemplateError(f"malformed template: {exc}") from exc
 
 
-def render_template(name: str, templates_dir: str | Path | None = None, **fields) -> str:
-    return render(load_template(name, templates_dir), fields)
+def render_template(name: str, **fields) -> str:
+    return render(load_template(name), fields)

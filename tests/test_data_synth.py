@@ -42,22 +42,12 @@ def test_step1_requires_query():
 
 def test_step2_renders_all_hofstede_dimensions():
     mock = ScriptedMock(default="feedback text")
-    others = [c for c in CONTINENTS if c != "Oceania"]
-    out = cross_feedback(mock, "a response", "Oceania", others)
+    out = cross_feedback(mock, "a response", "Oceania")
     assert out == "feedback text"
     prompt = mock.calls[0]
     for acronym in HOFSTEDE:
         assert acronym in prompt
-    for c in others:
-        assert c in prompt
-
-
-def test_step2_label_guard():
-    mock = ScriptedMock(default="x")
-    with pytest.raises(ValueError):
-        cross_feedback(mock, "resp", "Asia", ["Africa", "Europe", "Oceania"])  # only 3
-    with pytest.raises(ValueError):
-        cross_feedback(mock, "resp", "Asia", ["Africa", "Europe", "Oceania", "Asia"])
+    assert "(Africa, America, Asia, Europe)" in prompt
 
 
 def test_step3_renders_inputs():
@@ -130,13 +120,6 @@ def test_templates_all_render_without_placeholders():
 def test_render_missing_placeholder_raises():
     with pytest.raises(TemplateError):
         render_template("synth_response", continent="Asia")  # query missing
-
-
-def test_custom_templates_dir_overrides(tmp_path):
-    (tmp_path / "synth_judge.txt").write_text("verdict for {continent}: {query} {response}")
-    mock = ScriptedMock(default="[Approved]")
-    self_judge_refine(mock, "q", "r", "Asia", max_rounds=1, templates_dir=tmp_path)
-    assert mock.calls[0] == "verdict for Asia: q r"
 
 
 def test_placeholders_parser():

@@ -160,11 +160,6 @@ def test_normalize_guards():
         normalize_distribution([0.5, -0.1])
 
 
-def test_normalize_smoothing():
-    out = normalize_distribution([1.0, 0.0], smoothing=1.0)
-    assert out == [2.0 / 3.0, 1.0 / 3.0]
-
-
 def test_token_overlap_identity():
     assert token_overlap_score("the same words", "the same words") == 1.0
 
