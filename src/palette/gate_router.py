@@ -31,19 +31,15 @@ class GateMatrix:
     """Routing matrix with one column per continent, in fixed order."""
 
     matrix: np.ndarray
-    labels: tuple[str, ...] = CONTINENTS
     normalized: bool = True
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.labels = tuple(self.labels)
-        if self.matrix.ndim != 2 or self.matrix.shape[1] != len(self.labels):
+        if self.matrix.ndim != 2 or self.matrix.shape[1] != len(CONTINENTS):
             raise DimensionMismatch(
                 f"gate matrix shape {self.matrix.shape} does not give one column "
-                f"per label ({len(self.labels)})"
+                f"per continent ({len(CONTINENTS)})"
             )
-        if len(self.labels) != len(CONTINENTS):
-            raise DimensionMismatch(f"expected {len(CONTINENTS)} labels, got {len(self.labels)}")
         if not np.all(np.isfinite(self.matrix)):
             raise NonFiniteInput("gate matrix contains non-finite entries")
         if self.normalized:
@@ -58,14 +54,13 @@ class GateMatrix:
 
 @dataclass(frozen=True)
 class GateWeights:
-    """A 5-way simplex vector aligned with the gate labels."""
+    """A 5-way simplex vector, one weight per continent in CONTINENTS order."""
 
     values: tuple[float, ...]
-    labels: tuple[str, ...] = CONTINENTS
 
     def __post_init__(self):
-        if len(self.values) != len(self.labels):
-            raise DimensionMismatch("weights and labels differ in length")
+        if len(self.values) != len(CONTINENTS):
+            raise DimensionMismatch(f"expected {len(CONTINENTS)} weights, got {len(self.values)}")
         if abs(sum(self.values) - 1.0) > 1e-6:
             raise DimensionMismatch(f"gate weights sum to {sum(self.values)}, expected 1")
 
@@ -79,10 +74,10 @@ class GateWeights:
         return self.values[i]
 
     def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.labels, self.values))
+        return dict(zip(CONTINENTS, self.values))
 
     def argmax_label(self) -> str:
-        return self.labels[int(np.argmax(self.values))]
+        return CONTINENTS[int(np.argmax(self.values))]
 
 
 def softmax_weights(logits: Sequence[float], temperature: float = 1.0) -> np.ndarray:
@@ -142,7 +137,7 @@ def route(hidden: Sequence[float], gate: GateMatrix, temperature: float = 1.0) -
     if not np.all(np.isfinite(vec)):
         raise NonFiniteInput("hidden vector contains non-finite entries")
     weights = softmax_weights(vec @ gate.matrix, temperature)
-    return GateWeights(values=tuple(float(w) for w in weights), labels=gate.labels)
+    return GateWeights(values=tuple(float(w) for w in weights))
 
 
 def route_prompt(
@@ -156,7 +151,7 @@ def route_prompt(
 
 def save_gate(gate: GateMatrix, path) -> None:
     metadata = {
-        "labels": json.dumps(list(gate.labels)),
+        "labels": json.dumps(list(CONTINENTS)),
         "normalized": "true" if gate.normalized else "false",
     }
     save_checkpoint(Checkpoint([TensorSpec.from_array("W_g", gate.matrix)], metadata), path)
@@ -166,13 +161,22 @@ def load_gate(path) -> GateMatrix:
     ckpt = load_checkpoint(path)
     if "W_g" not in ckpt:
         raise DimensionMismatch("gate checkpoint must contain a tensor named 'W_g'")
-    labels = tuple(json.loads(ckpt.metadata.get("labels", json.dumps(list(CONTINENTS)))))
+    raw = ckpt.metadata.get("labels")
+    try:
+        labels = list(CONTINENTS) if raw is None else json.loads(raw)
+    except ValueError:
+        labels = raw
+    if labels != list(CONTINENTS):
+        # Experts take the gate's columns by position, so any other order misroutes.
+        raise DimensionMismatch(
+            f"gate labels must be {list(CONTINENTS)} in this order, got {labels}", path=str(path)
+        )
     normalized = ckpt.metadata.get("normalized", "true") == "true"
     matrix = ckpt["W_g"].array().astype(np.float64)
     if normalized:
         # f32 storage wobbles the unit norms; restore them exactly.
         matrix = matrix / np.linalg.norm(matrix, axis=0, keepdims=True)
-    return GateMatrix(matrix=matrix, labels=labels, normalized=normalized)
+    return GateMatrix(matrix=matrix, normalized=normalized)
 
 
 def format_weights(weights: GateWeights) -> str:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from palette.gate_router import (
     softmax_weights,
 )
 from palette.reference_model import ModelConfig, init_model
+from palette.tensor_store import Checkpoint, TensorSpec, load_checkpoint, save_checkpoint
 
 from helpers import tiny_model
 
@@ -160,13 +162,34 @@ def test_gate_save_load_round_trip(tmp_path, seed42_model, seed42_gate):
     path = tmp_path / "gate.st"
     save_gate(seed42_gate, path)
     loaded = load_gate(path)
-    assert loaded.labels == CONTINENTS
     assert loaded.normalized
     # f32 storage then re-normalization: columns match to f32 precision
     assert np.allclose(loaded.matrix, seed42_gate.matrix, atol=1e-6)
     for continent in CONTINENTS:
         w = route_prompt(seed42_model, loaded, DEFAULT_SYSTEM_PROMPTS[continent])
         assert w.argmax_label() == continent
+
+
+def test_load_gate_requires_the_continents_in_order(tmp_path, seed42_gate):
+    path = tmp_path / "gate.st"
+    save_gate(seed42_gate, path)
+    assert load_checkpoint(path).metadata["labels"] == json.dumps(list(CONTINENTS))
+    assert np.allclose(load_gate(path).matrix, seed42_gate.matrix, atol=1e-6)
+    # The same gate with its columns and labels both reversed: a consistent
+    # file, but the experts take the columns by position.
+    reversed_labels = list(reversed(CONTINENTS))
+    flipped = tmp_path / "flipped.st"
+    save_checkpoint(
+        Checkpoint(
+            [TensorSpec.from_array("W_g", seed42_gate.matrix[:, ::-1])],
+            {"labels": json.dumps(reversed_labels), "normalized": "true"},
+        ),
+        flipped,
+    )
+    with pytest.raises(DimensionMismatch) as err:
+        load_gate(flipped)
+    assert str(reversed_labels) in str(err.value)
+    assert err.value.context["path"] == str(flipped)
 
 
 def test_gate_weights_validation_and_format():
