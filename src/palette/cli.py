@@ -255,6 +255,8 @@ def _cmd_align(args) -> int:
 
 
 def _build_eval_config(args) -> agent_pipeline.PipelineConfig:
+    if args.no_moerges and args.meta_backend != "local":
+        raise _UsageError("--no-moerges applies only to --meta-backend local")
     if args.meta_backend == "mock":
         if not args.transcript:
             raise _UsageError("--transcript is required with --meta-backend mock")
