@@ -1,12 +1,13 @@
 """Plain-text prompt templates with `{placeholder}` fields.
 
-Templates ship inside the package. Rendering fails fast if the template
-references a field the caller did not supply, so no prompt ever reaches a
-backend with an unfilled placeholder.
+Templates ship inside the package, and each is read once per process.
+Rendering fails fast if the template references a field the caller did not
+supply, so no prompt ever reaches a backend with an unfilled placeholder.
 """
 
 from __future__ import annotations
 
+import functools
 import string
 from importlib import resources
 from typing import Mapping
@@ -14,6 +15,7 @@ from typing import Mapping
 from .errors import TemplateError
 
 
+@functools.cache
 def load_template(name: str) -> str:
     try:
         return (resources.files("palette") / "templates" / f"{name}.txt").read_text(encoding="utf-8")

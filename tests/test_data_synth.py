@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,7 @@ from palette.data_synth import (
     self_judge_refine,
 )
 from palette.errors import BackendFailure, IncompleteQuery, TemplateError
+from palette import templates
 from palette.templates import load_template, placeholders, render, render_template
 
 HOFSTEDE = ("PDI", "IDV", "MAS", "UAI", "LTO", "IVR")
@@ -120,6 +122,21 @@ def test_templates_all_render_without_placeholders():
 def test_render_missing_placeholder_raises():
     with pytest.raises(TemplateError):
         render_template("synth_response", continent="Asia")  # query missing
+
+
+def test_two_renders_read_the_template_file_once(monkeypatch):
+    reads, real_files = [], templates.resources.files
+
+    def files(package):
+        reads.append(package)
+        return real_files(package)
+
+    load_template.cache_clear()
+    monkeypatch.setattr(templates, "resources", SimpleNamespace(files=files))
+    first = render_template("synth_judge", continent="Asia", query="q", response="r")
+    second = render_template("synth_judge", continent="Asia", query="q", response="r")
+    assert first == second
+    assert reads == ["palette"]
 
 
 def test_placeholders_parser():
