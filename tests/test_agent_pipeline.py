@@ -20,7 +20,7 @@ from palette.agent_pipeline import (
     self_regulate,
 )
 from palette.backends import LocalReference, RemoteChat, ScriptedMock
-from palette.common import CONTINENTS
+from palette.common import CONTINENTS, fingerprint
 from palette.errors import BackendFailure, EmptyDataset, UnparseableDistribution
 from palette.gate_router import init_gate
 from palette.metrics import alignment_score, normalize_distribution
@@ -431,6 +431,13 @@ def test_fused_local_meta_no_fuse_uses_base(fusion_setup):
     assert backend.params == base
     assert provider.fusions == []
     assert provider.backend_for("AUS", "q2") is backend
+
+
+def test_fused_local_meta_fingerprint_is_pinned(fusion_setup):
+    # describe() spells fixed settings as literals; every eval report's
+    # config_fingerprint rests on these bytes.
+    base, experts, gate = fusion_setup
+    assert fingerprint(FusedLocalMeta(base, experts, gate).describe()) == "7a8a1987a270445b"
 
 
 def test_local_pipeline_end_to_end(fusion_setup):

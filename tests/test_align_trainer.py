@@ -182,6 +182,13 @@ def test_train_is_bit_deterministic():
     assert rep1.to_dict() == rep2.to_dict()
 
 
+def test_train_report_fingerprint_is_pinned():
+    # The fingerprint records MOMENTUM though it is no longer a TrainConfig
+    # field; align report bytes rest on this value.
+    _, report = train(tiny_model(), [GRAD_CHECK_RECORD], TrainConfig())
+    assert report.config_fingerprint == "7bd6d8882fe8869d"
+
+
 def test_mean_margin_matches_direct_computation():
     params = tiny_model()
     ds = toy_preference_dataset(n_queries=1)
