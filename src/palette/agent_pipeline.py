@@ -334,7 +334,8 @@ class FusedLocalMeta:
             "kind": "local-fused",
             "mode": self.mode,
             "no_fuse": self.no_fuse,
-            # Fixed since fusion lost these options; kept so fingerprints hold.
+            # The constants fuse_meta routes and fuses with; every eval
+            # report's config_fingerprint hashes these two keys.
             "ffn_pattern": "*.ffn.*",
             "temperature": 1.0,
         }

@@ -434,8 +434,8 @@ def test_fused_local_meta_no_fuse_uses_base(fusion_setup):
 
 
 def test_fused_local_meta_fingerprint_is_pinned(fusion_setup):
-    # describe() spells fixed settings as literals; every eval report's
-    # config_fingerprint rests on these bytes.
+    # describe() spells the fusion constants as literals; every eval
+    # report's config_fingerprint rests on these bytes.
     base, experts, gate = fusion_setup
     assert fingerprint(FusedLocalMeta(base, experts, gate).describe()) == "7a8a1987a270445b"
 

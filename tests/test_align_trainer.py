@@ -183,8 +183,8 @@ def test_train_is_bit_deterministic():
 
 
 def test_train_report_fingerprint_is_pinned():
-    # The fingerprint records MOMENTUM though it is no longer a TrainConfig
-    # field; align report bytes rest on this value.
+    # The fingerprint records the MOMENTUM constant beside the TrainConfig
+    # fields; align report bytes rest on this value.
     _, report = train(tiny_model(), [GRAD_CHECK_RECORD], TrainConfig())
     assert report.config_fingerprint == "7bd6d8882fe8869d"
 
