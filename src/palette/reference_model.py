@@ -15,6 +15,7 @@ and gradients are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -133,19 +134,70 @@ def encode_pair(query: str, response: str, max_seq: int = ModelConfig.max_seq) -
 
 
 # --- numerics ---------------------------------------------------------------
+#
+# The kernels below overwrite the temporaries they create instead of
+# allocating one array per operator. Each runs the same ufuncs, on the same
+# operands, in the same order as the plain expression it replaces, and every
+# reduction still sums over a C-contiguous array of the same shape, so every
+# value comes out bit-identical; only the arrays written into change.
 
-def _gelu(u: np.ndarray) -> np.ndarray:
-    return 0.5 * u * (1.0 + np.tanh(_GELU_C * (u + _GELU_A * (u * u * u))))
+@functools.cache
+def _causal_mask(max_seq: int) -> np.ndarray:
+    """Read-only (max_seq, max_seq) additive mask: -inf above the diagonal.
+
+    Shared by every forward pass of that size; ``[:T, :T]`` is the mask of
+    a T-token sequence.
+    """
+    mask = np.triu(np.full((max_seq, max_seq), -np.inf), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
-def _dgelu(u: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (u + _GELU_A * (u * u * u)))
-    return 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * u * u)
+def _softmax_rows_(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in ``z`` and returned."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _gelu(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gelu(u), t): the tanh approximation and its tanh term, which the
+    backward pass reuses."""
+    t = u * u
+    t *= u
+    t *= _GELU_A
+    t += u
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    a = 0.5 * u
+    a *= 1.0 + t
+    return a, t
+
+
+def _gelu_backward(da: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """da * gelu'(u), with t the tanh term `_gelu` returned; overwrites da."""
+    g = t * t
+    np.subtract(1.0, g, out=g)
+    w = 0.5 * u
+    g *= w
+    g *= _GELU_C
+    np.multiply(3.0 * _GELU_A, u, out=w)
+    w *= u
+    w += 1.0
+    g *= w
+    np.add(1.0, t, out=w)
+    w *= 0.5
+    g += w
+    da *= g
+    return da
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + NORM_EPS)
-    return x * inv * gain, inv
+    out = x * inv
+    out *= gain
+    return out, inv
 
 
 def _rmsnorm_backward(dy, x, inv, gain):
@@ -155,19 +207,13 @@ def _rmsnorm_backward(dy, x, inv, gain):
     return dx, dgain
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 class _LayerCache:
-    __slots__ = ("x_in", "n1", "inv1", "q", "k", "v", "probs", "ctx", "x_mid", "n2", "inv2", "u", "a")
+    __slots__ = ("x_in", "n1", "inv1", "q", "k", "v", "probs", "ctx", "x_mid", "n2", "inv2", "u", "tanh", "a")
 
 
 class Trace:
@@ -203,8 +249,7 @@ class Trace:
 
             df = dx
             grads[f"layer{i}.ffn.w_out"] += c.a.T @ df
-            da = df @ w_out.T
-            du = da * _dgelu(c.u)
+            du = _gelu_backward(df @ w_out.T, c.u, c.tanh)
             grads[f"layer{i}.ffn.w_in"] += c.n2.T @ du
             dn2 = du @ w_in.T
             dx_mid_norm, dg2 = _rmsnorm_backward(dn2, c.x_mid, c.inv2, p[f"layer{i}.ln2.gain"])
@@ -215,11 +260,14 @@ class Trace:
             d_attn = dx_mid
             grads[f"layer{i}.attn.o"] += c.ctx.T @ d_attn
             d_ctx = (d_attn @ wo.T).reshape(T, h, dh).transpose(1, 0, 2)
-            dP = d_ctx @ c.v.transpose(0, 2, 1)
+            dS = d_ctx @ c.v.transpose(0, 2, 1)  # dP, turned into dS in place
             dv = c.probs.transpose(0, 2, 1) @ d_ctx
-            dS = c.probs * (dP - (dP * c.probs).sum(axis=-1, keepdims=True))
-            dq = dS @ c.k * inv_sqrt_dh
-            dk = dS.transpose(0, 2, 1) @ c.q * inv_sqrt_dh
+            dS -= (dS * c.probs).sum(axis=-1, keepdims=True)
+            dS *= c.probs
+            dq = dS @ c.k
+            dq *= inv_sqrt_dh
+            dk = dS.transpose(0, 2, 1) @ c.q
+            dk *= inv_sqrt_dh
 
             dQ = dq.transpose(1, 0, 2).reshape(T, cfg.d_model)
             dK = dk.transpose(1, 0, 2).reshape(T, cfg.d_model)
@@ -294,7 +342,7 @@ class TinyTransformer:
         trace = Trace(self, tokens)
 
         x = p["embed.tok"][tokens] + p["embed.pos"][:T]
-        mask = np.triu(np.full((T, T), -np.inf), k=1)
+        mask = _causal_mask(cfg.max_seq)[:T, :T]
         for i in range(cfg.n_layers):
             c = _LayerCache()
             c.x_in = x
@@ -303,14 +351,16 @@ class TinyTransformer:
             k = (c.n1 @ p[f"layer{i}.attn.k"]).reshape(T, h, dh).transpose(1, 0, 2)
             v = (c.n1 @ p[f"layer{i}.attn.v"]).reshape(T, h, dh).transpose(1, 0, 2)
             c.q, c.k, c.v = q, k, v
-            scores = q @ k.transpose(0, 2, 1) / math.sqrt(dh) + mask
-            c.probs = _softmax_rows(scores)
+            scores = q @ k.transpose(0, 2, 1)
+            scores /= math.sqrt(dh)
+            scores += mask
+            c.probs = _softmax_rows_(scores)
             c.ctx = (c.probs @ v).transpose(1, 0, 2).reshape(T, cfg.d_model)
             x = x + c.ctx @ p[f"layer{i}.attn.o"]
             c.x_mid = x
             c.n2, c.inv2 = _rmsnorm(x, p[f"layer{i}.ln2.gain"])
             c.u = c.n2 @ p[f"layer{i}.ffn.w_in"]
-            c.a = _gelu(c.u)
+            c.a, c.tanh = _gelu(c.u)
             x = x + c.a @ p[f"layer{i}.ffn.w_out"]
             trace.layers.append(c)
 
@@ -350,10 +400,11 @@ class TinyTransformer:
         continuation = list(continuation)
         dlogits = np.zeros_like(trace.logits)
         rows = slice(prompt_len - 1, prompt_len - 1 + len(continuation))
-        soft = _softmax_rows(trace.logits[rows])
-        block = -coeff * soft
+        block = dlogits[rows]
+        block[...] = trace.logits[rows]
+        _softmax_rows_(block)
+        block *= -coeff
         block[np.arange(len(continuation)), continuation] += coeff
-        dlogits[rows] = block
         return dlogits
 
     def greedy_decode(self, prompt_tokens: Sequence[int], max_new_tokens: int = 48) -> list[int]:
@@ -403,11 +454,14 @@ class TinyTransformer:
             keys[i][:, pos] = (n1 @ p[f"layer{i}.attn.k"]).reshape(h, dh)
             values[i][:, pos] = (n1 @ p[f"layer{i}.attn.v"]).reshape(h, dh)
             k, v = keys[i][:, : pos + 1], values[i][:, : pos + 1]
-            probs = _softmax_rows(q @ k.transpose(0, 2, 1) / math.sqrt(dh))
+            scores = q @ k.transpose(0, 2, 1)
+            scores /= math.sqrt(dh)
+            probs = _softmax_rows_(scores)
             ctx = (probs @ v).reshape(1, cfg.d_model)
             x = x + ctx @ p[f"layer{i}.attn.o"]
             n2, _ = _rmsnorm(x, p[f"layer{i}.ln2.gain"])
-            x = x + _gelu(n2 @ p[f"layer{i}.ffn.w_in"]) @ p[f"layer{i}.ffn.w_out"]
+            a, _ = _gelu(n2 @ p[f"layer{i}.ffn.w_in"])
+            x = x + a @ p[f"layer{i}.ffn.w_out"]
         hidden, _ = _rmsnorm(x, p["final_ln.gain"])
         return (hidden @ p["head.out"])[0]
 

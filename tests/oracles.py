@@ -1,12 +1,14 @@
-"""Independent brute-force re-implementations of the merge formulas and of
-greedy decoding.
+"""Independent brute-force re-implementations of the merge formulas, of the
+reference model's forward and backward passes and of greedy decoding.
 
 The merge oracles are pure-Python loops over plain float lists, kept
 deliberately naive so they share no code path with the numpy
 implementations they check. The trim oracle is the full two-key sort that
-the linear-time TIES selection must match byte for byte. The decode oracle
-re-runs the full forward pass for every new token, so it shares no cache
-with the incremental decoder.
+the linear-time TIES selection must match byte for byte. The model oracle
+is the forward and backward pass as first written, one fresh array per
+operator: the in-place kernels of `palette.reference_model` must match it
+byte for byte. The decode oracle re-runs that frozen forward pass for every
+new token, so it shares no cache and no kernel with the incremental decoder.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from palette.reference_model import EOS
+from palette.reference_model import EOS, NORM_EPS
 
 
 def as_lists(ckpt) -> dict[str, list[float]]:
@@ -120,14 +122,167 @@ def max_abs_diff(result_ckpt, expected: dict[str, list[float]]) -> float:
     return worst
 
 
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+
+
+def _gelu(u: np.ndarray) -> np.ndarray:
+    return 0.5 * u * (1.0 + np.tanh(_GELU_C * (u + _GELU_A * (u * u * u))))
+
+
+def _dgelu(u: np.ndarray) -> np.ndarray:
+    t = np.tanh(_GELU_C * (u + _GELU_A * (u * u * u)))
+    return 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * u * u)
+
+
+def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + NORM_EPS)
+    return x * inv * gain, inv
+
+
+def _rmsnorm_backward(dy, x, inv, gain):
+    w = dy * gain
+    dgain = (dy * x * inv).sum(axis=0)
+    dx = w * inv - x * inv**3 * (w * x).mean(axis=-1, keepdims=True)
+    return dx, dgain
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class _LayerCache:
+    __slots__ = ("x_in", "n1", "inv1", "q", "k", "v", "probs", "ctx", "x_mid", "n2", "inv2", "u", "a")
+
+
+class FrozenTrace:
+    """Forward activations of `bf_forward_trace`, enough to backprop."""
+
+    def __init__(self, model, tokens: list[int]):
+        self.model = model
+        self.tokens = tokens
+        self.layers: list[_LayerCache] = []
+        self.x_final: np.ndarray | None = None
+        self.inv_final: np.ndarray | None = None
+        self.hidden: np.ndarray | None = None
+        self.logits: np.ndarray | None = None
+
+    def backward(self, dlogits: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+        """Add the gradients of sum(dlogits * logits) w.r.t. every parameter
+        into ``grads`` (one array per parameter, shaped like it)."""
+        m = self.model
+        p = m.params
+        cfg = m.cfg
+        T = len(self.tokens)
+        h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+        inv_sqrt_dh = 1.0 / math.sqrt(dh)
+
+        grads["head.out"] += self.hidden.T @ dlogits
+        d_hidden = dlogits @ p["head.out"].T
+        dx, dgain = _rmsnorm_backward(d_hidden, self.x_final, self.inv_final, p["final_ln.gain"])
+        grads["final_ln.gain"] += dgain
+
+        for i in reversed(range(cfg.n_layers)):
+            c = self.layers[i]
+            w_in, w_out = p[f"layer{i}.ffn.w_in"], p[f"layer{i}.ffn.w_out"]
+
+            df = dx
+            grads[f"layer{i}.ffn.w_out"] += c.a.T @ df
+            da = df @ w_out.T
+            du = da * _dgelu(c.u)
+            grads[f"layer{i}.ffn.w_in"] += c.n2.T @ du
+            dn2 = du @ w_in.T
+            dx_mid_norm, dg2 = _rmsnorm_backward(dn2, c.x_mid, c.inv2, p[f"layer{i}.ln2.gain"])
+            grads[f"layer{i}.ln2.gain"] += dg2
+            dx_mid = dx + dx_mid_norm
+
+            wq, wk, wv, wo = (p[f"layer{i}.attn.{n}"] for n in "qkvo")
+            d_attn = dx_mid
+            grads[f"layer{i}.attn.o"] += c.ctx.T @ d_attn
+            d_ctx = (d_attn @ wo.T).reshape(T, h, dh).transpose(1, 0, 2)
+            dP = d_ctx @ c.v.transpose(0, 2, 1)
+            dv = c.probs.transpose(0, 2, 1) @ d_ctx
+            dS = c.probs * (dP - (dP * c.probs).sum(axis=-1, keepdims=True))
+            dq = dS @ c.k * inv_sqrt_dh
+            dk = dS.transpose(0, 2, 1) @ c.q * inv_sqrt_dh
+
+            dQ = dq.transpose(1, 0, 2).reshape(T, cfg.d_model)
+            dK = dk.transpose(1, 0, 2).reshape(T, cfg.d_model)
+            dV = dv.transpose(1, 0, 2).reshape(T, cfg.d_model)
+            grads[f"layer{i}.attn.q"] += c.n1.T @ dQ
+            grads[f"layer{i}.attn.k"] += c.n1.T @ dK
+            grads[f"layer{i}.attn.v"] += c.n1.T @ dV
+            dn1 = dQ @ wq.T + dK @ wk.T + dV @ wv.T
+            dx_in_norm, dg1 = _rmsnorm_backward(dn1, c.x_in, c.inv1, p[f"layer{i}.ln1.gain"])
+            grads[f"layer{i}.ln1.gain"] += dg1
+            dx = dx_mid + dx_in_norm
+
+        # Sum repeated tokens' rows before the single add, so the result is
+        # bit-identical to adding a zero-started scatter.
+        uniq, inverse = np.unique(self.tokens, return_inverse=True)
+        rows = np.zeros((len(uniq), dx.shape[1]), dtype=grads["embed.tok"].dtype)
+        np.add.at(rows, inverse, dx)
+        grads["embed.tok"][uniq] += rows
+        grads["embed.pos"][:T] += dx
+
+
+def bf_forward_trace(model, tokens) -> FrozenTrace:
+    """The model's forward pass with one fresh array per operator."""
+    tokens = [int(t) for t in tokens]
+    cfg, p = model.cfg, model.params
+    T = len(tokens)
+    h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+    trace = FrozenTrace(model, tokens)
+
+    x = p["embed.tok"][tokens] + p["embed.pos"][:T]
+    mask = np.triu(np.full((T, T), -np.inf), k=1)
+    for i in range(cfg.n_layers):
+        c = _LayerCache()
+        c.x_in = x
+        c.n1, c.inv1 = _rmsnorm(x, p[f"layer{i}.ln1.gain"])
+        q = (c.n1 @ p[f"layer{i}.attn.q"]).reshape(T, h, dh).transpose(1, 0, 2)
+        k = (c.n1 @ p[f"layer{i}.attn.k"]).reshape(T, h, dh).transpose(1, 0, 2)
+        v = (c.n1 @ p[f"layer{i}.attn.v"]).reshape(T, h, dh).transpose(1, 0, 2)
+        c.q, c.k, c.v = q, k, v
+        scores = q @ k.transpose(0, 2, 1) / math.sqrt(dh) + mask
+        c.probs = _softmax_rows(scores)
+        c.ctx = (c.probs @ v).transpose(1, 0, 2).reshape(T, cfg.d_model)
+        x = x + c.ctx @ p[f"layer{i}.attn.o"]
+        c.x_mid = x
+        c.n2, c.inv2 = _rmsnorm(x, p[f"layer{i}.ln2.gain"])
+        c.u = c.n2 @ p[f"layer{i}.ffn.w_in"]
+        c.a = _gelu(c.u)
+        x = x + c.a @ p[f"layer{i}.ffn.w_out"]
+        trace.layers.append(c)
+
+    trace.x_final = x
+    trace.hidden, trace.inv_final = _rmsnorm(x, p["final_ln.gain"])
+    trace.logits = trace.hidden @ p["head.out"]
+    return trace
+
+
+def bf_logprob_dlogits(trace, prompt_len, continuation, coeff) -> np.ndarray:
+    """d(coeff * sequence_logprob) / d logits, one fresh array per operator."""
+    continuation = list(continuation)
+    dlogits = np.zeros_like(trace.logits)
+    rows = slice(prompt_len - 1, prompt_len - 1 + len(continuation))
+    soft = _softmax_rows(trace.logits[rows])
+    block = -coeff * soft
+    block[np.arange(len(continuation)), continuation] += coeff
+    dlogits[rows] = block
+    return dlogits
+
+
 def bf_greedy_decode(model, prompt, n):
-    """Greedy decoding with one full forward pass over the sequence per token."""
+    """Greedy decoding with one frozen full forward pass over the sequence per token."""
     tokens = [int(t) for t in prompt]
     out = []
     for _ in range(n):
         if len(tokens) >= model.cfg.max_seq:
             break
-        nxt = int(np.argmax(model.forward_trace(tokens).logits[-1]))
+        nxt = int(np.argmax(bf_forward_trace(model, tokens).logits[-1]))
         if nxt == EOS:
             break
         out.append(nxt)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from palette.errors import BadConfig, EmptyContinuation, TooLong
+from palette import reference_model
 from palette.reference_model import (
     BOS,
     EOS,
@@ -18,7 +19,7 @@ from palette.reference_model import (
 from palette.tensor_store import load_checkpoint, save_checkpoint
 
 from helpers import tiny_config, tiny_model
-from oracles import bf_greedy_decode
+from oracles import bf_forward_trace, bf_greedy_decode, bf_logprob_dlogits
 
 
 def test_config_validation():
@@ -250,3 +251,69 @@ def test_backward_adds_into_the_callers_gradients():
     trace.backward(dlogits, grads)
     for name in start:
         assert np.array_equal(grads[name], start[name] + fresh[name]), name
+
+
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 25.0])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_in_place_kernels_match_the_frozen_model_byte_for_byte(seed, scale):
+    # scale 25 turns the init's flat attention and near-linear GELU into
+    # peaked softmax rows that underflow and a saturating tanh.
+    model = TinyTransformer.from_checkpoint(init_model(ModelConfig(seed=seed)))
+    for name, arr in model.params.items():
+        if not name.endswith(".gain"):
+            arr *= scale
+    max_seq = model.cfg.max_seq
+    rng = np.random.default_rng(seed)
+    for length in (1, 2, 7, 88, 208, max_seq - 1, max_seq):
+        tokens = _random_prompt(rng, length)
+        got, want = model.forward_trace(tokens), bf_forward_trace(model, tokens)
+        assert _same_bytes(got.logits, want.logits) and _same_bytes(got.hidden, want.hidden)
+        for layer, frozen in zip(got.layers, want.layers, strict=True):
+            assert _same_bytes(layer.probs, frozen.probs)
+
+        dlogits = rng.standard_normal(got.logits.shape)
+        grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+        frozen_grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+        got.backward(dlogits, grads)
+        want.backward(dlogits, frozen_grads)
+        for name in grads:
+            assert _same_bytes(grads[name], frozen_grads[name]), (length, name)
+
+        if length >= 2:
+            prompt_len, coeff = length // 2, float(rng.normal())
+            assert _same_bytes(
+                model.logprob_dlogits(got, prompt_len, tokens[prompt_len:], coeff),
+                bf_logprob_dlogits(want, prompt_len, tokens[prompt_len:], coeff),
+            )
+        assert model.greedy_decode(tokens, 4) == bf_greedy_decode(model, tokens, 4)
+
+
+def test_cached_causal_mask_is_read_only_and_sized_per_max_seq(monkeypatch):
+    masks = []
+    causal_mask = reference_model._causal_mask
+
+    def recording_mask(max_seq):
+        masks.append(causal_mask(max_seq))
+        return masks[-1]
+
+    monkeypatch.setattr(reference_model, "_causal_mask", recording_mask)
+    small = TinyTransformer.from_checkpoint(tiny_model(max_seq=64))
+    large = TinyTransformer.from_checkpoint(tiny_model(max_seq=96))
+    tokens = _random_prompt(np.random.default_rng(8), 64)
+    small.forward_trace(tokens)
+    large.forward_trace(tokens)
+    assert [m.shape for m in masks] == [(64, 64), (96, 96)]
+
+    mask = masks[0]
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 1] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        mask[:8, :8] += 1.0
+    assert np.array_equal(mask, np.triu(np.full((64, 64), -np.inf), k=1))
+    for model in (small, large):
+        assert _same_bytes(model.forward_trace(tokens).logits, bf_forward_trace(model, tokens).logits)
+    assert masks[2] is mask and masks[3] is masks[1]
