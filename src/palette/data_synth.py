@@ -73,12 +73,10 @@ class SynthRecord:
 
 # --- individual steps -----------------------------------------------------------
 
-def generate_response(backend, query: str, continent: str, exemplars: str = "") -> str:
+def generate_response(backend, query: str, continent: str) -> str:
     if not query:
         raise ValueError("query must be non-empty")
-    prompt = render_template(
-        "synth_response", continent=continent, query=query, exemplars=exemplars
-    )
+    prompt = render_template("synth_response", continent=continent, query=query, exemplars="")
     return backend.complete(prompt)
 
 
