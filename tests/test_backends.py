@@ -87,17 +87,19 @@ def test_remote_chat_wire_contract(monkeypatch):
     assert backend.calls == ["hello there"]
 
 
-def test_remote_chat_http_error():
+def test_remote_chat_http_error(sleeps):
     with MockChatServer(status=500) as server:
         backend = RemoteChat(server.base_url, model="toy", label="meta")
         with pytest.raises(BackendFailure):
             backend.complete("x")
+    assert sleeps == [0.25, 0.5]
 
 
-def test_remote_chat_connection_error():
+def test_remote_chat_connection_error(sleeps):
     backend = RemoteChat("http://127.0.0.1:1", model="toy", timeout=0.2)
     with pytest.raises(BackendFailure):
         backend.complete("x")
+    assert sleeps == [0.25, 0.5]
 
 
 def test_remote_chat_retries_a_5xx_reply(sleeps):
