@@ -11,6 +11,25 @@ Parameters live in a tensor-store Checkpoint under the naming convention
 ``final_ln.gain``, ``head.out``; the config rides along as JSON metadata
 under the key "config". All compute happens in float64 so forward passes
 and gradients are reproducible bit-for-bit.
+
+The hot paths write into temporaries they already made rather than
+allocating one array per operator, which saves the page faults of fresh
+large arrays:
+- the attention scores ``q @ kᵀ`` are scaled, masked and turned into
+  probabilities in their own buffer, which the trace keeps as ``probs``
+  (the same in the one-row decode step);
+- the causal mask is built once per ``max_seq``, read-only, and sliced;
+- GELU builds its tanh argument in one buffer and takes the tanh there;
+  the trace keeps that tanh for the GELU derivative;
+- RMS norm scales ``x * inv`` by the gain in place;
+- backward forms dS in dP's buffer and scales dq and dk in place, and
+  ``logprob_dlogits`` computes its softmax block inside the gradient.
+The results stay exact because each buffer receives the same ufunc, on
+the same operands, in the same order as the plain expression (``a * b``
+and ``b * a`` round alike), and every reduction still runs over a
+C-contiguous array of the same shape, so no sum is reordered.
+``tests/oracles.py`` keeps the allocating version and a test compares the
+bytes.
 """
 
 from __future__ import annotations
@@ -134,12 +153,8 @@ def encode_pair(query: str, response: str, max_seq: int = ModelConfig.max_seq) -
 
 
 # --- numerics ---------------------------------------------------------------
-#
-# The kernels below overwrite the temporaries they create instead of
-# allocating one array per operator. Each runs the same ufuncs, on the same
-# operands, in the same order as the plain expression it replaces, and every
-# reduction still sums over a C-contiguous array of the same shape, so every
-# value comes out bit-identical; only the arrays written into change.
+# In place, with the operations of the plain expressions in their order: see
+# the module docstring.
 
 @functools.cache
 def _causal_mask(max_seq: int) -> np.ndarray:
@@ -153,7 +168,7 @@ def _causal_mask(max_seq: int) -> np.ndarray:
     return mask
 
 
-def _softmax_rows_(z: np.ndarray) -> np.ndarray:
+def _softmax_rows_in_place(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in ``z`` and returned."""
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
@@ -176,7 +191,11 @@ def _gelu(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gelu_backward(da: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """da * gelu'(u), with t the tanh term `_gelu` returned; overwrites da."""
+    """da * gelu'(u), with t the tanh term `_gelu` returned; overwrites da.
+
+    gelu'(u) = 0.5 * (1 + t) + 0.5 * u * (1 - t * t) * C * (1 + 3 * A * u * u),
+    evaluated left to right as written, in two buffers.
+    """
     g = t * t
     np.subtract(1.0, g, out=g)
     w = 0.5 * u
@@ -354,7 +373,7 @@ class TinyTransformer:
             scores = q @ k.transpose(0, 2, 1)
             scores /= math.sqrt(dh)
             scores += mask
-            c.probs = _softmax_rows_(scores)
+            c.probs = _softmax_rows_in_place(scores)
             c.ctx = (c.probs @ v).transpose(1, 0, 2).reshape(T, cfg.d_model)
             x = x + c.ctx @ p[f"layer{i}.attn.o"]
             c.x_mid = x
@@ -402,7 +421,7 @@ class TinyTransformer:
         rows = slice(prompt_len - 1, prompt_len - 1 + len(continuation))
         block = dlogits[rows]
         block[...] = trace.logits[rows]
-        _softmax_rows_(block)
+        _softmax_rows_in_place(block)
         block *= -coeff
         block[np.arange(len(continuation)), continuation] += coeff
         return dlogits
@@ -456,7 +475,7 @@ class TinyTransformer:
             k, v = keys[i][:, : pos + 1], values[i][:, : pos + 1]
             scores = q @ k.transpose(0, 2, 1)
             scores /= math.sqrt(dh)
-            probs = _softmax_rows_(scores)
+            probs = _softmax_rows_in_place(scores)
             ctx = (probs @ v).reshape(1, cfg.d_model)
             x = x + ctx @ p[f"layer{i}.attn.o"]
             n2, _ = _rmsnorm(x, p[f"layer{i}.ln2.gain"])

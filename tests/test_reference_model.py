@@ -258,11 +258,15 @@ def _same_bytes(got, want):
 
 
 @pytest.mark.parametrize("scale", [1.0, 25.0])
+@pytest.mark.parametrize("d_model, n_heads", [(64, 4), (24, 3)])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_in_place_kernels_match_the_frozen_model_byte_for_byte(seed, scale):
-    # scale 25 turns the init's flat attention and near-linear GELU into
+def test_in_place_kernels_match_the_frozen_model_byte_for_byte(seed, d_model, n_heads, scale):
+    # The default head size, 16, scales scores by an exact 1/4, so a second
+    # shape with head size 8 checks the division by an inexact sqrt(8).
+    # Scale 25 turns the init's flat attention and near-linear GELU into
     # peaked softmax rows that underflow and a saturating tanh.
-    model = TinyTransformer.from_checkpoint(init_model(ModelConfig(seed=seed)))
+    cfg = ModelConfig(d_model=d_model, n_heads=n_heads, seed=seed)
+    model = TinyTransformer.from_checkpoint(init_model(cfg))
     for name, arr in model.params.items():
         if not name.endswith(".gain"):
             arr *= scale
