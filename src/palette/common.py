@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import logging
 import math
 import os
 import tempfile
@@ -18,6 +19,8 @@ from .errors import BadInput, EndpointUnreachable, IoFailure
 
 # Fixed continental order used everywhere a 5-way label axis appears.
 CONTINENTS = ("Africa", "America", "Asia", "Europe", "Oceania")
+
+logger = logging.getLogger(__name__)
 
 
 def round9(x: float) -> float:
@@ -134,6 +137,36 @@ def append_jsonl(path, row) -> None:
     """Append one row to a JSONL file."""
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(_jsonl_line(row))
+
+
+def drop_torn_tail(path) -> None:
+    """Cut a final line that has no newline off an append-only JSONL file.
+
+    `append_jsonl` writes a row and its newline in one write, so such a line
+    is an append that a crash cut short. The file is truncated to the end
+    of its last complete line, with a warning naming the file and the
+    dropped byte count, so that it loads and the next append starts on a
+    line of its own. A missing file is left alone.
+    """
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise unreadable(path, exc) from exc
+    with fh:
+        size = keep = fh.seek(0, os.SEEK_END)
+        while keep:  # back to the last newline, 64 KiB at a time
+            start = max(keep - 65536, 0)
+            fh.seek(start)
+            newline = fh.read(keep - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            keep = start
+        if keep < size:
+            fh.truncate(keep)
+            logger.warning("%s: dropped a torn final line of %d bytes", path, size - keep)
 
 
 # --- HTTP: one JSON POST with retries -------------------------------------------

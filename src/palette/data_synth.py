@@ -7,7 +7,8 @@ feedback back in, and step 4 runs a self-judge refine loop capped at
 
 Every backend interaction is persisted append-only and keyed by
 (query id, continent, step), so interrupted runs resume without repeating
-completed calls.
+completed calls. A row that a crash left half-appended is dropped on resume
+and computed again.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .align_trainer import PreferenceRecord
-from .common import CONTINENTS, append_jsonl, bad_line, iter_jsonl, unreadable
+from .common import CONTINENTS, append_jsonl, bad_line, drop_torn_tail, iter_jsonl, unreadable
 from .errors import IncompleteQuery
 from .templates import render_template
 
@@ -161,6 +162,7 @@ class StepStore:
         self.path = Path(path)
         self._cache: dict[tuple[str, str, str], str] = {}
         if self.path.exists():
+            drop_torn_tail(self.path)
             rows = iter_jsonl(self.path, required=("query_id", "continent", "step", "output"))
             for _, row in rows:
                 self._cache[(row["query_id"], row["continent"], row["step"])] = row["output"]
@@ -206,6 +208,8 @@ def run_synthesis(
     out_dir.mkdir(parents=True, exist_ok=True)
     store = StepStore(out_dir / "steps.jsonl")
 
+    for file in sorted(out_dir.glob("records_*.jsonl")):
+        drop_torn_tail(file)
     done: dict[tuple[str, str], SynthRecord] = {}
     for rec in load_synth_records(out_dir):
         done[(rec.query_id, rec.continent)] = rec

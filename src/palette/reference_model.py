@@ -16,8 +16,7 @@ The hot paths write into temporaries they already made rather than
 allocating one array per operator, which saves the page faults of fresh
 large arrays:
 - the attention scores ``q @ kᵀ`` are scaled, masked and turned into
-  probabilities in their own buffer, which the trace keeps as ``probs``
-  (the same in the one-row decode step);
+  probabilities in their own buffer, which the trace keeps as ``probs``;
 - the causal mask is built once per ``max_seq``, read-only, and sliced;
 - GELU builds its tanh argument in one buffer and takes the tanh there;
   the trace keeps that tanh for the GELU derivative;
@@ -30,6 +29,14 @@ and ``b * a`` round alike), and every reduction still runs over a
 C-contiguous array of the same shape, so no sum is reordered.
 ``tests/oracles.py`` keeps the allocating version and a test compares the
 bytes.
+
+Greedy decoding runs one kernel, ``_extend``, on the prompt and then on
+each new token: it extends a per-call key/value cache, builds no ``Trace``
+and runs the last layer, the final norm and the head on the one row it
+returns. Those logits may differ from a full forward's last row in the
+last bits, since BLAS does not promise that some rows of a product equal
+those rows of the whole product (OpenBLAS 0.3.31 often differs); only the
+argmax token leaves the kernel, and tests hold it to the full-forward oracle.
 """
 
 from __future__ import annotations
@@ -427,27 +434,17 @@ class TinyTransformer:
         return dlogits
 
     def greedy_decode(self, prompt_tokens: Sequence[int], max_new_tokens: int = 48) -> list[int]:
-        """Greedy continuation of the prompt, stopping at EOS, max_seq or max_new_tokens.
-
-        One forward pass over the prompt fills a per-call key/value cache;
-        each further token then costs one single-row step over that cache.
-        """
+        """Greedy continuation of the prompt, stopping at EOS, max_seq or max_new_tokens:
+        one `_extend` over the prompt fills a K/V cache, then one per new token."""
         tokens = self._check_tokens(prompt_tokens)
-        cfg = self.cfg
-        pos = len(tokens)
+        cfg, pos = self.cfg, len(tokens)
         out: list[int] = []
         if max_new_tokens <= 0 or pos >= cfg.max_seq:
             return out
-        trace = self.forward_trace(tokens)
-        h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-        keys, values = [], []
-        for c in trace.layers:
-            k = np.empty((h, cfg.max_seq, dh))
-            v = np.empty((h, cfg.max_seq, dh))
-            k[:, :pos], v[:, :pos] = c.k, c.v
-            keys.append(k)
-            values.append(v)
-        logits = trace.logits[-1]
+        shape = (cfg.n_heads, cfg.max_seq, cfg.d_model // cfg.n_heads)
+        keys = [np.empty(shape) for _ in range(cfg.n_layers)]
+        values = [np.empty(shape) for _ in range(cfg.n_layers)]
+        logits = self._extend(tokens, 0, keys, values)
         while True:
             nxt = int(np.argmax(logits))
             if nxt == EOS:
@@ -455,28 +452,31 @@ class TinyTransformer:
             out.append(nxt)
             if len(out) >= max_new_tokens or pos + 1 >= cfg.max_seq:
                 break
-            logits = self._decode_step(nxt, pos, keys, values)
+            logits = self._extend([nxt], pos, keys, values)
             pos += 1
         return out
 
-    def _decode_step(self, token: int, pos: int, keys: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
-        """Logits after `token` at position `pos`, given cached K/V for positions < pos.
-
-        Writes the token's K/V at `pos`; attending over 0..pos needs no mask.
-        """
+    def _extend(self, tokens: list[int], pos: int, keys: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
+        """Logits after the last of `tokens`, placed from position `pos` on, given
+        cached K/V for the positions before `pos`; writes the tokens' K/V."""
         cfg, p = self.cfg, self.params
+        n, end = len(tokens), pos + len(tokens)
         h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-        x = p["embed.tok"][[token]] + p["embed.pos"][pos : pos + 1]
+        x = p["embed.tok"][tokens] + p["embed.pos"][pos:end]
+        mask = _causal_mask(cfg.max_seq)[pos:end, :end] if n > 1 else None
         for i in range(cfg.n_layers):
             n1, _ = _rmsnorm(x, p[f"layer{i}.ln1.gain"])
-            q = (n1 @ p[f"layer{i}.attn.q"]).reshape(h, 1, dh)
-            keys[i][:, pos] = (n1 @ p[f"layer{i}.attn.k"]).reshape(h, dh)
-            values[i][:, pos] = (n1 @ p[f"layer{i}.attn.v"]).reshape(h, dh)
-            k, v = keys[i][:, : pos + 1], values[i][:, : pos + 1]
-            scores = q @ k.transpose(0, 2, 1)
+            keys[i][:, pos:end] = (n1 @ p[f"layer{i}.attn.k"]).reshape(n, h, dh).transpose(1, 0, 2)
+            values[i][:, pos:end] = (n1 @ p[f"layer{i}.attn.v"]).reshape(n, h, dh).transpose(1, 0, 2)
+            if i == cfg.n_layers - 1:  # only the last row is read, and it sees every position
+                x, n1, mask = x[-1:], n1[-1:], None
+            q = (n1 @ p[f"layer{i}.attn.q"]).reshape(-1, h, dh).transpose(1, 0, 2)
+            scores = q @ keys[i][:, :end].transpose(0, 2, 1)
             scores /= math.sqrt(dh)
+            if mask is not None:
+                scores += mask
             probs = _softmax_rows_in_place(scores)
-            ctx = (probs @ v).reshape(1, cfg.d_model)
+            ctx = (probs @ values[i][:, :end]).transpose(1, 0, 2).reshape(-1, cfg.d_model)
             x = x + ctx @ p[f"layer{i}.attn.o"]
             n2, _ = _rmsnorm(x, p[f"layer{i}.ln2.gain"])
             a, _ = _gelu(n2 @ p[f"layer{i}.ffn.w_in"])

@@ -351,11 +351,23 @@ def _synth_dir(tmp_path, n_queries):
     return out_dir, argv
 
 
-def test_synth_resume_over_torn_step_store_is_bad_input(tmp_path, capsys):
+def test_synth_resume_over_torn_step_store_recomputes_the_torn_step(tmp_path):
     out_dir, argv = _synth_dir(tmp_path, 1)
     steps = out_dir / "steps.jsonl"
     text = steps.read_text()
-    steps.write_text(text[:-10])  # a crash cut the last line
+    records = out_dir / "records_Oceania.jsonl"
+    record = records.read_text()
+    steps.write_text(text[:-10])  # a crash cut the last cell's last step short
+    records.unlink()
+    assert run_cli(*argv) == 0
+    assert steps.read_text() == text and records.read_text() == record
+
+
+def test_synth_resume_over_a_garbled_complete_line_is_bad_input(tmp_path, capsys):
+    out_dir, argv = _synth_dir(tmp_path, 1)
+    steps = out_dir / "steps.jsonl"
+    text = steps.read_text()
+    steps.write_text(text[:-10] + "\n")  # a whole line that does not parse
     capsys.readouterr()
     assert run_cli(*argv) == 2
     err = json.loads(capsys.readouterr().err)

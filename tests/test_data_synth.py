@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from palette.align_trainer import PreferenceRecord
 from palette.backends import ScriptedMock
-from palette.common import CONTINENTS
+from palette.common import CONTINENTS, append_jsonl
 from palette.data_synth import (
     StepStore,
     SynthConfig,
@@ -221,6 +222,48 @@ def test_replay_from_the_step_store_renders_no_template(tmp_path, monkeypatch):
     assert renders == [] and idle.calls == []
     assert {f.name: f.read_bytes() for f in tmp_path.glob("records_*.jsonl")} == records
     assert (tmp_path / "steps.jsonl").read_bytes() == steps
+
+
+@pytest.mark.parametrize("crash_at, torn", [(7, "steps.jsonl"), (10, "records_America.jsonl")])
+def test_run_synthesis_resumes_over_a_torn_append(tmp_path, monkeypatch, caplog, crash_at, torn):
+    # "[Approved]" on every judge call: each cell appends its 4 steps, then
+    # its record. The crash cuts the crash_at-th append in half: the second
+    # step of the second cell, or that cell's record.
+    whole, crashed = tmp_path / "whole", tmp_path / "crashed"
+    queries = make_queries(2)
+    expected = run_synthesis(SynthConfig(backend=ScriptedMock(default="[Approved]")), queries, whole)
+
+    appends, cut = [], []
+
+    def crashing_append(path, row):
+        appends.append(path)
+        if len(appends) < crash_at:
+            return append_jsonl(path, row)
+        line = json.dumps(row, sort_keys=True) + "\n"
+        cut.append(line[: len(line) // 2])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(cut[0])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("palette.data_synth.append_jsonl", crashing_append)
+    with pytest.raises(KeyboardInterrupt):
+        run_synthesis(SynthConfig(backend=ScriptedMock(default="[Approved]")), queries, crashed)
+    monkeypatch.undo()
+    assert Path(appends[-1]).name == torn
+    torn_bytes = len(cut[0].encode("utf-8"))
+
+    caplog.set_level("WARNING", logger="palette.common")
+    backend = ScriptedMock(default="[Approved]")
+    records = run_synthesis(SynthConfig(backend=backend), queries, crashed)
+    assert caplog.messages == [f"{crashed / torn}: dropped a torn final line of {torn_bytes} bytes"]
+    # The torn cell's missing steps (none, if only its record was torn),
+    # then the eight cells after it.
+    assert len(backend.calls) == (3 if torn == "steps.jsonl" else 0) + 8 * 4
+    assert [r.to_dict() for r in records] == [r.to_dict() for r in expected]
+    names = sorted(f.name for f in whole.iterdir())
+    assert sorted(f.name for f in crashed.iterdir()) == names
+    for name in names:
+        assert (crashed / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 def test_step_store_round_trip(tmp_path):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from palette.common import CONTINENTS
 from palette.errors import BadConfig, EmptyContinuation, TooLong
 from palette import reference_model
 from palette.reference_model import (
@@ -16,6 +19,7 @@ from palette.reference_model import (
     sequence_logprob,
     tokenize,
 )
+from palette.templates import render_template
 from palette.tensor_store import load_checkpoint, save_checkpoint
 
 from helpers import tiny_config, tiny_model
@@ -200,41 +204,75 @@ def test_greedy_decode_stops_at_eos():
         assert out == free[:k]
 
 
+def _record_extend(monkeypatch):
+    calls = []
+    extend = TinyTransformer._extend
+
+    def recording_extend(self, tokens, pos, keys, values):
+        logits = extend(self, tokens, pos, keys, values)
+        calls.append((list(tokens), pos, logits))
+        return logits
+
+    monkeypatch.setattr(TinyTransformer, "_extend", recording_extend)
+    return calls
+
+
 def test_cached_step_logits_match_full_forward(monkeypatch):
     model = _decode_model(2)
     prompt = _random_prompt(np.random.default_rng(3), 11)
-    steps = []
-    step = TinyTransformer._decode_step
-
-    def recording_step(self, token, pos, keys, values):
-        logits = step(self, token, pos, keys, values)
-        steps.append((pos, logits))
-        return logits
-
-    monkeypatch.setattr(TinyTransformer, "_decode_step", recording_step)
+    calls = _record_extend(monkeypatch)
     out = model.greedy_decode(prompt, 40)
-    assert len(steps) == len(out) - 1 == 39
+    assert len(calls) == len(out) == 40
     full = prompt + out
-    for pos, logits in steps:
-        expected = model.forward_trace(full[: pos + 1]).logits[-1]
+    for tokens, pos, logits in calls:
+        expected = model.forward_trace(full[: pos + len(tokens)]).logits[-1]
         assert np.abs(logits - expected).max() <= 1e-12
 
 
 def test_greedy_decode_runs_one_forward_pass(monkeypatch):
     model = _decode_model(0, max_seq=96)
     prompt = _random_prompt(np.random.default_rng(4), 30)
-    calls = []
-    forward_trace = TinyTransformer.forward_trace
+    calls = _record_extend(monkeypatch)
 
-    def counting_forward_trace(self, tokens):
-        calls.append(len(tokens))
-        return forward_trace(self, tokens)
+    def no_forward_trace(self, tokens):
+        raise AssertionError("greedy_decode must not build a Trace")
 
-    monkeypatch.setattr(TinyTransformer, "forward_trace", counting_forward_trace)
+    monkeypatch.setattr(TinyTransformer, "forward_trace", no_forward_trace)
     for n in (1, 2, 48, 500):
         calls.clear()
-        model.greedy_decode(prompt, n)
-        assert calls == [len(prompt)]
+        out = model.greedy_decode(prompt, n)
+        assert len(out) == min(n, model.cfg.max_seq - len(prompt))  # no EOS
+        assert [(tokens, pos) for tokens, pos, _ in calls] == [(prompt, 0)] + [
+            ([tok], len(prompt) + k) for k, tok in enumerate(out[:-1])
+        ]
+
+
+def test_greedy_decode_matches_the_oracle_at_the_draft_shape():
+    # The eval benchmark's drafts: five default-config experts, each given
+    # a draft prompt cut to 208 tokens, each decoding all 48 tokens.
+    for seed, continent in zip(range(1, 6), CONTINENTS):
+        model = TinyTransformer.from_checkpoint(init_model(ModelConfig(seed=seed)))
+        query = "How do you feel about public transport where you live? (item 0)"
+        text = render_template("draft", continent=continent, country="Japan", query=query)
+        prompt = [BOS] + list(text.encode("utf-8")[-206:]) + [SEP]
+        out = model.greedy_decode(prompt, 48)
+        assert len(prompt) == 208 and len(out) == 48
+        assert out == bf_greedy_decode(model, prompt, 48)
+
+
+def test_greedy_decode_holds_no_full_trace():
+    # A 208-token prompt's Trace takes about 8 MB; the K/V cache 0.26 MB and
+    # the prefill's largest temporaries, the attention scores, 1.4 MB.
+    model = TinyTransformer.from_checkpoint(init_model(ModelConfig(seed=1)))
+    prompt = _random_prompt(np.random.default_rng(6), 208)
+    model.greedy_decode(prompt, 48)  # builds the cached causal mask
+    tracemalloc.start()
+    try:
+        model.greedy_decode(prompt, 48)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_000_000
 
 
 def test_backward_adds_into_the_callers_gradients():
