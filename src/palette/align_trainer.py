@@ -173,13 +173,10 @@ def _loss_internal(
         conts.append(cont)
 
     sft = -lps[0] / lens[0]
-    score_pref, slope_pref = _score_and_slope(lps[0], lens[0], true_odds, length_normalize)
-    ratios, sig = [], []
-    for k in range(N_REJECTED):
-        score_rej, _ = _score_and_slope(lps[1 + k], lens[1 + k], true_odds, length_normalize)
-        r = score_pref - score_rej
-        ratios.append(r)
-        sig.append(_sigmoid(r))
+    scored = [_score_and_slope(lp, n, true_odds, length_normalize) for lp, n in zip(lps, lens)]
+    score_pref, slope_pref = scored[0]
+    ratios = [score_pref - score_rej for score_rej, _ in scored[1:]]
+    sig = [_sigmoid(r) for r in ratios]
     contrastive = sum(_softplus(-r) for r in ratios)
     breakdown = LossBreakdown(
         sft=sft,
@@ -194,13 +191,7 @@ def _loss_internal(
     coeff_pref = -1.0 / lens[0] + lam * slope_pref * sum(s - 1.0 for s in sig)
     grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     for idx, trace in enumerate(traces):
-        if idx == 0:
-            coeff = coeff_pref
-        else:
-            _, slope_rej = _score_and_slope(
-                lps[idx], lens[idx], true_odds, length_normalize
-            )
-            coeff = lam * (1.0 - sig[idx - 1]) * slope_rej
+        coeff = coeff_pref if idx == 0 else lam * (1.0 - sig[idx - 1]) * scored[idx][1]
         if coeff == 0.0:
             continue
         dlogits = model.logprob_dlogits(trace, prompts[idx], conts[idx], coeff)

@@ -13,7 +13,7 @@ import numpy as np
 from .common import CONTINENTS, round9
 from .errors import DimensionMismatch, EmptyPrompt, NonFiniteInput
 from .tensor_store import Checkpoint, TensorSpec, load_checkpoint, save_checkpoint
-from .reference_model import TinyTransformer, tokenize
+from .reference_model import BOS, EOS, TinyTransformer, tokenize
 
 DEFAULT_SYSTEM_PROMPTS: dict[str, str] = {
     c: (
@@ -143,9 +143,11 @@ def route(hidden: Sequence[float], gate: GateMatrix, temperature: float = 1.0) -
 def route_prompt(
     model: Checkpoint, gate: GateMatrix, prompt: str, temperature: float = 1.0
 ) -> GateWeights:
-    """Encode the prompt (mean-pooled hidden) and route it."""
+    """Encode the prompt (mean-pooled hidden) and route it. A prompt too long
+    for the context window is cut to its head, which holds the country preamble."""
     tt = TinyTransformer.from_checkpoint(model)
-    hidden = tt.mean_hidden(tokenize(prompt, tt.cfg.max_seq))
+    raw = prompt.encode("utf-8")[: tt.cfg.max_seq - 2]
+    hidden = tt.mean_hidden([BOS] + list(raw) + [EOS])
     return route(hidden, gate, temperature)
 
 

@@ -1,22 +1,19 @@
 """Evaluation metrics: KL divergence and the Jensen-Shannon alignment score
 (base-2 logs so the score lands in [0, 1]), Pearson correlation, and an HTTP
-client for an external entailment scorer with a bundled offline mock.
+client for an external entailment scorer.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
-import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Sequence
+from typing import Sequence
 from urllib.parse import urlparse
 
 import numpy as np
 
-from .common import post_json, round9
+from .common import post_json
 from .errors import (
     AllZero,
     EmptyText,
@@ -130,73 +127,3 @@ def semantic_score(
     if not isinstance(score, (int, float)) or isinstance(score, bool) or not (0.0 <= score <= 1.0):
         raise MalformedScorerResponse(f"score {score!r} is not a float in [0, 1]", url=url)
     return float(score)
-
-
-# --- offline mock scorer -----------------------------------------------------
-
-def token_overlap_score(premise: str, hypothesis: str) -> float:
-    """Deterministic Jaccard overlap of lowercase word sets; 1.0 for equal texts."""
-    a = set(re.findall(r"\w+", premise.lower()))
-    b = set(re.findall(r"\w+", hypothesis.lower()))
-    if not a and not b:
-        return 1.0
-    union = a | b
-    return len(a & b) / len(union)
-
-
-class MockScorerServer:
-    """In-process HTTP server implementing the scorer wire contract, for
-    offline tests and demos. Use as a context manager; `base_url` points at
-    the live server."""
-
-    def __init__(self, score_fn: Callable[[str, str], float] | None = None):
-        self.score_fn = score_fn or token_overlap_score
-        self.requests_seen: list[dict] = []
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-
-    @property
-    def base_url(self) -> str:
-        host, port = self._server.server_address
-        return f"http://{host}:{port}"
-
-    def __enter__(self) -> "MockScorerServer":
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                if self.path != "/score":
-                    self.send_error(404)
-                    return
-                length = int(self.headers.get("Content-Length", 0))
-                try:
-                    body = json.loads(self.rfile.read(length))
-                    premise, hypothesis = body["premise"], body["hypothesis"]
-                except (ValueError, KeyError):
-                    self.send_error(400)
-                    return
-                outer.requests_seen.append(
-                    {"body": body, "auth": self.headers.get("Authorization")}
-                )
-                payload = json.dumps({"score": round9(outer.score_fn(premise, hypothesis))})
-                data = payload.encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._server.shutdown()
-        self._thread.join()
-        self._server.server_close()

@@ -30,13 +30,13 @@ C-contiguous array of the same shape, so no sum is reordered.
 ``tests/oracles.py`` keeps the allocating version and a test compares the
 bytes.
 
-Greedy decoding runs one kernel, ``_extend``, on the prompt and then on
-each new token: it extends a per-call key/value cache, builds no ``Trace``
-and runs the last layer, the final norm and the head on the one row it
-returns. Those logits may differ from a full forward's last row in the
-last bits, since BLAS does not promise that some rows of a product equal
-those rows of the whole product (OpenBLAS 0.3.31 often differs); only the
-argmax token leaves the kernel, and tests hold it to the full-forward oracle.
+Inference runs one kernel, ``_extend``, over a per-call key/value cache:
+no ``Trace``, and the last layer only on the rows read. Decoding runs it on
+the prompt, then per new token; option scores, margins, routing and
+``forward`` run it once. Only training runs ``forward_trace``, for
+``Trace.backward``. BLAS does not promise that some rows of a product equal
+those rows of the whole product (OpenBLAS 0.3.31 often differs), so a score
+may differ from ``logprob_trace``'s in the last bits; full-row passes match.
 """
 
 from __future__ import annotations
@@ -233,9 +233,11 @@ def _rmsnorm_backward(dy, x, inv, gain):
     return dx, dgain
 
 
-def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _continuation_logprob(logits: np.ndarray, continuation: list[int]) -> float:
+    """Sum over rows k of log softmax(logits[k])[continuation[k]]."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    return float((shifted[np.arange(len(continuation)), continuation] - log_norm).sum())
 
 
 class _LayerCache:
@@ -360,6 +362,14 @@ class TinyTransformer:
             raise ValueError("token id outside vocabulary")
         return tokens
 
+    def _check_pair(self, prompt: Sequence[int], continuation: Sequence[int]) -> tuple[list[int], list[int]]:
+        if len(continuation) == 0:
+            raise EmptyContinuation("continuation must be non-empty")
+        if len(prompt) == 0:
+            raise ValueError("prompt must be non-empty")
+        full = self._check_tokens(list(prompt) + list(continuation))
+        return full, full[len(full) - len(continuation) :]
+
     def forward_trace(self, tokens: Sequence[int]) -> Trace:
         tokens = self._check_tokens(tokens)
         cfg, p = self.cfg, self.params
@@ -395,31 +405,22 @@ class TinyTransformer:
         trace.logits = trace.hidden @ p["head.out"]
         return trace
 
-    def hidden_and_logits(self, tokens: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        trace = self.forward_trace(tokens)
-        return trace.hidden, trace.logits
-
     def mean_hidden(self, tokens: Sequence[int]) -> np.ndarray:
-        hidden, _ = self.hidden_and_logits(tokens)
-        return hidden.mean(axis=0)
+        tokens = self._check_tokens(tokens)
+        return self._extend(tokens, 0, *self._kv_cache(), rows=len(tokens)).mean(axis=0)
 
     def sequence_logprob(self, prompt: Sequence[int], continuation: Sequence[int]) -> float:
-        lp, _ = self.logprob_trace(prompt, continuation)
-        return lp
+        """Sum over continuation positions of log softmax(logits)[next token]."""
+        full, continuation = self._check_pair(prompt, continuation)
+        hidden = self._extend(full[:-1], 0, *self._kv_cache(), rows=len(continuation))
+        return _continuation_logprob(hidden @ self.params["head.out"], continuation)
 
     def logprob_trace(self, prompt: Sequence[int], continuation: Sequence[int]) -> tuple[float, Trace]:
-        prompt = list(prompt)
-        continuation = list(continuation)
-        if not continuation:
-            raise EmptyContinuation("continuation must be non-empty")
-        if not prompt:
-            raise ValueError("prompt must be non-empty")
-        full = prompt + continuation
+        """`sequence_logprob` and the training forward's Trace."""
+        full, continuation = self._check_pair(prompt, continuation)
         trace = self.forward_trace(full)
-        rows = trace.logits[len(prompt) - 1 : len(full) - 1]
-        log_probs = _log_softmax_rows(rows)
-        lp = float(log_probs[np.arange(len(continuation)), continuation].sum())
-        return lp, trace
+        rows = trace.logits[len(full) - len(continuation) - 1 : -1]
+        return _continuation_logprob(rows, continuation), trace
 
     def logprob_dlogits(self, trace: Trace, prompt_len: int, continuation: Sequence[int], coeff: float) -> np.ndarray:
         """d(coeff * sequence_logprob) / d logits for a logprob_trace."""
@@ -441,10 +442,8 @@ class TinyTransformer:
         out: list[int] = []
         if max_new_tokens <= 0 or pos >= cfg.max_seq:
             return out
-        shape = (cfg.n_heads, cfg.max_seq, cfg.d_model // cfg.n_heads)
-        keys = [np.empty(shape) for _ in range(cfg.n_layers)]
-        values = [np.empty(shape) for _ in range(cfg.n_layers)]
-        logits = self._extend(tokens, 0, keys, values)
+        keys, values = self._kv_cache()
+        logits = self._extend(tokens, 0, keys, values) @ self.params["head.out"]
         while True:
             nxt = int(np.argmax(logits))
             if nxt == EOS:
@@ -452,13 +451,19 @@ class TinyTransformer:
             out.append(nxt)
             if len(out) >= max_new_tokens or pos + 1 >= cfg.max_seq:
                 break
-            logits = self._extend([nxt], pos, keys, values)
+            logits = self._extend([nxt], pos, keys, values) @ self.params["head.out"]
             pos += 1
         return out
 
-    def _extend(self, tokens: list[int], pos: int, keys: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
-        """Logits after the last of `tokens`, placed from position `pos` on, given
-        cached K/V for the positions before `pos`; writes the tokens' K/V."""
+    def _kv_cache(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Empty per-layer (keys, values) for `_extend`, max_seq positions each."""
+        cfg = self.cfg
+        shape = (cfg.n_heads, cfg.max_seq, cfg.d_model // cfg.n_heads)
+        return [np.empty(shape) for _ in range(cfg.n_layers)], [np.empty(shape) for _ in range(cfg.n_layers)]
+
+    def _extend(self, tokens: list[int], pos: int, keys: list, values: list, rows: int = 1) -> np.ndarray:
+        """Final-norm hidden states of the last `rows` tokens, placed from `pos` on over
+        the cached K/V of the positions before `pos`; writes the tokens' K/V."""
         cfg, p = self.cfg, self.params
         n, end = len(tokens), pos + len(tokens)
         h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
@@ -468,8 +473,9 @@ class TinyTransformer:
             n1, _ = _rmsnorm(x, p[f"layer{i}.ln1.gain"])
             keys[i][:, pos:end] = (n1 @ p[f"layer{i}.attn.k"]).reshape(n, h, dh).transpose(1, 0, 2)
             values[i][:, pos:end] = (n1 @ p[f"layer{i}.attn.v"]).reshape(n, h, dh).transpose(1, 0, 2)
-            if i == cfg.n_layers - 1:  # only the last row is read, and it sees every position
-                x, n1, mask = x[-1:], n1[-1:], None
+            if i == cfg.n_layers - 1:  # only the last `rows` rows are read; the last sees every position
+                x, n1 = x[-rows:], n1[-rows:]
+                mask = mask[-rows:] if rows > 1 else None
             q = (n1 @ p[f"layer{i}.attn.q"]).reshape(-1, h, dh).transpose(1, 0, 2)
             scores = q @ keys[i][:, :end].transpose(0, 2, 1)
             scores /= math.sqrt(dh)
@@ -482,22 +488,14 @@ class TinyTransformer:
             a, _ = _gelu(n2 @ p[f"layer{i}.ffn.w_in"])
             x = x + a @ p[f"layer{i}.ffn.w_out"]
         hidden, _ = _rmsnorm(x, p["final_ln.gain"])
-        return (hidden @ p["head.out"])[0]
+        return hidden
 
 
 # --- checkpoint-level operations -------------------------------------------
 
 def forward(params: Checkpoint, tokens: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(hidden seq x d_model, logits seq x vocab) for one token sequence."""
-    return TinyTransformer.from_checkpoint(params).hidden_and_logits(tokens)
-
-
-def sequence_logprob(params: Checkpoint, prompt: Sequence[int], continuation: Sequence[int]) -> float:
-    """Sum over continuation positions of log softmax(logits)[next token]."""
-    return TinyTransformer.from_checkpoint(params).sequence_logprob(prompt, continuation)
-
-
-def encode_prompt(params: Checkpoint, text: str) -> np.ndarray:
-    """Mean-pooled final hidden state of the tokenized text."""
     model = TinyTransformer.from_checkpoint(params)
-    return model.mean_hidden(tokenize(text, model.cfg.max_seq))
+    tokens = model._check_tokens(tokens)
+    hidden = model._extend(tokens, 0, *model._kv_cache(), rows=len(tokens))
+    return hidden, hidden @ model.params["head.out"]

@@ -1,16 +1,17 @@
-"""Shared test helpers: checkpoint builders, toy datasets, fixture records and
-a loopback HTTP server with scripted replies."""
+"""Shared test helpers: checkpoint builders, toy datasets, fixture records, a
+loopback HTTP server with scripted replies and an entailment scorer on it."""
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
 from palette.align_trainer import PreferenceRecord
-from palette.common import CONTINENTS
+from palette.common import CONTINENTS, round9
 from palette.reference_model import ModelConfig, init_model
 from palette.tensor_store import Checkpoint, TensorSpec
 
@@ -181,3 +182,25 @@ class ReplyServer:
         self._server.shutdown()
         self._thread.join()
         self._server.server_close()
+
+
+def token_overlap_score(premise: str, hypothesis: str) -> float:
+    """Deterministic Jaccard overlap of lowercase word sets; 1.0 for equal texts."""
+    a = set(re.findall(r"\w+", premise.lower()))
+    b = set(re.findall(r"\w+", hypothesis.lower()))
+    if not a and not b:
+        return 1.0
+    return len(a & b) / len(a | b)
+
+
+class MockScorerServer(ReplyServer):
+    """Entailment scorer: each request gets ``{"score": score_fn(premise,
+    hypothesis)}`` for its body, at 9 significant digits."""
+
+    def __init__(self, score_fn=token_overlap_score):
+        super().__init__([])
+        self.score_fn = score_fn
+
+    def respond(self):
+        body = self.requests_seen[-1]["body"]
+        return 200, json.dumps({"score": round9(self.score_fn(body["premise"], body["hypothesis"]))}).encode()

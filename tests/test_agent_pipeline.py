@@ -16,15 +16,16 @@ from palette.agent_pipeline import (
     fuse_meta,
     load_opinion_items,
     prompting_baseline,
+    routing_text,
     run_item,
     self_regulate,
 )
 from palette.backends import LocalReference, RemoteChat, ScriptedMock
 from palette.common import CONTINENTS, fingerprint
 from palette.errors import BackendFailure, EmptyDataset, UnparseableDistribution
-from palette.gate_router import init_gate
+from palette.gate_router import init_gate, route, route_prompt
 from palette.metrics import alignment_score, normalize_distribution
-from palette.reference_model import forward, init_model
+from palette.reference_model import TinyTransformer, forward, init_model, tokenize
 from palette.tensor_store import Checkpoint
 
 from helpers import ReplyServer, tiny_config, tiny_model
@@ -455,3 +456,24 @@ def test_local_pipeline_end_to_end(fusion_setup):
         PipelineConfig(agents=agents2, meta=meta2), [item], "X"
     ).to_json()
     assert r1 == r2
+
+
+@pytest.mark.parametrize("mode", ["per-request", "per-country"])
+def test_evaluate_country_routes_a_question_longer_than_max_seq(fusion_setup, mode):
+    # The routing text of a long question is cut to its head, which keeps the
+    # country preamble; a text that fits routes as its full-row encoding does.
+    base, experts, gate = fusion_setup
+    max_seq = TinyTransformer.from_checkpoint(base).cfg.max_seq
+    question = "Which of these matters most when you choose where to live? " * 4
+    assert len(question) > max_seq
+    agents = {c: LocalReference(experts[c], max_new_tokens=4, label=c) for c in CONTINENTS}
+    meta = FusedLocalMeta(base, experts, gate, mode=mode, max_new_tokens=4)
+    item = OpinionItem(question=question, options=["alpha", "beta"], gold=[0.6, 0.4], country="X", qid="q0")
+    report = evaluate_country(PipelineConfig(agents=agents, meta=meta), [item], "X")
+    assert [q["qid"] for q in report.per_question] == ["q0"]
+
+    text = routing_text("X", question)
+    head = text[: max_seq - 2]
+    assert route_prompt(base, gate, text) == route_prompt(base, gate, head)
+    hidden = TinyTransformer.from_checkpoint(base).forward_trace(tokenize(head, max_seq)).hidden
+    assert route_prompt(base, gate, head) == route(hidden.mean(axis=0), gate)

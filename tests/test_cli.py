@@ -239,7 +239,7 @@ def test_metrics_subcommands(capsys):
 
 
 def test_metrics_semantic_against_mock(capsys):
-    from palette.metrics import MockScorerServer
+    from helpers import MockScorerServer
 
     with MockScorerServer() as server:
         assert run_cli("metrics", "semantic", "--url", server.base_url,

@@ -14,17 +14,15 @@ from palette.errors import (
     SupportViolation,
 )
 from palette.metrics import (
-    MockScorerServer,
     NliScorerEndpoint,
     alignment_score,
     kl,
     normalize_distribution,
     pearson,
     semantic_score,
-    token_overlap_score,
 )
 
-from helpers import ReplyServer
+from helpers import MockScorerServer, ReplyServer, token_overlap_score
 
 # Sample Pearson for ([1,2,3],[2,4,7]) is 15/sqrt(228); acceptance check C6b
 # pins the same value.

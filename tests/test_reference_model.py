@@ -3,8 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from palette.align_trainer import mean_margin
+from palette.backends import LocalReference
 from palette.common import CONTINENTS
 from palette.errors import BadConfig, EmptyContinuation, TooLong
+from palette.gate_router import init_gate, route_prompt
 from palette import reference_model
 from palette.reference_model import (
     BOS,
@@ -13,16 +16,14 @@ from palette.reference_model import (
     ModelConfig,
     TinyTransformer,
     encode_pair,
-    encode_prompt,
     forward,
     init_model,
-    sequence_logprob,
     tokenize,
 )
 from palette.templates import render_template
 from palette.tensor_store import load_checkpoint, save_checkpoint
 
-from helpers import tiny_config, tiny_model
+from helpers import FIXTURE_RECORDS, tiny_config, tiny_model
 from oracles import bf_forward_trace, bf_greedy_decode, bf_logprob_dlogits
 
 
@@ -90,7 +91,7 @@ def test_forward_fuzz_finite_and_normalizable():
     for _ in range(100):
         length = int(rng.integers(1, 40))
         tokens = [BOS] + list(rng.integers(0, 260, length - 1))
-        _, logits = model.hidden_and_logits(tokens)
+        _, logits = forward(params, tokens)
         assert np.isfinite(logits).all()
         probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
         sums = probs.sum(axis=-1)
@@ -98,20 +99,20 @@ def test_forward_fuzz_finite_and_normalizable():
 
 
 def test_forward_too_long_and_empty():
-    model = TinyTransformer.from_checkpoint(tiny_model())
+    params = tiny_model()
     with pytest.raises(TooLong):
-        model.hidden_and_logits([BOS] * 200)
+        forward(params, [BOS] * 200)
     with pytest.raises(ValueError):
-        model.hidden_and_logits([])
+        forward(params, [])
 
 
 def test_sequence_logprob_nonpositive():
-    params = tiny_model()
+    model = TinyTransformer.from_checkpoint(tiny_model())
     rng = np.random.default_rng(3)
     for _ in range(10):
         prompt = [BOS] + list(rng.integers(0, 256, 5))
         cont = list(rng.integers(0, 256, 6))
-        assert sequence_logprob(params, prompt, cont) <= 0.0
+        assert model.sequence_logprob(prompt, cont) <= 0.0
 
 
 def test_sequence_logprob_chain_rule():
@@ -128,7 +129,7 @@ def test_sequence_logprob_chain_rule():
 
 def test_sequence_logprob_empty_continuation():
     with pytest.raises(EmptyContinuation):
-        sequence_logprob(tiny_model(), [BOS], [])
+        TinyTransformer.from_checkpoint(tiny_model()).sequence_logprob([BOS], [])
 
 
 def test_mean_hidden_finite_norm():
@@ -142,9 +143,9 @@ def test_mean_hidden_finite_norm():
 
 
 def test_encode_prompt_deterministic():
-    params = tiny_model()
-    a = encode_prompt(params, "the same text")
-    b = encode_prompt(params, "the same text")
+    model = TinyTransformer.from_checkpoint(tiny_model())
+    a = model.mean_hidden(tokenize("the same text", model.cfg.max_seq))
+    b = model.mean_hidden(tokenize("the same text", model.cfg.max_seq))
     assert np.array_equal(a, b)
 
 
@@ -208,10 +209,10 @@ def _record_extend(monkeypatch):
     calls = []
     extend = TinyTransformer._extend
 
-    def recording_extend(self, tokens, pos, keys, values):
-        logits = extend(self, tokens, pos, keys, values)
-        calls.append((list(tokens), pos, logits))
-        return logits
+    def recording_extend(self, tokens, pos, keys, values, rows=1):
+        hidden = extend(self, tokens, pos, keys, values, rows)
+        calls.append((list(tokens), pos, hidden))
+        return hidden
 
     monkeypatch.setattr(TinyTransformer, "_extend", recording_extend)
     return calls
@@ -224,7 +225,8 @@ def test_cached_step_logits_match_full_forward(monkeypatch):
     out = model.greedy_decode(prompt, 40)
     assert len(calls) == len(out) == 40
     full = prompt + out
-    for tokens, pos, logits in calls:
+    for tokens, pos, hidden in calls:
+        logits = (hidden @ model.params["head.out"])[0]
         expected = model.forward_trace(full[: pos + len(tokens)]).logits[-1]
         assert np.abs(logits - expected).max() <= 1e-12
 
@@ -273,6 +275,38 @@ def test_greedy_decode_holds_no_full_trace():
     finally:
         tracemalloc.stop()
     assert peak <= 5_000_000
+
+
+def test_inference_builds_no_trace(monkeypatch):
+    params = tiny_model()
+    model = TinyTransformer.from_checkpoint(params)
+    tokens = tokenize("a prompt", model.cfg.max_seq)
+
+    def no_forward_trace(self, tokens):
+        raise AssertionError("only training builds a Trace")
+
+    monkeypatch.setattr(TinyTransformer, "forward_trace", no_forward_trace)
+    assert len(LocalReference(params).score_options("Pick one.", ["yes", "no", ""])) == 3
+    assert np.isfinite(mean_margin(params, FIXTURE_RECORDS))
+    assert abs(sum(route_prompt(params, init_gate(params), "You are answering for NZL.")) - 1.0) < 1e-9
+    assert model.mean_hidden(tokens).shape == (16,)
+    assert forward(params, tokens)[1].shape == (len(tokens), 260)
+
+
+def test_sequence_logprob_holds_no_trace():
+    # One eval option score: a 200-token prompt and a 51-token option. Its
+    # Trace would take about 10 MB.
+    model = TinyTransformer.from_checkpoint(init_model(ModelConfig(seed=1)))
+    rng = np.random.default_rng(9)
+    prompt, cont = _random_prompt(rng, 200), [int(t) for t in rng.integers(0, 256, 51)]
+    model.sequence_logprob(prompt, cont)  # builds the cached causal mask
+    tracemalloc.start()
+    try:
+        model.sequence_logprob(prompt, cont)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_000_000
 
 
 def test_backward_adds_into_the_callers_gradients():
@@ -359,3 +393,34 @@ def test_cached_causal_mask_is_read_only_and_sized_per_max_seq(monkeypatch):
     for model in (small, large):
         assert _same_bytes(model.forward_trace(tokens).logits, bf_forward_trace(model, tokens).logits)
     assert masks[2] is mask and masks[3] is masks[1]
+
+
+@pytest.mark.parametrize("d_model, n_heads", [(64, 4), (24, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_full_row_passes_match_forward_trace_byte_for_byte(seed, d_model, n_heads):
+    params = init_model(ModelConfig(d_model=d_model, n_heads=n_heads, seed=seed))
+    model = TinyTransformer.from_checkpoint(params)
+    rng = np.random.default_rng(seed)
+    for length in (1, 2, 7, 88, 208, model.cfg.max_seq):
+        tokens = _random_prompt(rng, length)
+        trace = model.forward_trace(tokens)
+        hidden, logits = forward(params, tokens)
+        assert _same_bytes(hidden, trace.hidden) and _same_bytes(logits, trace.logits)
+        assert _same_bytes(model.mean_hidden(tokens), trace.hidden.mean(axis=0))
+
+
+@pytest.mark.parametrize("scale", [1.0, 25.0])
+@pytest.mark.parametrize("n_heads", [4, 8])  # head sizes 16 and 8
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sequence_logprob_matches_logprob_trace(seed, n_heads, scale):
+    model = TinyTransformer.from_checkpoint(init_model(ModelConfig(n_heads=n_heads, seed=seed)))
+    for name, arr in model.params.items():
+        if not name.endswith(".gain"):
+            arr *= scale
+    max_seq = model.cfg.max_seq
+    rng = np.random.default_rng(seed)
+    for prompt_len, cont_len in ((1, 1), (9, 1), (30, 17), (200, 51), (1, max_seq - 1), (max_seq - 1, 1)):
+        prompt = _random_prompt(rng, prompt_len)
+        cont = [int(t) for t in rng.integers(0, 260, cont_len)]
+        want, _ = model.logprob_trace(prompt, cont)
+        assert abs(model.sequence_logprob(prompt, cont) - want) <= 1e-12 * abs(want)
