@@ -17,14 +17,14 @@ length-normalized probability with ``true_odds=True``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .common import fingerprint, iter_jsonl, write_jsonl
 from .errors import EmptyDataset, WrongRejectionCount
-from .reference_model import TinyTransformer, encode_pair
+from .reference_model import TinyTransformer, _continuation_dlogits, _continuation_logprob, encode_pair
 from .tensor_store import Checkpoint
 
 N_REJECTED = 4
@@ -46,12 +46,7 @@ class PreferenceRecord:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "preferred": self.preferred,
-            "rejected": list(self.rejected),
-            "continent": self.continent,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PreferenceRecord":
@@ -110,15 +105,7 @@ class TrainReport:
     config_fingerprint: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "epoch_total": self.epoch_total,
-            "epoch_sft": self.epoch_sft,
-            "epoch_contrastive": self.epoch_contrastive,
-            "initial_margin": self.initial_margin,
-            "final_margin": self.final_margin,
-            "n_records": self.n_records,
-            "config_fingerprint": self.config_fingerprint,
-        }
+        return asdict(self)
 
 
 def _sigmoid(x: float) -> float:
@@ -152,6 +139,17 @@ def _as_model(params) -> TinyTransformer:
     return params if isinstance(params, TinyTransformer) else TinyTransformer.from_checkpoint(params)
 
 
+def _encode_record(record: PreferenceRecord, max_seq: int, index: int | None = None):
+    """The shared prompt BOS q SEP and the five continuations r EOS, preferred first.
+    TooLong names the record's index in the dataset and the field of the response."""
+    names = ["preferred"] + [f"rejected[{k}]" for k in range(N_REJECTED)]
+    pairs = [
+        encode_pair(record.query, r, max_seq, record=index, field=name)
+        for r, name in zip((record.preferred, *record.rejected), names)
+    ]
+    return pairs[0][0], [cont for _, cont in pairs]
+
+
 def _loss_internal(
     model: TinyTransformer,
     record: PreferenceRecord,
@@ -160,17 +158,16 @@ def _loss_internal(
     length_normalize: bool,
     with_traces: bool,
 ):
-    max_seq = model.cfg.max_seq
-    seqs = [(record.query, record.preferred)] + [(record.query, r) for r in record.rejected]
-    traces, lps, lens, prompts, conts = [], [], [], [], []
-    for query, response in seqs:
-        prompt, cont = encode_pair(query, response, max_seq)
-        lp, trace = model.logprob_trace(prompt, cont)
-        traces.append(trace if with_traces else None)
-        lps.append(lp)
-        lens.append(len(cont))
-        prompts.append(len(prompt))
-        conts.append(cont)
+    prompt, conts = _encode_record(record, model.cfg.max_seq)
+    if with_traces:
+        # One trace of the prompt; each reply's first token is scored from its last row.
+        prefix = model.forward_trace(prompt)
+        traces = [model.forward_trace(c[:-1], prefix) if len(c) > 1 else None for c in conts]
+        logits = [prefix.logits[-1:] if t is None else np.concatenate([prefix.logits[-1:], t.logits]) for t in traces]
+        lps = [_continuation_logprob(rows, c) for rows, c in zip(logits, conts)]
+    else:
+        lps = model.sequence_logprobs(prompt, conts)
+    lens = [len(c) for c in conts]
 
     sft = -lps[0] / lens[0]
     scored = [_score_and_slope(lp, n, true_odds, length_normalize) for lp, n in zip(lps, lens)]
@@ -190,12 +187,16 @@ def _loss_internal(
     # d total / d lp_sum for each of the 5 sequences
     coeff_pref = -1.0 / lens[0] + lam * slope_pref * sum(s - 1.0 for s in sig)
     grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    d_prompt = np.zeros_like(prefix.logits)
     for idx, trace in enumerate(traces):
         coeff = coeff_pref if idx == 0 else lam * (1.0 - sig[idx - 1]) * scored[idx][1]
         if coeff == 0.0:
             continue
-        dlogits = model.logprob_dlogits(trace, prompts[idx], conts[idx], coeff)
-        trace.backward(dlogits, grads)
+        dlogits = _continuation_dlogits(logits[idx], conts[idx], coeff)
+        d_prompt[-1] += dlogits[0]
+        if trace is not None:
+            trace.backward(dlogits[1:], grads)
+    prefix.backward(d_prompt, grads)
     return breakdown, grads
 
 
@@ -278,14 +279,10 @@ def mean_margin(params, dataset: Sequence[PreferenceRecord]) -> float:
     """Mean over records of mean_k (norm. logprob preferred - rejected_k)."""
     model = _as_model(params)
     total = 0.0
-    for record in dataset:
-        prompt, cont = encode_pair(record.query, record.preferred, model.cfg.max_seq)
-        lp_pref = model.sequence_logprob(prompt, cont) / len(cont)
-        rej = 0.0
-        for r in record.rejected:
-            prompt, cont = encode_pair(record.query, r, model.cfg.max_seq)
-            rej += model.sequence_logprob(prompt, cont) / len(cont)
-        total += lp_pref - rej / N_REJECTED
+    for index, record in enumerate(dataset):
+        prompt, conts = _encode_record(record, model.cfg.max_seq, index)
+        lps = [lp / len(c) for lp, c in zip(model.sequence_logprobs(prompt, conts), conts)]
+        total += lps[0] - sum(lps[1:]) / N_REJECTED
     return total / len(dataset)
 
 
@@ -325,13 +322,8 @@ def train(
             batch = perm[start : start + cfg.batch_size]
             acc = {name: np.zeros_like(arr) for name, arr in model.params.items()}
             for idx in batch:
-                lb, grads = _loss_internal(
-                    model,
-                    dataset[int(idx)],
-                    cfg.lam,
-                    cfg.true_odds,
-                    cfg.length_normalize,
-                    with_traces=True,
+                lb, grads = loss_and_grads(
+                    model, dataset[int(idx)], cfg.lam, true_odds=cfg.true_odds, length_normalize=cfg.length_normalize
                 )
                 sums["total"] += lb.total
                 sums["sft"] += lb.sft

@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .common import CONTINENTS, atomic_write_text, dumps_canonical, iter_jsonl, round9, write_jsonl
-from .errors import PaletteError
+from .common import CONTINENTS, atomic_write_text, dumps_canonical, iter_jsonl, round9, unreadable, write_jsonl
+from .errors import BadInput, EmptyDataset, PaletteError
 from . import agent_pipeline, align_trainer, data_synth, gate_router, merge_engine, metrics
 from .backends import LocalReference, RemoteChat, ScriptedMock
 from .reference_model import ModelConfig, init_model
@@ -65,9 +65,26 @@ def _mock_from_spec(spec: dict, label: str) -> ScriptedMock:
     )
 
 
-def _load_transcript(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise unreadable(path, exc) from exc
+    except ValueError as exc:  # also bytes that are not UTF-8
+        raise BadInput(f"{path}: not valid JSON: {exc}", path=str(path)) from exc
+
+
+def _load_prompts(path) -> dict[str, str]:
+    prompts = _load_json(path)
+    if isinstance(prompts, list) and len(prompts) == len(CONTINENTS):
+        prompts = dict(zip(CONTINENTS, prompts))
+    if not isinstance(prompts, dict):
+        raise BadInput(f"{path}: expected {{continent: prompt}} or {len(CONTINENTS)} prompts", path=str(path))
+    for c in CONTINENTS:
+        if not isinstance(prompts.get(c), str):
+            raise BadInput(f"{path}: the prompt for {c} is missing or not a string", path=str(path), continent=c)
+    return prompts
 
 
 def build_parser() -> _Parser:
@@ -214,10 +231,7 @@ def _cmd_merge(args) -> int:
 def _cmd_gate(args) -> int:
     if args.gate_command == "init":
         model = load_checkpoint(args.model)
-        prompts = None
-        if args.prompts:
-            with open(args.prompts, encoding="utf-8") as fh:
-                prompts = json.load(fh)
+        prompts = _load_prompts(args.prompts) if args.prompts else None
         gate = gate_router.init_gate(model, prompts, normalize=not args.raw)
         gate_router.save_gate(gate, args.output)
         print(f"wrote gate to {args.output}")
@@ -234,6 +248,9 @@ def _cmd_align(args) -> int:
     dataset = align_trainer.load_records_jsonl(args.data)
     if args.continent:
         dataset = [r for r in dataset if r.continent == args.continent]
+        if not dataset:
+            raise EmptyDataset(f"no record in {args.data} has continent {args.continent!r}",
+                               path=str(args.data), continent=args.continent)
     cfg = align_trainer.TrainConfig(
         lam=args.lam,
         learning_rate=args.lr,
@@ -260,7 +277,7 @@ def _build_eval_config(args) -> agent_pipeline.PipelineConfig:
     if args.meta_backend == "mock":
         if not args.transcript:
             raise _UsageError("--transcript is required with --meta-backend mock")
-        spec = _load_transcript(args.transcript)
+        spec = _load_json(args.transcript)
         agents = {
             c: _mock_from_spec(spec.get("agents", {}).get(c, {"default": f"resp-{c}"}), c)
             for c in CONTINENTS
@@ -319,7 +336,7 @@ def _synth_backend(args):
     if args.backend == "mock":
         if not args.transcript:
             raise _UsageError("--transcript is required with --backend mock")
-        return _mock_from_spec(_load_transcript(args.transcript), "synth")
+        return _mock_from_spec(_load_json(args.transcript), "synth")
     if args.backend == "remote":
         if not args.url:
             raise _UsageError("--url is required with --backend remote")

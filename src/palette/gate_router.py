@@ -13,7 +13,7 @@ import numpy as np
 from .common import CONTINENTS, round9
 from .errors import DimensionMismatch, EmptyPrompt, NonFiniteInput
 from .tensor_store import Checkpoint, TensorSpec, load_checkpoint, save_checkpoint
-from .reference_model import BOS, EOS, TinyTransformer, tokenize
+from .reference_model import BOS, EOS, TinyTransformer
 
 DEFAULT_SYSTEM_PROMPTS: dict[str, str] = {
     c: (
@@ -97,7 +97,7 @@ def init_gate(
     normalize: bool = True,
 ) -> GateMatrix:
     """Build the gate from the mean-pooled hidden state of each continent's
-    system prompt.
+    system prompt, encoded as `route_prompt` encodes a prompt.
 
     Columns are L2-normalized by default so that routing a prompt against its
     own column scores cosine 1; raw hidden states are kept with
@@ -120,7 +120,7 @@ def init_gate(
     for continent, prompt in zip(CONTINENTS, prompts):
         if not prompt:
             raise EmptyPrompt(f"empty system prompt for {continent}")
-        hidden = tt.mean_hidden(tokenize(prompt, tt.cfg.max_seq))
+        hidden = tt.mean_hidden(_head_tokens(tt, prompt))
         if normalize:
             hidden = hidden / np.linalg.norm(hidden)
         columns.append(hidden)
@@ -146,9 +146,12 @@ def route_prompt(
     """Encode the prompt (mean-pooled hidden) and route it. A prompt too long
     for the context window is cut to its head, which holds the country preamble."""
     tt = TinyTransformer.from_checkpoint(model)
-    raw = prompt.encode("utf-8")[: tt.cfg.max_seq - 2]
-    hidden = tt.mean_hidden([BOS] + list(raw) + [EOS])
-    return route(hidden, gate, temperature)
+    return route(tt.mean_hidden(_head_tokens(tt, prompt)), gate, temperature)
+
+
+def _head_tokens(tt: TinyTransformer, text: str) -> list[int]:
+    """BOS text EOS, the text cut to its head where it is too long for max_seq."""
+    return [BOS] + list(text.encode("utf-8")[: tt.cfg.max_seq - 2]) + [EOS]
 
 
 def save_gate(gate: GateMatrix, path) -> None:

@@ -22,7 +22,7 @@ large arrays:
   the trace keeps that tanh for the GELU derivative;
 - RMS norm scales ``x * inv`` by the gain in place;
 - backward forms dS in dP's buffer and scales dq and dk in place, and
-  ``logprob_dlogits`` computes its softmax block inside the gradient.
+  ``_continuation_dlogits`` computes its softmax block inside the gradient.
 The results stay exact because each buffer receives the same ufunc, on
 the same operands, in the same order as the plain expression (``a * b``
 and ``b * a`` round alike), and every reduction still runs over a
@@ -32,11 +32,14 @@ bytes.
 
 Inference runs one kernel, ``_extend``, over a per-call key/value cache:
 no ``Trace``, and the last layer only on the rows read. Decoding runs it on
-the prompt, then per new token; option scores, margins, routing and
-``forward`` run it once. Only training runs ``forward_trace``, for
-``Trace.backward``. BLAS does not promise that some rows of a product equal
-those rows of the whole product (OpenBLAS 0.3.31 often differs), so a score
-may differ from ``logprob_trace``'s in the last bits; full-row passes match.
+the prompt, then per new token; option scores, routing and ``forward`` run
+it once; margins run it once on a record's shared prompt, then once per reply.
+Only training runs ``forward_trace``, for ``Trace.backward``; it traces the
+shared prompt once too, as the ``prefix`` of each reply's trace. BLAS does not
+promise that some rows of a product equal those rows of the whole product
+(OpenBLAS 0.3.31 often differs), and the prompt's gradient is summed over the
+replies before it back-propagates, so shared-prompt scores and gradients may
+differ from whole sequences' in the last bits; full-row passes match.
 """
 
 from __future__ import annotations
@@ -149,13 +152,13 @@ def detokenize(tokens: Sequence[int]) -> str:
     return bytes(t for t in tokens if t < 256).decode("utf-8", errors="replace")
 
 
-def encode_pair(query: str, response: str, max_seq: int = ModelConfig.max_seq) -> tuple[list[int], list[int]]:
-    """(prompt, continuation) token lists: BOS q SEP | r EOS."""
+def encode_pair(query: str, response: str, max_seq: int = ModelConfig.max_seq, **context) -> tuple[list[int], list[int]]:
+    """(prompt, continuation) token lists: BOS q SEP | r EOS; ``context`` names the pair in a TooLong."""
     q = query.encode("utf-8")
     r = response.encode("utf-8")
     total = len(q) + len(r) + 3
     if total > max_seq:
-        raise TooLong(f"query+response need {total} tokens but max_seq is {max_seq}")
+        raise TooLong(f"query+response need {total} tokens but max_seq is {max_seq}", **context)
     return [BOS] + list(q) + [SEP], list(r) + [EOS]
 
 
@@ -240,16 +243,27 @@ def _continuation_logprob(logits: np.ndarray, continuation: list[int]) -> float:
     return float((shifted[np.arange(len(continuation)), continuation] - log_norm).sum())
 
 
+def _continuation_dlogits(logits: np.ndarray, continuation: list[int], coeff: float) -> np.ndarray:
+    """d(coeff * _continuation_logprob(logits, continuation)) / d logits."""
+    block = _softmax_rows_in_place(logits.copy())
+    block *= -coeff
+    block[np.arange(len(continuation)), continuation] += coeff
+    return block
+
+
 class _LayerCache:
     __slots__ = ("x_in", "n1", "inv1", "q", "k", "v", "probs", "ctx", "x_mid", "n2", "inv2", "u", "tanh", "a")
 
 
 class Trace:
-    """Forward activations for one token sequence, enough to backprop."""
+    """Forward activations for one token sequence, enough to backprop; with a
+    ``prefix`` trace (itself without one), for the tokens that continue it."""
 
-    def __init__(self, model: "TinyTransformer", tokens: list[int]):
+    def __init__(self, model: "TinyTransformer", tokens: list[int], prefix: "Trace | None" = None):
         self.model = model
         self.tokens = tokens
+        self.prefix = prefix
+        self.d_kv: list[list[np.ndarray]] | None = None  # per layer, the [dK, dV] its continuations hand back
         self.layers: list[_LayerCache] = []
         self.x_final: np.ndarray | None = None
         self.inv_final: np.ndarray | None = None
@@ -258,11 +272,13 @@ class Trace:
 
     def backward(self, dlogits: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         """Add the gradients of sum(dlogits * logits) w.r.t. every parameter
-        into ``grads`` (one array per parameter, shaped like it)."""
+        into ``grads`` (one array per parameter, shaped like it). A prefix's own
+        backward runs after those of all the traces that continue it."""
         m = self.model
         p = m.params
         cfg = m.cfg
-        T = len(self.tokens)
+        T, pre = len(self.tokens), self.prefix
+        P = 0 if pre is None else len(pre.tokens)
         h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         inv_sqrt_dh = 1.0 / math.sqrt(dh)
 
@@ -296,6 +312,13 @@ class Trace:
             dq *= inv_sqrt_dh
             dk = dS.transpose(0, 2, 1) @ c.q
             dk *= inv_sqrt_dh
+            if self.d_kv is not None:
+                dk += self.d_kv[i][0]
+                dv += self.d_kv[i][1]
+            if pre is not None:  # the prefix's columns go to it, for its own backward
+                pre.d_kv[i][0] += dk[:, :P]
+                pre.d_kv[i][1] += dv[:, :P]
+                dk, dv = dk[:, P:], dv[:, P:]
 
             dQ = dq.transpose(1, 0, 2).reshape(T, cfg.d_model)
             dK = dk.transpose(1, 0, 2).reshape(T, cfg.d_model)
@@ -314,7 +337,7 @@ class Trace:
         rows = np.zeros((len(uniq), dx.shape[1]), dtype=grads["embed.tok"].dtype)
         np.add.at(rows, inverse, dx)
         grads["embed.tok"][uniq] += rows
-        grads["embed.pos"][:T] += dx
+        grads["embed.pos"][P : P + T] += dx
 
 
 class TinyTransformer:
@@ -352,12 +375,12 @@ class TinyTransformer:
     def clone(self) -> "TinyTransformer":
         return TinyTransformer(self.cfg, {k: v.copy() for k, v in self.params.items()})
 
-    def _check_tokens(self, tokens: Sequence[int]) -> list[int]:
+    def _check_tokens(self, tokens: Sequence[int], start: int = 0) -> list[int]:
         tokens = [int(t) for t in tokens]
         if not tokens:
             raise ValueError("token sequence must be non-empty")
-        if len(tokens) > self.cfg.max_seq:
-            raise TooLong(f"{len(tokens)} tokens exceed max_seq {self.cfg.max_seq}")
+        if start + len(tokens) > self.cfg.max_seq:
+            raise TooLong(f"{start + len(tokens)} tokens exceed max_seq {self.cfg.max_seq}")
         if any(t < 0 or t >= self.cfg.vocab_size for t in tokens):
             raise ValueError("token id outside vocabulary")
         return tokens
@@ -370,15 +393,18 @@ class TinyTransformer:
         full = self._check_tokens(list(prompt) + list(continuation))
         return full, full[len(full) - len(continuation) :]
 
-    def forward_trace(self, tokens: Sequence[int]) -> Trace:
-        tokens = self._check_tokens(tokens)
+    def forward_trace(self, tokens: Sequence[int], prefix: Trace | None = None) -> Trace:
+        P = 0 if prefix is None else len(prefix.tokens)
+        tokens = self._check_tokens(tokens, P)
         cfg, p = self.cfg, self.params
-        T = len(tokens)
+        T, end = len(tokens), P + len(tokens)
         h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-        trace = Trace(self, tokens)
+        trace = Trace(self, tokens, prefix)
+        if prefix is not None and prefix.d_kv is None:
+            prefix.d_kv = [[np.zeros_like(c.k), np.zeros_like(c.v)] for c in prefix.layers]
 
-        x = p["embed.tok"][tokens] + p["embed.pos"][:T]
-        mask = _causal_mask(cfg.max_seq)[:T, :T]
+        x = p["embed.tok"][tokens] + p["embed.pos"][P:end]
+        mask = _causal_mask(cfg.max_seq)[P:end, :end]
         for i in range(cfg.n_layers):
             c = _LayerCache()
             c.x_in = x
@@ -386,6 +412,9 @@ class TinyTransformer:
             q = (c.n1 @ p[f"layer{i}.attn.q"]).reshape(T, h, dh).transpose(1, 0, 2)
             k = (c.n1 @ p[f"layer{i}.attn.k"]).reshape(T, h, dh).transpose(1, 0, 2)
             v = (c.n1 @ p[f"layer{i}.attn.v"]).reshape(T, h, dh).transpose(1, 0, 2)
+            if prefix is not None:
+                k = np.concatenate([prefix.layers[i].k, k], axis=1)
+                v = np.concatenate([prefix.layers[i].v, v], axis=1)
             c.q, c.k, c.v = q, k, v
             scores = q @ k.transpose(0, 2, 1)
             scores /= math.sqrt(dh)
@@ -415,24 +444,18 @@ class TinyTransformer:
         hidden = self._extend(full[:-1], 0, *self._kv_cache(), rows=len(continuation))
         return _continuation_logprob(hidden @ self.params["head.out"], continuation)
 
-    def logprob_trace(self, prompt: Sequence[int], continuation: Sequence[int]) -> tuple[float, Trace]:
-        """`sequence_logprob` and the training forward's Trace."""
-        full, continuation = self._check_pair(prompt, continuation)
-        trace = self.forward_trace(full)
-        rows = trace.logits[len(full) - len(continuation) - 1 : -1]
-        return _continuation_logprob(rows, continuation), trace
-
-    def logprob_dlogits(self, trace: Trace, prompt_len: int, continuation: Sequence[int], coeff: float) -> np.ndarray:
-        """d(coeff * sequence_logprob) / d logits for a logprob_trace."""
-        continuation = list(continuation)
-        dlogits = np.zeros_like(trace.logits)
-        rows = slice(prompt_len - 1, prompt_len - 1 + len(continuation))
-        block = dlogits[rows]
-        block[...] = trace.logits[rows]
-        _softmax_rows_in_place(block)
-        block *= -coeff
-        block[np.arange(len(continuation)), continuation] += coeff
-        return dlogits
+    def sequence_logprobs(self, prompt: Sequence[int], continuations: Sequence[Sequence[int]]) -> list[float]:
+        """`sequence_logprob(prompt, c)` for each c, over one K/V cache of the prompt:
+        each continuation overwrites only the positions after the prompt."""
+        prompt = self._check_tokens(prompt)
+        keys, values = self._kv_cache()
+        first = self._extend(prompt, 0, keys, values)
+        scores = []
+        for cont in continuations:
+            _, cont = self._check_pair(prompt, cont)
+            rest = self._extend(cont[:-1], len(prompt), keys, values, rows=len(cont) - 1)
+            scores.append(_continuation_logprob(np.concatenate([first, rest]) @ self.params["head.out"], cont))
+        return scores
 
     def greedy_decode(self, prompt_tokens: Sequence[int], max_new_tokens: int = 48) -> list[int]:
         """Greedy continuation of the prompt, stopping at EOS, max_seq or max_new_tokens:

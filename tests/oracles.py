@@ -9,6 +9,9 @@ is the forward and backward pass as first written, one fresh array per
 operator: the in-place kernels of `palette.reference_model` must match it
 byte for byte. The decode oracle re-runs that frozen forward pass for every
 new token, so it shares no cache and no kernel with the incremental decoder.
+The preference-loss oracle scores each of a record's five sequences from
+scratch, prompt included, and back-propagates each one on its own, so it
+shares no prompt trace with the trainer's shared-prompt pass.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import math
 
 import numpy as np
 
-from palette.reference_model import EOS, NORM_EPS
+from palette.align_trainer import LossBreakdown, _score_and_slope, _sigmoid, _softplus
+from palette.reference_model import EOS, NORM_EPS, _continuation_logprob, encode_pair
 
 
 def as_lists(ckpt) -> dict[str, list[float]]:
@@ -288,3 +292,66 @@ def bf_greedy_decode(model, prompt, n):
         out.append(nxt)
         tokens = tokens + [nxt]
     return out
+
+
+def logprob_trace(model, prompt, continuation):
+    """`sequence_logprob` and the training forward's Trace of the whole sequence."""
+    full, continuation = model._check_pair(prompt, continuation)
+    trace = model.forward_trace(full)
+    rows = trace.logits[len(full) - len(continuation) - 1 : -1]
+    return _continuation_logprob(rows, continuation), trace
+
+
+def per_sequence_loss(model, record, lam, true_odds, length_normalize, with_traces):
+    """The preference loss and its gradients, one whole sequence at a time."""
+    max_seq = model.cfg.max_seq
+    seqs = [(record.query, record.preferred)] + [(record.query, r) for r in record.rejected]
+    traces, lps, lens, prompts, conts = [], [], [], [], []
+    for query, response in seqs:
+        prompt, cont = encode_pair(query, response, max_seq)
+        lp, trace = logprob_trace(model, prompt, cont)
+        traces.append(trace if with_traces else None)
+        lps.append(lp)
+        lens.append(len(cont))
+        prompts.append(len(prompt))
+        conts.append(cont)
+
+    sft = -lps[0] / lens[0]
+    scored = [_score_and_slope(lp, n, true_odds, length_normalize) for lp, n in zip(lps, lens)]
+    score_pref, slope_pref = scored[0]
+    ratios = [score_pref - score_rej for score_rej, _ in scored[1:]]
+    sig = [_sigmoid(r) for r in ratios]
+    contrastive = sum(_softplus(-r) for r in ratios)
+    breakdown = LossBreakdown(
+        sft=sft,
+        contrastive=contrastive,
+        total=sft + lam * contrastive,
+        per_rejection_ratios=tuple(ratios),
+    )
+    if not with_traces:
+        return breakdown, None
+
+    # d total / d lp_sum for each of the 5 sequences
+    coeff_pref = -1.0 / lens[0] + lam * slope_pref * sum(s - 1.0 for s in sig)
+    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    for idx, trace in enumerate(traces):
+        coeff = coeff_pref if idx == 0 else lam * (1.0 - sig[idx - 1]) * scored[idx][1]
+        if coeff == 0.0:
+            continue
+        dlogits = bf_logprob_dlogits(trace, prompts[idx], conts[idx], coeff)
+        trace.backward(dlogits, grads)
+    return breakdown, grads
+
+
+def per_sequence_margin(model, dataset) -> float:
+    """`mean_margin` with every sequence scored on its own, prompt included."""
+    total = 0.0
+    for record in dataset:
+        prompt, cont = encode_pair(record.query, record.preferred, model.cfg.max_seq)
+        lp_pref = model.sequence_logprob(prompt, cont) / len(cont)
+        rej = 0.0
+        for r in record.rejected:
+            prompt, cont = encode_pair(record.query, r, model.cfg.max_seq)
+            rej += model.sequence_logprob(prompt, cont) / len(cont)
+        total += lp_pref - rej / 4
+    return total / len(dataset)

@@ -19,6 +19,7 @@ from palette.errors import EmptyDataset, TooLong, WrongRejectionCount
 from palette.reference_model import ModelConfig, TinyTransformer, encode_pair, init_model
 
 from helpers import FIXTURE_RECORDS, GRAD_CHECK_RECORD, tiny_model, toy_preference_dataset
+from oracles import per_sequence_loss, per_sequence_margin
 
 # Frozen from the first verified run on the seed-42 default model and
 # cross-checked below against a straight-line recomputation of the formula.
@@ -146,8 +147,16 @@ def test_raw_sum_mode_differs():
 def test_too_long_record():
     params = tiny_model(max_seq=32)
     record = PreferenceRecord(query="x" * 40, preferred="y", rejected=("a", "b", "c", "d"))
-    with pytest.raises(TooLong):
+    with pytest.raises(TooLong) as exc:
         orpo_loss(params, record, 0.1)
+    assert exc.value.context == {"record": None, "field": "preferred"}
+    # The query fits with every reply but the third rejected one.
+    fits = PreferenceRecord(query="q" * 20, preferred="y", rejected=("a", "b", "c", "d"))
+    long_reply = PreferenceRecord(query="q" * 20, preferred="y", rejected=("a", "b", "c" * 12, "d"))
+    for run in (mean_margin, lambda p, ds: train(p, ds, TrainConfig())):
+        with pytest.raises(TooLong) as exc:
+            run(params, [fits, long_reply])
+        assert exc.value.context == {"record": 1, "field": "rejected[2]"}
 
 
 def test_train_zero_lr_is_identity():
@@ -218,3 +227,36 @@ def test_loss_breakdown_total_invariant(seed42_model):
     lb = orpo_loss(seed42_model, FIXTURE_RECORDS[2], 0.37)
     assert isinstance(lb, LossBreakdown)
     assert abs(lb.total - (lb.sft + 0.37 * lb.contrastive)) < 1e-9
+
+
+# Replies of unequal lengths, and an empty one: its continuation is [EOS], so
+# it is scored from the prompt's last row alone and adds no continuation pass.
+SHARED_PROMPT_RECORDS = toy_preference_dataset(n_queries=2) + [
+    GRAD_CHECK_RECORD,
+    PreferenceRecord(query="tea or coffee?", preferred="", rejected=("tea", "coffee, strong", "", "a long answer here")),
+]
+SCORE_MODES = [
+    {"true_odds": False, "length_normalize": True},
+    {"true_odds": True, "length_normalize": True},
+    {"true_odds": False, "length_normalize": False},
+]
+
+
+@pytest.mark.parametrize("mode", SCORE_MODES, ids=["default", "true_odds", "raw_sums"])
+def test_shared_prompt_loss_and_grads_match_the_per_sequence_oracle(mode):
+    model = TinyTransformer.from_checkpoint(tiny_model())
+    for record in SHARED_PROMPT_RECORDS:
+        lb, grads = loss_and_grads(model, record, 0.1, **mode)
+        want, want_grads = per_sequence_loss(model, record, 0.1, **mode, with_traces=True)
+        for name, g in want_grads.items():
+            assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+        for got in (lb, orpo_loss(model, record, 0.1, **mode)):
+            for key in ("sft", "contrastive", "total"):
+                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=0.0)
+            assert got.per_rejection_ratios == pytest.approx(want.per_rejection_ratios, rel=0.0, abs=1e-12)
+
+
+def test_mean_margin_matches_the_per_sequence_oracle():
+    model = TinyTransformer.from_checkpoint(tiny_model())
+    want = per_sequence_margin(model, SHARED_PROMPT_RECORDS)
+    assert mean_margin(model, SHARED_PROMPT_RECORDS) == pytest.approx(want, rel=0.0, abs=1e-12)

@@ -126,6 +126,41 @@ def test_gate_init_with_prompts_file(tmp_path, model_path):
                    "--prompts", str(pfile), "-o", str(tmp_path / "g.st")) == 0
 
 
+def test_gate_init_cuts_long_prompts_to_their_head(tmp_path, model_path):
+    # route_prompt encodes an over-long text by its head; so does gate init.
+    long_prompts = {c: f"prompt about {c} " + "x" * 290 for c in CONTINENTS}
+    head_prompts = {c: p[:158] for c, p in long_prompts.items()}  # BOS, EOS and 158 bytes fill max_seq 160
+    gates = []
+    for name, prompts in (("long", long_prompts), ("head", head_prompts)):
+        pfile, out = tmp_path / f"{name}.json", tmp_path / f"{name}.st"
+        pfile.write_text(json.dumps(prompts))
+        assert run_cli("gate", "init", "--model", str(model_path), "--prompts", str(pfile), "-o", str(out)) == 0
+        gates.append(out.read_bytes())
+    assert gates[0] == gates[1]
+
+
+@pytest.mark.parametrize("content, code, extra", [
+    (None, "io_failure", {}),
+    ('{"Africa": "a", ', "bad_input", {}),
+    (b'{"Africa": "caf\xe9"}', "bad_input", {}),
+    ("[1, 2, 3, 4, 5]", "bad_input", {"continent": CONTINENTS[0]}),
+    ('["a", "b", "c"]', "bad_input", {}),
+    (json.dumps({c: "p" for c in CONTINENTS[1:]}), "bad_input", {"continent": CONTINENTS[0]}),
+], ids=["missing", "malformed", "not_utf8", "ints", "three_prompts", "missing_continent"])
+def test_gate_init_bad_prompts_file_names_it(tmp_path, model_path, capsys, content, code, extra):
+    pfile, out = tmp_path / "prompts.json", tmp_path / "g.st"
+    if isinstance(content, bytes):
+        pfile.write_bytes(content)
+    elif content is not None:
+        pfile.write_text(content)
+    assert run_cli("gate", "init", "--model", str(model_path), "--prompts", str(pfile), "-o", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == code
+    assert err["context"] == {"path": str(pfile), **extra}
+    assert str(pfile) in err["message"]
+    assert not out.exists()
+
+
 def test_align_runs_and_writes_report(tmp_path, model_path, capsys):
     data = tmp_path / "train.jsonl"
     save_records_jsonl(toy_preference_dataset(n_queries=2), data)
@@ -148,6 +183,20 @@ def test_align_continent_filter(tmp_path, model_path, capsys):
                  "--continent", "Asia", "--epochs", "1", "-o", str(out))
     assert rc == 0
     assert "trained 2 records" in capsys.readouterr().out
+
+
+def test_align_continent_filter_matching_nothing_names_it(tmp_path, model_path, capsys):
+    data = tmp_path / "train.jsonl"
+    save_records_jsonl(toy_preference_dataset(n_queries=2), data)
+    out = tmp_path / "atlantis.st"
+    rc = run_cli("align", "--model", str(model_path), "--data", str(data),
+                 "--continent", "Atlantis", "--epochs", "1", "-o", str(out))
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "empty_dataset"
+    assert err["context"] == {"path": str(data), "continent": "Atlantis"}
+    assert "Atlantis" in err["message"] and str(data) in err["message"]
+    assert not out.exists()
 
 
 def test_eval_mock_end_to_end(tmp_path, capsys):
@@ -173,6 +222,18 @@ def test_eval_mock_end_to_end(tmp_path, capsys):
     assert report["country"] == "NZL"
     assert report["mean_s_align"] == pytest.approx(1.0)
     assert report["pearson_r"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("content, code", [(None, "io_failure"), ("{", "bad_input")], ids=["missing", "malformed"])
+def test_bad_transcript_names_it(tmp_path, capsys, content, code):
+    items, transcript = tmp_path / "qa.jsonl", tmp_path / "transcript.json"
+    items.write_text(json.dumps({"question": "q", "options": ["a", "b"], "gold": [0.7, 0.3], "country": "NZL"}) + "\n")
+    if content is not None:
+        transcript.write_text(content)
+    assert run_cli("eval", "--country", "NZL", "--items", str(items), "--meta-backend", "mock",
+                   "--transcript", str(transcript), "-o", str(tmp_path / "r.json")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["code"], err["context"]) == (code, {"path": str(transcript)})
 
 
 @pytest.mark.parametrize("backend", ["mock", "remote"])

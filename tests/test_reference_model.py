@@ -24,7 +24,7 @@ from palette.templates import render_template
 from palette.tensor_store import load_checkpoint, save_checkpoint
 
 from helpers import FIXTURE_RECORDS, tiny_config, tiny_model
-from oracles import bf_forward_trace, bf_greedy_decode, bf_logprob_dlogits
+from oracles import bf_forward_trace, bf_greedy_decode, bf_logprob_dlogits, logprob_trace
 
 
 def test_config_validation():
@@ -361,9 +361,10 @@ def test_in_place_kernels_match_the_frozen_model_byte_for_byte(seed, d_model, n_
 
         if length >= 2:
             prompt_len, coeff = length // 2, float(rng.normal())
+            rows = slice(prompt_len - 1, length - 1)
             assert _same_bytes(
-                model.logprob_dlogits(got, prompt_len, tokens[prompt_len:], coeff),
-                bf_logprob_dlogits(want, prompt_len, tokens[prompt_len:], coeff),
+                reference_model._continuation_dlogits(got.logits[rows], tokens[prompt_len:], coeff),
+                bf_logprob_dlogits(want, prompt_len, tokens[prompt_len:], coeff)[rows],
             )
         assert model.greedy_decode(tokens, 4) == bf_greedy_decode(model, tokens, 4)
 
@@ -422,5 +423,24 @@ def test_sequence_logprob_matches_logprob_trace(seed, n_heads, scale):
     for prompt_len, cont_len in ((1, 1), (9, 1), (30, 17), (200, 51), (1, max_seq - 1), (max_seq - 1, 1)):
         prompt = _random_prompt(rng, prompt_len)
         cont = [int(t) for t in rng.integers(0, 260, cont_len)]
-        want, _ = model.logprob_trace(prompt, cont)
+        want, _ = logprob_trace(model, prompt, cont)
         assert abs(model.sequence_logprob(prompt, cont) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shared_prompt_scores_match_whole_sequences(seed):
+    # Each continuation overwrites the cache after the prompt; a longer one
+    # before a shorter one leaves rows past the shorter one's end unread.
+    model = TinyTransformer.from_checkpoint(init_model(ModelConfig(n_heads=8, seed=seed)))
+    rng = np.random.default_rng(seed)
+    for prompt_len, cont_lens in ((1, (1, 5)), (30, (17, 1, 40, 3)), (200, (56, 2)), (255, (1, 1))):
+        prompt = _random_prompt(rng, prompt_len)
+        conts = [[int(t) for t in rng.integers(0, 260, n)] for n in cont_lens]
+        got = model.sequence_logprobs(prompt, conts)
+        for score, cont in zip(got, conts, strict=True):
+            want = model.sequence_logprob(prompt, cont)
+            assert abs(score - want) <= 1e-12 * abs(want)
+    with pytest.raises(TooLong):
+        model.sequence_logprobs(prompt, [[5], [5, 6]])
+    with pytest.raises(EmptyContinuation):
+        model.sequence_logprobs(prompt, [[]])
