@@ -10,7 +10,7 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -254,7 +254,7 @@ def routing_text(country: str, query: str | None) -> str:
 
 def fuse_meta(
     base: Checkpoint,
-    experts: Mapping[str, Checkpoint] | Sequence[Checkpoint],
+    experts: Mapping[str, Checkpoint],
     gate_matrix: GateMatrix | None,
     country: str,
     query: str | None = None,
@@ -264,10 +264,6 @@ def fuse_meta(
 ) -> tuple[Checkpoint, GateWeights]:
     """Route the country/query context through the gate and fuse the experts'
     feed-forward tensors onto the base. Returns (fused params, gate used)."""
-    if isinstance(experts, Mapping):
-        ordered = [experts[c] for c in CONTINENTS]
-    else:
-        ordered = list(experts)
     if gate_override is not None:
         weights = GateWeights(values=tuple(float(g) for g in gate_override))
     else:
@@ -275,7 +271,7 @@ def fuse_meta(
             raise ValueError("either gate_matrix or gate_override is required")
         text = routing_text(country, query if mode == "per-request" else None)
         weights = route_prompt(base, gate_matrix, text)
-    fused = moerges_fuse(base, ordered, list(weights))
+    fused = moerges_fuse(base, [experts[c] for c in CONTINENTS], list(weights))
     return fused, weights
 
 
@@ -341,19 +337,6 @@ class FusedLocalMeta:
         }
 
 
-class StaticMeta:
-    """Meta provider that always returns the same backend (mock or remote)."""
-
-    def __init__(self, backend):
-        self.backend = backend
-
-    def backend_for(self, country: str, query: str):
-        return self.backend
-
-    def describe(self) -> dict:
-        return dict(self.backend.describe())
-
-
 # --- country evaluation ---------------------------------------------------------
 
 @dataclass
@@ -364,16 +347,10 @@ class PipelineConfig:
     no_regulate: bool = False
     pearson_mode: str = "pooled"  # or "per_question_mean"
 
-    def meta_provider(self):
-        if hasattr(self.meta, "backend_for"):
-            return self.meta
-        return StaticMeta(self.meta)
-
     def describe(self) -> dict:
-        provider = self.meta_provider()
         return {
             "agents": {c: a.describe() for c, a in sorted(self.agents.items())},
-            "meta": provider.describe(),
+            "meta": self.meta.describe(),
             "no_draft": self.no_draft,
             "no_regulate": self.no_regulate,
             "pearson_mode": self.pearson_mode,
@@ -389,13 +366,7 @@ class AlignmentReport:
     config_fingerprint: str
 
     def to_dict(self) -> dict:
-        return {
-            "country": self.country,
-            "config_fingerprint": self.config_fingerprint,
-            "mean_s_align": self.mean_s_align,
-            "pearson_r": self.pearson_r,
-            "per_question": self.per_question,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return dumps_canonical(self.to_dict())
@@ -404,7 +375,9 @@ class AlignmentReport:
 def run_item(config: PipelineConfig, item: OpinionItem, country: str) -> tuple[str, list[float]]:
     """Drive one item through the (possibly ablated) three stages."""
     cq = CountryQuery(country=country, query=item.question)
-    meta = config.meta_provider().backend_for(country, item.question)
+    meta = config.meta
+    if hasattr(meta, "backend_for"):
+        meta = meta.backend_for(country, item.question)
     if config.no_draft:
         context = ""
     else:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import fingerprint, iter_jsonl, write_jsonl
+from .common import bad_line, fingerprint, iter_jsonl, write_jsonl
 from .errors import EmptyDataset, WrongRejectionCount
 from .reference_model import TinyTransformer, _continuation_dlogits, _continuation_logprob, encode_pair
 from .tensor_store import Checkpoint
@@ -50,17 +50,25 @@ class PreferenceRecord:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PreferenceRecord":
-        return cls(
-            query=obj["query"],
-            preferred=obj["preferred"],
-            rejected=tuple(obj["rejected"]),
-            continent=obj.get("continent", ""),
-        )
+        """TypeError unless the texts are strings and ``rejected`` a list of them."""
+        texts = {"query": obj["query"], "preferred": obj["preferred"], "continent": obj.get("continent", "")}
+        for key, value in texts.items():
+            if not isinstance(value, str):
+                raise TypeError(f"{key!r} must be a string, got {type(value).__name__}")
+        rejected = obj["rejected"]
+        if not isinstance(rejected, list) or not all(isinstance(r, str) for r in rejected):
+            raise TypeError("'rejected' must be a list of strings")
+        return cls(rejected=tuple(rejected), **texts)
 
 
 def load_records_jsonl(path) -> list[PreferenceRecord]:
-    rows = iter_jsonl(path, required=("query", "preferred", "rejected"))
-    return [PreferenceRecord.from_dict(row) for _, row in rows]
+    records = []
+    for index, row in iter_jsonl(path, required=("query", "preferred", "rejected")):
+        try:
+            records.append(PreferenceRecord.from_dict(row))
+        except TypeError as exc:
+            raise bad_line(path, index, str(exc)) from exc
+    return records
 
 
 def save_records_jsonl(records: Sequence[PreferenceRecord], path) -> None:
@@ -77,7 +85,7 @@ class TrainConfig:
     true_odds: bool = False
     length_normalize: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         if self.learning_rate < 0:
@@ -290,7 +298,6 @@ def train(
     params: Checkpoint, dataset: Sequence[PreferenceRecord], cfg: TrainConfig
 ) -> tuple[Checkpoint, TrainReport]:
     """Momentum SGD over the preference loss; bit-reproducible per seed."""
-    cfg.validate()
     if not dataset:
         raise EmptyDataset("training dataset is empty")
 

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
-from pathlib import Path
 
 from . import __version__
 from .common import CONTINENTS, atomic_write_text, dumps_canonical, iter_jsonl, round9, unreadable, write_jsonl
@@ -29,20 +27,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _git_hash() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        return out.stdout.strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
 
 
 def _parse_experts(pairs: list[str]) -> list[tuple[str, object]]:
@@ -75,6 +59,21 @@ def _load_json(path):
         raise BadInput(f"{path}: not valid JSON: {exc}", path=str(path)) from exc
 
 
+def _load_transcript(path) -> dict:
+    spec = _load_json(path)
+    if not isinstance(spec, dict):
+        raise BadInput(f"{path}: a transcript must be a JSON object", path=str(path))
+    return spec
+
+
+def _checked(make, **kwargs):
+    """``make(**kwargs)``, with its ValueError for a number out of range as a usage error."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _load_prompts(path) -> dict[str, str]:
     prompts = _load_json(path)
     if isinstance(prompts, list) and len(prompts) == len(CONTINENTS):
@@ -89,7 +88,7 @@ def _load_prompts(path) -> dict[str, str]:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="palette", description="Continent-expert merging, routing, alignment, and evaluation toolkit")
-    parser.add_argument("--version", action="version", version=f"palette {__version__} ({_git_hash()})")
+    parser.add_argument("--version", action="version", version=f"palette {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("model", help="reference-model utilities")
@@ -244,14 +243,8 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    params = load_checkpoint(args.model)
-    dataset = align_trainer.load_records_jsonl(args.data)
-    if args.continent:
-        dataset = [r for r in dataset if r.continent == args.continent]
-        if not dataset:
-            raise EmptyDataset(f"no record in {args.data} has continent {args.continent!r}",
-                               path=str(args.data), continent=args.continent)
-    cfg = align_trainer.TrainConfig(
+    cfg = _checked(
+        align_trainer.TrainConfig,
         lam=args.lam,
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -260,6 +253,13 @@ def _cmd_align(args) -> int:
         true_odds=args.true_odds,
         length_normalize=not args.raw_sums,
     )
+    params = load_checkpoint(args.model)
+    dataset = align_trainer.load_records_jsonl(args.data)
+    if args.continent:
+        dataset = [r for r in dataset if r.continent == args.continent]
+        if not dataset:
+            raise EmptyDataset(f"no record in {args.data} has continent {args.continent!r}",
+                               path=str(args.data), continent=args.continent)
     trained, report = align_trainer.train(params, dataset, cfg)
     save_checkpoint(trained, args.output)
     if args.report:
@@ -277,7 +277,7 @@ def _build_eval_config(args) -> agent_pipeline.PipelineConfig:
     if args.meta_backend == "mock":
         if not args.transcript:
             raise _UsageError("--transcript is required with --meta-backend mock")
-        spec = _load_json(args.transcript)
+        spec = _load_transcript(args.transcript)
         agents = {
             c: _mock_from_spec(spec.get("agents", {}).get(c, {"default": f"resp-{c}"}), c)
             for c in CONTINENTS
@@ -336,7 +336,7 @@ def _synth_backend(args):
     if args.backend == "mock":
         if not args.transcript:
             raise _UsageError("--transcript is required with --backend mock")
-        return _mock_from_spec(_load_json(args.transcript), "synth")
+        return _mock_from_spec(_load_transcript(args.transcript), "synth")
     if args.backend == "remote":
         if not args.url:
             raise _UsageError("--url is required with --backend remote")
@@ -349,7 +349,7 @@ def _synth_backend(args):
 def _cmd_synth(args) -> int:
     if args.synth_command == "run":
         queries = [row for _, row in iter_jsonl(args.queries, required=("id", "query"))]
-        cfg = data_synth.SynthConfig(backend=_synth_backend(args), max_rounds=args.max_rounds)
+        cfg = _checked(data_synth.SynthConfig, backend=_synth_backend(args), max_rounds=args.max_rounds)
         records = data_synth.run_synthesis(cfg, queries, args.out)
         approved = sum(1 for r in records if r.approved)
         print(f"synthesized {len(records)} records ({approved} approved) into {args.out}")

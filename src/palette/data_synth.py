@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -55,17 +55,7 @@ class SynthRecord:
     approved: bool
 
     def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "query": self.query,
-            "continent": self.continent,
-            "base_response": self.base_response,
-            "feedback": self.feedback,
-            "aggregated": self.aggregated,
-            "final": self.final,
-            "rounds_used": self.rounds_used,
-            "approved": self.approved,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthRecord":

@@ -30,16 +30,16 @@ C-contiguous array of the same shape, so no sum is reordered.
 ``tests/oracles.py`` keeps the allocating version and a test compares the
 bytes.
 
-Inference runs one kernel, ``_extend``, over a per-call key/value cache:
-no ``Trace``, and the last layer only on the rows read. Decoding runs it on
-the prompt, then per new token; option scores, routing and ``forward`` run
-it once; margins run it once on a record's shared prompt, then once per reply.
-Only training runs ``forward_trace``, for ``Trace.backward``; it traces the
-shared prompt once too, as the ``prefix`` of each reply's trace. BLAS does not
-promise that some rows of a product equal those rows of the whole product
-(OpenBLAS 0.3.31 often differs), and the prompt's gradient is summed over the
-replies before it back-propagates, so shared-prompt scores and gradients may
-differ from whole sequences' in the last bits; full-row passes match.
+Every pass runs one kernel, ``_extend``, over a per-call key/value cache.
+Inference keeps no ``Trace`` and runs the last layer only on the rows read:
+decoding on the prompt, then per new token; option scores, routing and
+``forward`` once; margins once on a record's shared prompt, then per reply.
+Training (``forward_trace``) passes it a ``Trace`` to fill for the backward
+pass, and traces the shared prompt once, as the ``prefix`` of each reply's
+trace. BLAS does not promise that some rows of a product equal those rows of
+the whole product (OpenBLAS 0.3.31 often differs), and the prompt's gradient is
+summed over the replies before it back-propagates, so shared-prompt scores and
+gradients may differ from whole sequences' in the last bits; full rows match.
 """
 
 from __future__ import annotations
@@ -396,42 +396,15 @@ class TinyTransformer:
     def forward_trace(self, tokens: Sequence[int], prefix: Trace | None = None) -> Trace:
         P = 0 if prefix is None else len(prefix.tokens)
         tokens = self._check_tokens(tokens, P)
-        cfg, p = self.cfg, self.params
-        T, end = len(tokens), P + len(tokens)
-        h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         trace = Trace(self, tokens, prefix)
-        if prefix is not None and prefix.d_kv is None:
-            prefix.d_kv = [[np.zeros_like(c.k), np.zeros_like(c.v)] for c in prefix.layers]
-
-        x = p["embed.tok"][tokens] + p["embed.pos"][P:end]
-        mask = _causal_mask(cfg.max_seq)[P:end, :end]
-        for i in range(cfg.n_layers):
-            c = _LayerCache()
-            c.x_in = x
-            c.n1, c.inv1 = _rmsnorm(x, p[f"layer{i}.ln1.gain"])
-            q = (c.n1 @ p[f"layer{i}.attn.q"]).reshape(T, h, dh).transpose(1, 0, 2)
-            k = (c.n1 @ p[f"layer{i}.attn.k"]).reshape(T, h, dh).transpose(1, 0, 2)
-            v = (c.n1 @ p[f"layer{i}.attn.v"]).reshape(T, h, dh).transpose(1, 0, 2)
-            if prefix is not None:
-                k = np.concatenate([prefix.layers[i].k, k], axis=1)
-                v = np.concatenate([prefix.layers[i].v, v], axis=1)
-            c.q, c.k, c.v = q, k, v
-            scores = q @ k.transpose(0, 2, 1)
-            scores /= math.sqrt(dh)
-            scores += mask
-            c.probs = _softmax_rows_in_place(scores)
-            c.ctx = (c.probs @ v).transpose(1, 0, 2).reshape(T, cfg.d_model)
-            x = x + c.ctx @ p[f"layer{i}.attn.o"]
-            c.x_mid = x
-            c.n2, c.inv2 = _rmsnorm(x, p[f"layer{i}.ln2.gain"])
-            c.u = c.n2 @ p[f"layer{i}.ffn.w_in"]
-            c.a, c.tanh = _gelu(c.u)
-            x = x + c.a @ p[f"layer{i}.ffn.w_out"]
-            trace.layers.append(c)
-
-        trace.x_final = x
-        trace.hidden, trace.inv_final = _rmsnorm(x, p["final_ln.gain"])
-        trace.logits = trace.hidden @ p["head.out"]
+        keys, values = self._kv_cache(P + len(tokens))  # its own cache: a backward reads it later
+        if prefix is not None:
+            if prefix.d_kv is None:
+                prefix.d_kv = [[np.zeros_like(c.k), np.zeros_like(c.v)] for c in prefix.layers]
+            for k, v, c in zip(keys, values, prefix.layers):
+                k[:, :P], v[:, :P] = c.k, c.v
+        trace.hidden = self._extend(tokens, P, keys, values, rows=len(tokens), trace=trace)
+        trace.logits = trace.hidden @ self.params["head.out"]
         return trace
 
     def mean_hidden(self, tokens: Sequence[int]) -> np.ndarray:
@@ -478,22 +451,24 @@ class TinyTransformer:
             pos += 1
         return out
 
-    def _kv_cache(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Empty per-layer (keys, values) for `_extend`, max_seq positions each."""
+    def _kv_cache(self, length: int | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Empty per-layer (keys, values) for `_extend`, `length` (default max_seq) positions each."""
         cfg = self.cfg
-        shape = (cfg.n_heads, cfg.max_seq, cfg.d_model // cfg.n_heads)
+        shape = (cfg.n_heads, length or cfg.max_seq, cfg.d_model // cfg.n_heads)
         return [np.empty(shape) for _ in range(cfg.n_layers)], [np.empty(shape) for _ in range(cfg.n_layers)]
 
-    def _extend(self, tokens: list[int], pos: int, keys: list, values: list, rows: int = 1) -> np.ndarray:
-        """Final-norm hidden states of the last `rows` tokens, placed from `pos` on over
-        the cached K/V of the positions before `pos`; writes the tokens' K/V."""
+    def _extend(self, tokens: list[int], pos: int, keys: list, values: list, rows: int = 1, trace: Trace | None = None) -> np.ndarray:
+        """Final-norm hidden states of the last `rows` tokens, placed from `pos` on over the cached
+        K/V of the positions before `pos`; writes the tokens' K/V. A `trace` receives each layer's
+        activations, given `rows=len(tokens)` and a cache of exactly `pos + len(tokens)` positions."""
         cfg, p = self.cfg, self.params
         n, end = len(tokens), pos + len(tokens)
         h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         x = p["embed.tok"][tokens] + p["embed.pos"][pos:end]
         mask = _causal_mask(cfg.max_seq)[pos:end, :end] if n > 1 else None
         for i in range(cfg.n_layers):
-            n1, _ = _rmsnorm(x, p[f"layer{i}.ln1.gain"])
+            x_in = x
+            n1, inv1 = _rmsnorm(x, p[f"layer{i}.ln1.gain"])
             keys[i][:, pos:end] = (n1 @ p[f"layer{i}.attn.k"]).reshape(n, h, dh).transpose(1, 0, 2)
             values[i][:, pos:end] = (n1 @ p[f"layer{i}.attn.v"]).reshape(n, h, dh).transpose(1, 0, 2)
             if i == cfg.n_layers - 1:  # only the last `rows` rows are read; the last sees every position
@@ -506,11 +481,19 @@ class TinyTransformer:
                 scores += mask
             probs = _softmax_rows_in_place(scores)
             ctx = (probs @ values[i][:, :end]).transpose(1, 0, 2).reshape(-1, cfg.d_model)
-            x = x + ctx @ p[f"layer{i}.attn.o"]
-            n2, _ = _rmsnorm(x, p[f"layer{i}.ln2.gain"])
-            a, _ = _gelu(n2 @ p[f"layer{i}.ffn.w_in"])
+            x = x_mid = x + ctx @ p[f"layer{i}.attn.o"]
+            n2, inv2 = _rmsnorm(x, p[f"layer{i}.ln2.gain"])
+            u = n2 @ p[f"layer{i}.ffn.w_in"]
+            a, tanh = _gelu(u)
             x = x + a @ p[f"layer{i}.ffn.w_out"]
-        hidden, _ = _rmsnorm(x, p["final_ln.gain"])
+            if trace is not None:
+                c = _LayerCache()
+                c.x_in, c.n1, c.inv1, c.q, c.k, c.v, c.probs, c.ctx = x_in, n1, inv1, q, keys[i], values[i], probs, ctx
+                c.x_mid, c.n2, c.inv2, c.u, c.tanh, c.a = x_mid, n2, inv2, u, tanh, a
+                trace.layers.append(c)
+        hidden, inv = _rmsnorm(x, p["final_ln.gain"])
+        if trace is not None:
+            trace.x_final, trace.inv_final = x, inv
         return hidden
 
 

@@ -44,7 +44,6 @@ class TensorSpec:
     name: str
     shape: tuple[int, ...]
     data: np.ndarray
-    dtype: str = "F32"
 
     def __post_init__(self):
         self.shape = tuple(int(s) for s in self.shape)
@@ -59,8 +58,6 @@ class TensorSpec:
     def validate(self) -> None:
         if not self.name:
             raise ShapeMismatch("tensor name must be non-empty")
-        if self.dtype != "F32":
-            raise ShapeMismatch(f"unsupported dtype {self.dtype!r} for tensor {self.name!r}")
         if any(s <= 0 for s in self.shape):
             raise ShapeMismatch(f"non-positive dimension in shape {self.shape} of {self.name!r}")
         if math.prod(self.shape) != self.data.size:
@@ -83,7 +80,6 @@ class TensorSpec:
         return (
             self.name == other.name
             and self.shape == other.shape
-            and self.dtype == other.dtype
             and self.data.tobytes() == other.data.tobytes()
         )
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from palette.align_trainer import (
     save_records_jsonl,
     train,
 )
-from palette.errors import EmptyDataset, TooLong, WrongRejectionCount
+from palette.errors import BadInput, EmptyDataset, TooLong, WrongRejectionCount
 from palette.reference_model import ModelConfig, TinyTransformer, encode_pair, init_model
 
 from helpers import FIXTURE_RECORDS, GRAD_CHECK_RECORD, tiny_model, toy_preference_dataset
@@ -38,6 +39,23 @@ def seed42_model():
 def test_record_requires_four_rejections():
     with pytest.raises(WrongRejectionCount):
         PreferenceRecord(query="q", preferred="p", rejected=("a", "b"))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("rejected", "abcd", "'rejected' must be a list of strings"),
+    ("rejected", ["a", "b", "c", 4], "'rejected' must be a list of strings"),
+    ("query", 5, "'query' must be a string, got int"),
+    ("preferred", None, "'preferred' must be a string, got NoneType"),
+    ("continent", ["Asia"], "'continent' must be a string, got list"),
+], ids=["rejected-string", "rejected-int", "query-int", "preferred-null", "continent-list"])
+def test_wrong_typed_record_is_bad_input_naming_the_line(tmp_path, field, value, message):
+    good = {"query": "q", "preferred": "p", "rejected": ["a", "b", "c", "d"], "continent": "Asia"}
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(BadInput) as exc:
+        load_records_jsonl(path)
+    assert str(exc.value) == f"{path}:2: {message}"
+    assert exc.value.context == {"path": str(path), "line": 2}
 
 
 def test_degenerate_equality_gives_4_ln2(seed42_model):

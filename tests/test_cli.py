@@ -236,6 +236,48 @@ def test_bad_transcript_names_it(tmp_path, capsys, content, code):
     assert (err["code"], err["context"]) == (code, {"path": str(transcript)})
 
 
+@pytest.mark.parametrize("command", ["eval", "synth"])
+def test_transcript_that_is_not_an_object_is_bad_input(tmp_path, capsys, command):
+    items, transcript = tmp_path / "in.jsonl", tmp_path / "transcript.json"
+    items.write_text(json.dumps({"id": "q0", "query": "q", "question": "q", "options": ["a", "b"],
+                                 "gold": [0.7, 0.3], "country": "NZL"}) + "\n")
+    transcript.write_text("[1]")
+    out = tmp_path / "out"
+    argv = {
+        "eval": ("eval", "--country", "NZL", "--items", str(items), "--meta-backend", "mock", "-o", str(out)),
+        "synth": ("synth", "run", "--queries", str(items), "--backend", "mock", "--out", str(out)),
+    }[command]
+    assert run_cli(*argv, "--transcript", str(transcript)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["code"], err["context"]) == ("bad_input", {"path": str(transcript)})
+    assert str(transcript) in err["message"] and "JSON object" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("align", "--epochs", "0"), "epochs and batch_size must be >= 1"),
+    (("align", "--batch-size", "0"), "epochs and batch_size must be >= 1"),
+    (("align", "--lr", "-1"), "learning rate must be >= 0"),
+    (("align", "--lambda", "-1"), "lambda must be >= 0"),
+    (("synth", "--max-rounds", "0"), "max_rounds must be >= 1"),
+], ids=["epochs", "batch-size", "lr", "lambda", "max-rounds"])
+def test_out_of_range_numbers_are_usage_errors(tmp_path, model_path, capsys, argv, message):
+    data, queries, transcript = tmp_path / "in.jsonl", tmp_path / "q.jsonl", tmp_path / "transcript.json"
+    save_records_jsonl(toy_preference_dataset(n_queries=1), data)
+    queries.write_text(json.dumps({"id": "q0", "query": "what is fair?"}) + "\n")
+    transcript.write_text(json.dumps({"default": "[Approved]"}))
+    out = tmp_path / "out"
+    command, *numbers = argv
+    full = {
+        "align": ("align", "--model", str(model_path), "--data", str(data), "-o", str(out)),
+        "synth": ("synth", "run", "--queries", str(queries), "--backend", "mock",
+                  "--transcript", str(transcript), "--out", str(out)),
+    }[command]
+    assert run_cli(*full, *numbers) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("backend", ["mock", "remote"])
 def test_no_moerges_without_a_local_meta_is_usage_error(tmp_path, capsys, backend):
     items = tmp_path / "qa.jsonl"

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from palette.align_trainer import mean_margin
+from palette.align_trainer import PreferenceRecord, loss_and_grads, mean_margin
 from palette.backends import LocalReference
 from palette.common import CONTINENTS
 from palette.errors import BadConfig, EmptyContinuation, TooLong
@@ -209,8 +209,8 @@ def _record_extend(monkeypatch):
     calls = []
     extend = TinyTransformer._extend
 
-    def recording_extend(self, tokens, pos, keys, values, rows=1):
-        hidden = extend(self, tokens, pos, keys, values, rows)
+    def recording_extend(self, tokens, pos, keys, values, rows=1, trace=None):
+        hidden = extend(self, tokens, pos, keys, values, rows, trace)
         calls.append((list(tokens), pos, hidden))
         return hidden
 
@@ -225,7 +225,7 @@ def test_cached_step_logits_match_full_forward(monkeypatch):
     out = model.greedy_decode(prompt, 40)
     assert len(calls) == len(out) == 40
     full = prompt + out
-    for tokens, pos, hidden in calls:
+    for tokens, pos, hidden in list(calls):
         logits = (hidden @ model.params["head.out"])[0]
         expected = model.forward_trace(full[: pos + len(tokens)]).logits[-1]
         assert np.abs(logits - expected).max() <= 1e-12
@@ -291,6 +291,32 @@ def test_inference_builds_no_trace(monkeypatch):
     assert abs(sum(route_prompt(params, init_gate(params), "You are answering for NZL.")) - 1.0) < 1e-9
     assert model.mean_hidden(tokens).shape == (16,)
     assert forward(params, tokens)[1].shape == (len(tokens), 260)
+
+
+def test_training_traces_run_the_inference_kernel(monkeypatch):
+    # One forward implementation: a Trace is recorded by `_extend` itself,
+    # over every row, and only training asks for one.
+    params = tiny_model()
+    model = TinyTransformer.from_checkpoint(params)
+    calls = []
+    extend = TinyTransformer._extend
+
+    def recording_extend(self, tokens, pos, keys, values, rows=1, trace=None):
+        calls.append((list(tokens), pos, rows, trace is not None))
+        return extend(self, tokens, pos, keys, values, rows, trace)
+
+    monkeypatch.setattr(TinyTransformer, "_extend", recording_extend)
+    record = PreferenceRecord(query="a query", preferred="yes", rejected=("", "ab", "c", "defg"))
+    loss_and_grads(model, record)
+    prompt = [BOS] + list(b"a query") + [SEP]
+    replies = [list(r.encode()) for r in ("yes", "ab", "c", "defg")]  # the empty reply is scored from the prompt
+    assert calls == [(prompt, 0, len(prompt), True)] + [(r, len(prompt), len(r), True) for r in replies]
+
+    calls.clear()
+    mean_margin(params, [record])
+    LocalReference(params).score_options("Pick one.", ["yes", "no"])
+    model.greedy_decode(prompt, 4)
+    assert calls and not any(traced for *_, traced in calls)
 
 
 def test_sequence_logprob_holds_no_trace():
