@@ -66,7 +66,7 @@ def load_records_jsonl(path) -> list[PreferenceRecord]:
     for index, row in iter_jsonl(path, required=("query", "preferred", "rejected")):
         try:
             records.append(PreferenceRecord.from_dict(row))
-        except TypeError as exc:
+        except (TypeError, WrongRejectionCount) as exc:
             raise bad_line(path, index, str(exc)) from exc
     return records
 

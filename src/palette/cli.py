@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .common import CONTINENTS, atomic_write_text, dumps_canonical, iter_jsonl, round9, unreadable, write_jsonl
-from .errors import BadInput, EmptyDataset, PaletteError
+from .errors import BadDensity, BadInput, EmptyDataset, GateDimensionMismatch, PaletteError, SchemaMismatch
 from . import agent_pipeline, align_trainer, data_synth, gate_router, merge_engine, metrics
 from .backends import LocalReference, RemoteChat, ScriptedMock
 from .reference_model import ModelConfig, init_model
@@ -39,7 +39,26 @@ def _parse_experts(pairs: list[str]) -> list[tuple[str, object]]:
     return experts
 
 
-def _mock_from_spec(spec: dict, label: str) -> ScriptedMock:
+def _strings(values) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
+# What a transcript entry may hold: key -> (what it must be, its test); a missing key or null is allowed.
+_MOCK_FIELDS = {
+    "default": ("a string", lambda v: isinstance(v, str)),
+    "exact": ("an object of strings", lambda v: isinstance(v, dict) and _strings(v.values())),
+    "script": ("a list of strings", lambda v: isinstance(v, list) and _strings(v)),
+    "echo": ("a boolean", lambda v: isinstance(v, bool)),
+}
+
+
+def _mock_from_spec(spec, label: str, path) -> ScriptedMock:
+    """The mock one transcript entry describes; bad_input naming ``path`` where the entry is malformed."""
+    if not isinstance(spec, dict):
+        raise BadInput(f"{path}: transcript entry {label!r} must be a JSON object", path=str(path))
+    for key, (kind, ok) in _MOCK_FIELDS.items():
+        if spec.get(key) is not None and not ok(spec[key]):
+            raise BadInput(f"{path}: {key!r} of transcript entry {label!r} must be {kind}", path=str(path))
     return ScriptedMock(
         default=spec.get("default"),
         exact=spec.get("exact"),
@@ -102,7 +121,7 @@ def build_parser() -> _Parser:
     mi.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("merge", help="merge expert checkpoints onto a base")
-    p.add_argument("--method", choices=merge_engine.MERGE_METHODS, required=True)
+    p.add_argument("--method", choices=("task", "ties", "stock", "moerges"), required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--expert", action="append", default=[], metavar="LABEL=PATH")
     p.add_argument("--coeff", action="append", type=float, default=None)
@@ -211,18 +230,27 @@ def _cmd_merge(args) -> int:
         raise _UsageError("at least one --expert LABEL=PATH is required")
     gate = None
     if args.gate is not None:
-        gate = [float(x) for x in args.gate.split(",")]
-    request = merge_engine.MergeRequest(
-        base=load_checkpoint(args.base),
-        experts=_parse_experts(args.expert),
-        method=args.method,
-        coeffs=args.coeff,
-        density=args.density,
-        scale=args.scale,
-        gate=gate,
-        ffn_pattern=args.ffn_pattern,
-    )
-    save_checkpoint(merge_engine.run_merge(request), args.output)
+        try:
+            gate = [float(x) for x in args.gate.split(",")]
+        except ValueError:
+            raise _UsageError(f"--gate must be comma-separated numbers, got {args.gate!r}") from None
+    base = load_checkpoint(args.base)
+    labels, experts = zip(*_parse_experts(args.expert))
+    if len(set(labels)) != len(labels):
+        raise SchemaMismatch(f"expert labels must be unique, got {list(labels)}")
+    if args.method == "task":
+        merged = merge_engine.task_arithmetic(base, experts, args.coeff or [1.0] * len(experts))
+    elif args.method == "ties":
+        if args.density is None:
+            raise BadDensity("ties merge requires a density in (0, 1]")
+        merged = merge_engine.ties_merge(base, experts, args.density, args.scale)
+    elif args.method == "stock":
+        merged = merge_engine.model_stock(base, experts)
+    else:
+        if gate is None:
+            raise GateDimensionMismatch("moerges merge requires a gate vector")
+        merged = merge_engine.moerges_fuse(base, experts, gate, args.ffn_pattern)
+    save_checkpoint(merged, args.output)
     print(f"wrote merged checkpoint to {args.output}")
     return 0
 
@@ -235,10 +263,12 @@ def _cmd_gate(args) -> int:
         gate_router.save_gate(gate, args.output)
         print(f"wrote gate to {args.output}")
         return 0
+    if not args.temperature > 0:  # also NaN
+        raise _UsageError(f"--temperature must be > 0, got {args.temperature}")
     model = load_checkpoint(args.model)
     gate = gate_router.load_gate(args.gate)
     weights = gate_router.route_prompt(model, gate, args.prompt, args.temperature)
-    print(gate_router.format_weights(weights))
+    print(dumps_canonical(weights.as_dict(), indent=None))
     return 0
 
 
@@ -278,11 +308,14 @@ def _build_eval_config(args) -> agent_pipeline.PipelineConfig:
         if not args.transcript:
             raise _UsageError("--transcript is required with --meta-backend mock")
         spec = _load_transcript(args.transcript)
+        entries = spec.get("agents", {})
+        if not isinstance(entries, dict) or not all(isinstance(e, dict) for e in entries.values()):
+            raise BadInput(f"{args.transcript}: 'agents' must be an object of objects", path=str(args.transcript))
         agents = {
-            c: _mock_from_spec(spec.get("agents", {}).get(c, {"default": f"resp-{c}"}), c)
+            c: _mock_from_spec(entries.get(c, {"default": f"resp-{c}"}), c, args.transcript)
             for c in CONTINENTS
         }
-        meta = _mock_from_spec(spec.get("meta", {}), "meta")
+        meta = _mock_from_spec(spec.get("meta", {}), "meta", args.transcript)
     elif args.meta_backend == "remote":
         if not args.url:
             raise _UsageError("--url is required with --meta-backend remote")
@@ -336,7 +369,7 @@ def _synth_backend(args):
     if args.backend == "mock":
         if not args.transcript:
             raise _UsageError("--transcript is required with --backend mock")
-        return _mock_from_spec(_load_transcript(args.transcript), "synth")
+        return _mock_from_spec(_load_transcript(args.transcript), "synth", args.transcript)
     if args.backend == "remote":
         if not args.url:
             raise _UsageError("--url is required with --backend remote")
@@ -403,25 +436,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except PaletteError as exc:
-        print(
-            json.dumps(
-                {"code": exc.code, "message": str(exc), "context": exc.context},
-                sort_keys=True,
-                default=str,
-            ),
-            file=sys.stderr,
-        )
-        return 2
     except Exception as exc:  # no stack traces on the CLI surface
-        print(
-            json.dumps(
-                {"code": "internal", "message": f"{type(exc).__name__}: {exc}", "context": {}},
-                sort_keys=True,
-                default=str,
-            ),
-            file=sys.stderr,
-        )
+        if isinstance(exc, PaletteError):
+            error = {"code": exc.code, "message": str(exc), "context": exc.context}
+        else:
+            error = {"code": "internal", "message": f"{type(exc).__name__}: {exc}", "context": {}}
+        print(json.dumps(error, sort_keys=True, default=str), file=sys.stderr)
         return 2
 
 

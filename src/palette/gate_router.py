@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .common import CONTINENTS, round9
+from .common import CONTINENTS
 from .errors import DimensionMismatch, EmptyPrompt, NonFiniteInput
 from .tensor_store import Checkpoint, TensorSpec, load_checkpoint, save_checkpoint
 from .reference_model import BOS, EOS, TinyTransformer
@@ -183,7 +183,3 @@ def load_gate(path) -> GateMatrix:
         matrix = matrix / np.linalg.norm(matrix, axis=0, keepdims=True)
     return GateMatrix(matrix=matrix, normalized=normalized)
 
-
-def format_weights(weights: GateWeights) -> str:
-    """JSON object keyed by continent, floats at 9 significant digits."""
-    return json.dumps({k: round9(v) for k, v in weights.as_dict().items()}, sort_keys=True)

@@ -9,7 +9,6 @@ bit-identically from the base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -189,59 +188,8 @@ def moerges_fuse(
     """
     _check_experts(base, experts)
     weights = _validate_gate(gate, len(experts))
-    ffn_names = set(select_ffn(base, ffn_pattern))
-
-    fused = gate_weighted_sum(experts, weights, sorted(ffn_names))
-    specs = []
-    for name, spec in base.items():
-        if name in ffn_names:
-            value = fused[name].astype(np.float32)
-            specs.append(TensorSpec(name=name, shape=spec.shape, data=value))
-        else:
-            specs.append(TensorSpec(name=name, shape=spec.shape, data=spec.data.copy()))
-
+    arrays = {name: spec.data for name, spec in base.items()}
+    arrays.update(gate_weighted_sum(experts, weights, select_ffn(base, ffn_pattern)))
     metadata = dict(base.metadata)
     metadata["gate"] = ",".join(f"{round9(w):.9g}" for w in weights)
-    return Checkpoint(specs, metadata)
-
-
-MERGE_METHODS = ("task", "ties", "stock", "moerges")
-
-
-@dataclass
-class MergeRequest:
-    """A validated merge job: base, labeled experts, method, and parameters."""
-
-    base: Checkpoint
-    experts: list[tuple[str, Checkpoint]]
-    method: str
-    coeffs: list[float] | None = None
-    density: float | None = None
-    scale: float = 1.0
-    gate: Sequence[float] | None = None
-    ffn_pattern: str = "*.ffn.*"
-
-    def __post_init__(self):
-        if self.method not in MERGE_METHODS:
-            raise SchemaMismatch(f"unknown merge method {self.method!r}")
-        if not self.experts:
-            raise SchemaMismatch("at least one expert is required")
-        labels = [label for label, _ in self.experts]
-        if len(set(labels)) != len(labels):
-            raise SchemaMismatch(f"expert labels must be unique, got {labels}")
-
-
-def run_merge(request: MergeRequest) -> Checkpoint:
-    experts = [ckpt for _, ckpt in request.experts]
-    if request.method == "task":
-        coeffs = request.coeffs if request.coeffs is not None else [1.0] * len(experts)
-        return task_arithmetic(request.base, experts, coeffs)
-    if request.method == "ties":
-        if request.density is None:
-            raise BadDensity("ties merge requires a density in (0, 1]")
-        return ties_merge(request.base, experts, request.density, request.scale)
-    if request.method == "stock":
-        return model_stock(request.base, experts)
-    if request.gate is None:
-        raise GateDimensionMismatch("moerges merge requires a gate vector")
-    return moerges_fuse(request.base, experts, request.gate, request.ffn_pattern)
+    return _out(base, arrays, metadata)

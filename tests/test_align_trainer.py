@@ -47,7 +47,8 @@ def test_record_requires_four_rejections():
     ("query", 5, "'query' must be a string, got int"),
     ("preferred", None, "'preferred' must be a string, got NoneType"),
     ("continent", ["Asia"], "'continent' must be a string, got list"),
-], ids=["rejected-string", "rejected-int", "query-int", "preferred-null", "continent-list"])
+    ("rejected", ["a"], "expected 4 rejected responses, got 1"),
+], ids=["rejected-string", "rejected-int", "query-int", "preferred-null", "continent-list", "rejected-one"])
 def test_wrong_typed_record_is_bad_input_naming_the_line(tmp_path, field, value, message):
     good = {"query": "q", "preferred": "p", "rejected": ["a", "b", "c", "d"], "continent": "Asia"}
     path = tmp_path / "records.jsonl"

@@ -13,6 +13,7 @@ from palette.tensor_store import load_checkpoint, save_checkpoint
 
 from helpers import tiny_model, toy_preference_dataset
 from palette.align_trainer import save_records_jsonl
+from palette.gate_router import init_gate, save_gate
 
 
 @pytest.fixture
@@ -104,6 +105,32 @@ def test_merge_moerges_writes_gate_metadata(tmp_path, model_path):
                  *experts, "--gate", "0.25,0.75", "-o", str(out))
     assert rc == 0
     assert load_checkpoint(out).metadata["gate"] == "0.25,0.75"
+
+
+def test_merge_dispatch_and_label_guard(tmp_path, model_path, capsys):
+    expert_path, out = tmp_path / "expert.st", tmp_path / "out.st"
+    expert = tiny_model(seed=60)
+    save_checkpoint(expert, expert_path)
+    assert run_cli("merge", "--method", "task", "--base", str(model_path),
+                   "--expert", f"a={expert_path}", "--coeff", "1.0", "-o", str(out)) == 0
+    name = expert.names[0]
+    assert abs(load_checkpoint(out)[name].data - expert[name].data).max() <= 1e-7
+    assert run_cli("merge", "--method", "task", "--base", str(model_path),
+                   "--expert", f"a={expert_path}", "--expert", f"a={model_path}", "-o", str(out)) == 2
+    assert json.loads(capsys.readouterr().err)["code"] == "schema_mismatch"
+
+
+@pytest.mark.parametrize("method, code, message", [
+    ("ties", "bad_density", "ties merge requires a density in (0, 1]"),
+    ("moerges", "gate_dimension_mismatch", "moerges merge requires a gate vector"),
+], ids=["ties", "moerges"])
+def test_merge_without_its_parameter_names_it(tmp_path, model_path, capsys, method, code, message):
+    out = tmp_path / "out.st"
+    assert run_cli("merge", "--method", method, "--base", str(model_path),
+                   "--expert", f"a={model_path}", "--expert", f"b={model_path}", "-o", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["code"], err["message"], err["context"]) == (code, message, {})
+    assert not out.exists()
 
 
 def test_gate_init_and_route(tmp_path, model_path, capsys):
@@ -236,12 +263,28 @@ def test_bad_transcript_names_it(tmp_path, capsys, content, code):
     assert (err["code"], err["context"]) == (code, {"path": str(transcript)})
 
 
-@pytest.mark.parametrize("command", ["eval", "synth"])
-def test_transcript_that_is_not_an_object_is_bad_input(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, content, message", [
+    pytest.param("eval", [1], "must be a JSON object", id="eval"),
+    pytest.param("synth", [1], "must be a JSON object", id="synth"),
+    pytest.param("eval", {"agents": [1]}, "'agents' must be an object of objects", id="eval-agents-list"),
+    pytest.param("eval", {"agents": {"Asia": "hi"}}, "'agents' must be an object of objects", id="eval-agent-string"),
+    pytest.param("eval", {"meta": 5}, "transcript entry 'meta' must be a JSON object", id="eval-meta-int"),
+    pytest.param("eval", {"meta": {"default": 5}}, "'default' of transcript entry 'meta' must be a string",
+                 id="eval-default-int"),
+    pytest.param("eval", {"agents": {"Asia": {"exact": {"q": 1}}}},
+                 "'exact' of transcript entry 'Asia' must be an object of strings", id="eval-exact-int"),
+    pytest.param("synth", {"script": "abc"}, "'script' of transcript entry 'synth' must be a list of strings",
+                 id="synth-script-string"),
+    pytest.param("synth", {"script": ["a", 2]}, "'script' of transcript entry 'synth' must be a list of strings",
+                 id="synth-script-int"),
+    pytest.param("synth", {"echo": "yes"}, "'echo' of transcript entry 'synth' must be a boolean",
+                 id="synth-echo-string"),
+])
+def test_transcript_that_is_not_an_object_is_bad_input(tmp_path, capsys, command, content, message):
     items, transcript = tmp_path / "in.jsonl", tmp_path / "transcript.json"
     items.write_text(json.dumps({"id": "q0", "query": "q", "question": "q", "options": ["a", "b"],
                                  "gold": [0.7, 0.3], "country": "NZL"}) + "\n")
-    transcript.write_text("[1]")
+    transcript.write_text(json.dumps(content))
     out = tmp_path / "out"
     argv = {
         "eval": ("eval", "--country", "NZL", "--items", str(items), "--meta-backend", "mock", "-o", str(out)),
@@ -250,7 +293,7 @@ def test_transcript_that_is_not_an_object_is_bad_input(tmp_path, capsys, command
     assert run_cli(*argv, "--transcript", str(transcript)) == 2
     err = json.loads(capsys.readouterr().err)
     assert (err["code"], err["context"]) == ("bad_input", {"path": str(transcript)})
-    assert str(transcript) in err["message"] and "JSON object" in err["message"]
+    assert str(transcript) in err["message"] and message in err["message"]
     assert not out.exists()
 
 
@@ -260,9 +303,16 @@ def test_transcript_that_is_not_an_object_is_bad_input(tmp_path, capsys, command
     (("align", "--lr", "-1"), "learning rate must be >= 0"),
     (("align", "--lambda", "-1"), "lambda must be >= 0"),
     (("synth", "--max-rounds", "0"), "max_rounds must be >= 1"),
-], ids=["epochs", "batch-size", "lr", "lambda", "max-rounds"])
+    (("merge", "--gate", "0.5,x"), "--gate must be comma-separated numbers, got '0.5,x'"),
+    (("route", "--temperature", "0"), "--temperature must be > 0, got 0.0"),
+    (("route", "--temperature", "-1"), "--temperature must be > 0, got -1.0"),
+    (("route", "--temperature", "nan"), "--temperature must be > 0, got nan"),
+], ids=["epochs", "batch-size", "lr", "lambda", "max-rounds", "gate", "temperature-zero", "temperature-negative",
+        "temperature-nan"])
 def test_out_of_range_numbers_are_usage_errors(tmp_path, model_path, capsys, argv, message):
     data, queries, transcript = tmp_path / "in.jsonl", tmp_path / "q.jsonl", tmp_path / "transcript.json"
+    gate = tmp_path / "gate.st"
+    save_gate(init_gate(load_checkpoint(model_path)), gate)
     save_records_jsonl(toy_preference_dataset(n_queries=1), data)
     queries.write_text(json.dumps({"id": "q0", "query": "what is fair?"}) + "\n")
     transcript.write_text(json.dumps({"default": "[Approved]"}))
@@ -272,6 +322,9 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, model_path, capsys, arg
         "align": ("align", "--model", str(model_path), "--data", str(data), "-o", str(out)),
         "synth": ("synth", "run", "--queries", str(queries), "--backend", "mock",
                   "--transcript", str(transcript), "--out", str(out)),
+        "merge": ("merge", "--method", "moerges", "--base", str(model_path), "--expert", f"a={model_path}",
+                  "--expert", f"b={model_path}", "-o", str(out)),
+        "route": ("gate", "route", "--model", str(model_path), "--gate", str(gate), "--prompt", "hi"),
     }[command]
     assert run_cli(*full, *numbers) == 1
     assert f"usage error: {message}" in capsys.readouterr().err

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from palette.common import CONTINENTS
+from palette.common import CONTINENTS, dumps_canonical
 from palette.errors import DimensionMismatch, EmptyPrompt, NonFiniteInput
 from palette.gate_router import (
     DEFAULT_SYSTEM_PROMPTS,
     GateMatrix,
     GateWeights,
-    format_weights,
     init_gate,
     load_gate,
     route,
@@ -195,7 +194,7 @@ def test_load_gate_requires_the_continents_in_order(tmp_path, seed42_gate):
 def test_gate_weights_validation_and_format():
     w = GateWeights(values=(0.2, 0.2, 0.2, 0.2, 0.2))
     assert w.as_dict()["Asia"] == 0.2
-    assert format_weights(w) == (
+    assert dumps_canonical(w.as_dict(), indent=None) == (
         '{"Africa": 0.2, "America": 0.2, "Asia": 0.2, "Europe": 0.2, "Oceania": 0.2}'
     )
     with pytest.raises(DimensionMismatch):

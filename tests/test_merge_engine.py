@@ -12,12 +12,10 @@ from palette.errors import (
 )
 from palette import merge_engine
 from palette.merge_engine import (
-    MergeRequest,
     _trim_top_magnitude,
     gate_weighted_sum,
     model_stock,
     moerges_fuse,
-    run_merge,
     task_arithmetic,
     ties_merge,
 )
@@ -355,14 +353,3 @@ def test_brute_force_oracle_equivalence_sampled():
         got = moerges_fuse(base, experts, gate, "x.ffn.*")
         ffn = {n for n in base.names if n.startswith("x.ffn.")}
         assert max_abs_diff(got, bf_moerges(base_l, experts_l, gate, ffn)) < 1e-6
-
-
-def test_run_merge_dispatch_and_label_guard():
-    rng = np.random.default_rng(10)
-    base = random_checkpoint(rng)
-    expert = like(base, rng)
-    req = MergeRequest(base=base, experts=[("a", expert)], method="task", coeffs=[1.0])
-    out = run_merge(req)
-    assert np.allclose(out[base.names[0]].data, expert[base.names[0]].data, atol=1e-7)
-    with pytest.raises(SchemaMismatch):
-        MergeRequest(base=base, experts=[("a", expert), ("a", expert)], method="task")
