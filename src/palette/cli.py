@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .common import CONTINENTS, atomic_write_text, dumps_canonical, iter_jsonl, round9, unreadable, write_jsonl
-from .errors import BadDensity, BadInput, EmptyDataset, GateDimensionMismatch, PaletteError, SchemaMismatch
+from .errors import BadDensity, BadInput, EmptyDataset, GateDimensionMismatch, PaletteError, SchemaMismatch, TooLong
 from . import agent_pipeline, align_trainer, data_synth, gate_router, merge_engine, metrics
 from .backends import LocalReference, RemoteChat, ScriptedMock
 from .reference_model import ModelConfig, init_model
@@ -285,17 +285,20 @@ def _cmd_align(args) -> int:
     )
     params = load_checkpoint(args.model)
     dataset = align_trainer.load_records_jsonl(args.data)
-    if args.continent:
-        dataset = [r for r in dataset if r.continent == args.continent]
-        if not dataset:
-            raise EmptyDataset(f"no record in {args.data} has continent {args.continent!r}",
-                               path=str(args.data), continent=args.continent)
-    trained, report = align_trainer.train(params, dataset, cfg)
+    kept = [i for i, r in enumerate(dataset) if not args.continent or r.continent == args.continent]
+    if args.continent and not kept:
+        raise EmptyDataset(f"no record in {args.data} has continent {args.continent!r}",
+                           path=str(args.data), continent=args.continent)
+    try:
+        trained, report = align_trainer.train(params, [dataset[i] for i in kept], cfg)
+    except TooLong as exc:  # name the record by its index in the whole --data set
+        exc.context["record"] = kept[exc.context["record"]]
+        raise
     save_checkpoint(trained, args.output)
     if args.report:
         atomic_write_text(args.report, dumps_canonical(report.to_dict()) + "\n")
     print(
-        f"trained {len(dataset)} records for {cfg.epochs} epochs; "
+        f"trained {len(kept)} records for {cfg.epochs} epochs; "
         f"margin {round9(report.initial_margin):.9g} -> {round9(report.final_margin):.9g}"
     )
     return 0

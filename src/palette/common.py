@@ -9,11 +9,12 @@ import logging
 import math
 import os
 import tempfile
+import threading
 import time
-import urllib.error
 import urllib.request
 from pathlib import Path
 from typing import Sequence
+from urllib.parse import urlsplit, urlunsplit
 
 from .errors import BadInput, EndpointUnreachable, IoFailure
 
@@ -169,42 +170,81 @@ def drop_torn_tail(path) -> None:
             logger.warning("%s: dropped a torn final line of %d bytes", path, size - keep)
 
 
-# --- HTTP: one JSON POST with retries -------------------------------------------
+# --- HTTP: one JSON POST with retries, on kept-alive connections ---------------
 
-def post_json(
-    url: str, payload, *, auth_env: str, timeout: float, retries: int = 3, backoff: float = 0.25
-) -> bytes:
+_idle: dict[tuple, list[http.client.HTTPConnection]] = {}  # by (scheme, host, port, proxy)
+_idle_lock = threading.Lock()
+
+
+def _exchange(key, target: str, body: bytes, headers: dict, timeout: float, reuse: bool = True):
+    """One request and its whole reply, ``(status, body)``, on an idle connection
+    to ``key`` or a new one. A reused one that fails with a ConnectionError (a
+    reset, abort or broken pipe) before any reply byte came is reopened once."""
+    with _idle_lock:
+        conn = _idle[key].pop() if reuse and _idle.get(key) else None
+    reused = conn is not None
+    if reused:
+        conn.sock.settimeout(timeout)
+    else:
+        scheme, host, port, proxy = key
+        via = urlsplit(proxy if "://" in proxy else "//" + proxy) if proxy else None
+        cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        conn = cls(via.hostname, via.port, timeout=timeout) if via else cls(host, port, timeout=timeout)
+        if via and scheme == "https":
+            conn.set_tunnel(host, port)
+    resp = None
+    try:
+        conn.request("POST", target, body, headers)
+        resp = conn.getresponse()
+        data = resp.read()
+    except BaseException as exc:
+        conn.close()
+        if reused and resp is None and isinstance(exc, ConnectionError):
+            return _exchange(key, target, body, headers, timeout, reuse=False)
+        raise
+    if resp.will_close:
+        conn.close()
+    else:
+        with _idle_lock:
+            _idle.setdefault(key, []).append(conn)
+    return resp.status, data
+
+
+def post_json(url: str, payload, *, auth_env: str, timeout: float, retries: int = 3, backoff: float = 0.25) -> bytes:
     """POST ``payload`` as JSON and return the body of a 200 reply.
 
-    Sends a bearer token from ``auth_env`` when that variable is set. Makes up
-    to ``retries`` attempts, one connection each, and retries connection errors
-    and 5xx replies after ``backoff * 2**(attempt - 1)`` seconds. Any other
-    status, or the last failure, raises EndpointUnreachable (``url``, ``status``).
+    Sends a bearer token from ``auth_env`` if set, via the environment's ``http(s)_proxy``
+    unless ``no_proxy`` names the host, on a kept-alive connection. Up to ``retries``
+    attempts; connection errors and 5xx replies are retried after ``backoff * 2**(attempt - 1)``
+    seconds. Any other status (3xx too), the last failure or a URL that is not
+    ``http(s)://host...`` raises EndpointUnreachable (``url``, ``status``).
     """
-    headers = {"Content-Type": "application/json"}
-    token = os.environ.get(auth_env, "")
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
     try:
-        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers)
-    except ValueError as exc:
-        raise EndpointUnreachable(f"bad URL {url!r}: {exc}", url=url) from exc
+        parts = urlsplit(url)
+        key = (parts.scheme, parts.hostname, parts.port)
+    except ValueError:  # a bad port or IPv6 literal
+        key = ("", None, None)
+    if key[0] not in ("http", "https") or not key[1]:
+        raise EndpointUnreachable(f"bad URL {url!r}: expected http(s)://host...", url=url)
+    name = parts.scheme + "_proxy"  # as urllib.request.getproxies() reads it, without a scan of os.environ
+    proxy = os.environ[name] if name in os.environ else os.environ.get(name.upper())
+    proxy = None if not proxy or urllib.request.proxy_bypass(parts.netloc) else proxy
+    target = url if proxy and parts.scheme == "http" else urlunsplit(("", "", parts.path, parts.query, ""))
+    token = os.environ.get(auth_env, "")
+    headers = {"Content-Type": "application/json"} | ({"Authorization": f"Bearer {token}"} if token else {})
+    body = json.dumps(payload).encode("utf-8")
     failure, context = "no attempts made", {}
     for attempt in range(retries):
         if attempt:
             time.sleep(backoff * 2 ** (attempt - 1))
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as resp:
-                if resp.status == 200:
-                    return resp.read()
-                status = resp.status
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            status = exc.code
+            status, data = _exchange((*key, proxy), target, body, headers, timeout)
         except (OSError, http.client.HTTPException) as exc:
             failure, context = f"{type(exc).__name__}: {exc}", {}
             continue
-        if status is None or status < 500:
+        if status == 200:
+            return data
+        if status < 500:
             raise EndpointUnreachable(f"{url} returned HTTP {status}", url=url, status=status)
         failure, context = f"HTTP {status}", {"status": status}
     raise EndpointUnreachable(f"{url}: {failure} after {retries} attempts", url=url, **context)

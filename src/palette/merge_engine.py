@@ -101,6 +101,8 @@ def ties_merge(
     _check_experts(base, experts)
     if not (0.0 < density <= 1.0):
         raise BadDensity(f"density must be in (0, 1], got {density}")
+    if not math.isfinite(scale):
+        raise SchemaMismatch("scale must be finite")
 
     arrays = {}
     for name, spec in base.items():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -133,13 +134,26 @@ def toy_preference_dataset(n_queries=50, seed=42) -> list[PreferenceRecord]:
 class ReplyServer:
     """Loopback HTTP server for client tests. The n-th POST gets the n-th
     ``(status, body)`` of ``replies``, and the last one repeats. Each request's
-    path, JSON body and Authorization header go to ``requests_seen``."""
+    path, JSON body and Authorization header go to ``requests_seen``, and
+    ``connections`` counts the connections accepted.
 
-    def __init__(self, replies):
+    It speaks HTTP/1.0, closing the connection after each reply, unless
+    ``keep_alive`` is set: then it speaks HTTP/1.1 and keeps connections open.
+    With ``hang_up`` as well, it closes each connection after its first reply
+    without announcing it, as a server that drops idle connections does."""
+
+    def __init__(self, replies, keep_alive=False, hang_up=False):
         self.replies = list(replies)
+        self.keep_alive = keep_alive
+        self.hang_up = hang_up
         self.requests_seen = []
+        self._sockets = []
         self._server = None
         self._thread = None
+
+    @property
+    def connections(self):
+        return len(self._sockets)
 
     @property
     def base_url(self):
@@ -154,6 +168,13 @@ class ReplyServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if outer.keep_alive else "HTTP/1.0"
+            disable_nagle_algorithm = True  # headers and body go in two writes
+
+            def setup(self):
+                super().setup()
+                outer._sockets.append(self.connection)
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 outer.requests_seen.append({
@@ -167,6 +188,7 @@ class ReplyServer:
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
+                self.close_connection = self.close_connection or outer.hang_up
 
             def log_message(self, *args):
                 pass
@@ -182,6 +204,11 @@ class ReplyServer:
         self._server.shutdown()
         self._thread.join()
         self._server.server_close()
+        for sock in self._sockets:  # ends handlers still waiting on a kept-alive connection
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
 def token_overlap_score(premise: str, hypothesis: str) -> float:

@@ -1,13 +1,16 @@
+import http.client
 import json
 import socket
+import sys
+import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
+from palette import common
 from palette.backends import LocalReference, RemoteChat, ScriptedMock, option_distribution_from_scores
-from palette.errors import BackendFailure
+from palette.errors import BackendFailure, EndpointUnreachable
+from palette.metrics import NliScorerEndpoint, semantic_score
 from palette.reference_model import BOS, SEP, TinyTransformer
 
 from helpers import ReplyServer, tiny_model
@@ -34,20 +37,19 @@ def sleeps(monkeypatch):
 
 @pytest.fixture
 def attempts(monkeypatch):
-    """One entry per `urlopen` call: None, or the error it raised."""
+    """One entry per connection the client opens: None, or the error it raised."""
     seen = []
-    urlopen = urllib.request.urlopen
+    connect = http.client.HTTPConnection.connect
 
-    def recording_urlopen(*args, **kwargs):
+    def recording_connect(self):
         try:
-            response = urlopen(*args, **kwargs)
-        except OSError as exc:  # URLError and HTTPError
+            connect(self)
+        except OSError as exc:
             seen.append(exc)
             raise
         seen.append(None)
-        return response
 
-    monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", recording_connect)
     return seen
 
 
@@ -111,17 +113,19 @@ def test_remote_chat_retries_a_5xx_reply(sleeps):
 
 
 def test_remote_chat_4xx_fails_at_once(sleeps, attempts):
-    with MockChatServer(status=404) as server:
+    with ReplyServer([(404, b"{}"), (200, chat_body("pong"))], keep_alive=True) as server:
         backend = RemoteChat(server.base_url, model="toy", label="meta")
         with pytest.raises(BackendFailure) as exc:
             backend.complete("x")
+        assert len(server.requests_seen) == 1
+        # The 404 was read to its end: the next call goes out on the same connection.
+        assert backend.complete("y") == "pong"
     assert exc.value.code == "backend_failure"
     assert exc.value.label == "meta"
     assert exc.value.context["status"] == 404
-    assert len(server.requests_seen) == 1
     assert sleeps == []
-    assert len(attempts) == 1
-    assert isinstance(attempts[0], urllib.error.HTTPError) and attempts[0].fp.closed
+    assert attempts == [None]
+    assert server.connections == 1
 
 
 def test_remote_chat_5xx_to_the_end_keeps_the_status(sleeps):
@@ -142,7 +146,92 @@ def test_remote_chat_refused_connection_fails_after_three_attempts(sleeps, attem
     assert exc.value.label == "Asia"
     assert "status" not in exc.value.context
     assert len(attempts) == 3
+    assert all(isinstance(a, ConnectionRefusedError) for a in attempts)
     assert sleeps == [0.25, 0.5]
+
+
+def test_remote_and_scorer_calls_to_one_host_share_one_connection(sleeps, attempts):
+    body = json.dumps({"choices": [{"message": {"content": "pong"}}], "score": 0.5}).encode()
+    with ReplyServer([(200, body)], keep_alive=True) as server:
+        backend = RemoteChat(server.base_url, model="toy")
+        endpoint = NliScorerEndpoint(base_url=server.base_url)
+        for k in range(5):
+            assert backend.complete(f"q{k}") == "pong"
+            assert semantic_score(endpoint, "gold", f"answer {k}") == 0.5
+    assert len(server.requests_seen) == 10
+    assert server.connections == 1
+    assert attempts == [None]
+    assert sleeps == []
+
+
+def test_a_connection_the_server_dropped_is_reopened_without_a_retry(sleeps):
+    with ReplyServer([(200, chat_body("pong"))], keep_alive=True, hang_up=True) as server:
+        backend = RemoteChat(server.base_url, model="toy")
+        assert [backend.complete(f"q{k}") for k in range(3)] == ["pong"] * 3
+    assert sleeps == []
+    assert [seen["body"]["messages"][0]["content"] for seen in server.requests_seen] == ["q0", "q1", "q2"]
+    assert server.connections == 3
+
+
+def test_threads_never_share_a_connection_and_hand_each_one_back():
+    n_threads, n_calls = 8, 25
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ReplyServer([(200, chat_body("pong"))], keep_alive=True) as server:
+            backend = RemoteChat(server.base_url, model="toy", timeout=10.0)
+            replies = []
+
+            def work():
+                for _ in range(n_calls):
+                    replies.append(backend.complete("x"))
+
+            threads = [threading.Thread(target=work) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            port = server._server.server_address[1]
+            idle = [c for key, conns in common._idle.items() if key[1:3] == ("127.0.0.1", port) for c in conns]
+    finally:
+        sys.setswitchinterval(switch)
+    assert replies == ["pong"] * (n_threads * n_calls)
+    assert len(server.requests_seen) == n_threads * n_calls
+    # No more connections than calls in flight, and every one of them is back and idle once.
+    assert 1 <= server.connections <= n_threads
+    assert len({id(c) for c in idle}) == len(idle) == server.connections
+
+
+def test_remote_chat_goes_through_the_http_proxy_of_the_environment(monkeypatch):
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    with ReplyServer([(200, chat_body("via proxy"))]) as proxy:
+        monkeypatch.setenv("http_proxy", proxy.base_url)
+        reply = RemoteChat("http://example.invalid", model="toy").complete("x")
+    assert reply == "via proxy"
+    assert [seen["path"] for seen in proxy.requests_seen] == ["http://example.invalid/v1/chat/completions"]
+
+
+@pytest.mark.parametrize("base_url", ["127.0.0.1:9", "http:///nohost", "file://localhost/x", "http://127.0.0.1:99999"])
+def test_remote_chat_bad_url_fails_at_once(base_url, sleeps, attempts):
+    with pytest.raises(BackendFailure) as exc:
+        RemoteChat(base_url, model="toy", label="Asia").complete("x")
+    assert exc.value.code == "backend_failure"
+    assert "bad URL" in str(exc.value)
+    assert exc.value.context == {"label": "Asia", "url": base_url + "/v1/chat/completions"}
+    assert sleeps == []
+    assert attempts == []
+
+
+@pytest.mark.parametrize("base_url", ["ftp://127.0.0.1:9", "http://:80", "http://127.0.0.1:99999"])
+def test_scorer_bad_url_fails_at_once(base_url, sleeps, attempts):
+    with pytest.raises(EndpointUnreachable) as exc:
+        semantic_score(NliScorerEndpoint(base_url=base_url), "a", "b")
+    assert exc.value.code == "endpoint_unreachable"
+    assert "bad URL" in str(exc.value)
+    assert sleeps == []
+    assert attempts == []
 
 
 def test_local_reference_deterministic():

@@ -12,7 +12,7 @@ from palette.common import CONTINENTS
 from palette.tensor_store import load_checkpoint, save_checkpoint
 
 from helpers import tiny_model, toy_preference_dataset
-from palette.align_trainer import save_records_jsonl
+from palette.align_trainer import PreferenceRecord, save_records_jsonl
 from palette.gate_router import init_gate, save_gate
 
 
@@ -133,6 +133,16 @@ def test_merge_without_its_parameter_names_it(tmp_path, model_path, capsys, meth
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_merge_ties_rejects_a_non_finite_scale(tmp_path, model_path, capsys, scale):
+    out = tmp_path / "out.st"
+    assert run_cli("merge", "--method", "ties", "--density", "0.5", "--scale", scale,
+                   "--base", str(model_path), "--expert", f"a={model_path}", "-o", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["code"], err["message"]) == ("schema_mismatch", "scale must be finite")
+    assert not out.exists()
+
+
 def test_gate_init_and_route(tmp_path, model_path, capsys):
     gate_path = tmp_path / "gate.st"
     assert run_cli("gate", "init", "--model", str(model_path), "-o", str(gate_path)) == 0
@@ -210,6 +220,22 @@ def test_align_continent_filter(tmp_path, model_path, capsys):
                  "--continent", "Asia", "--epochs", "1", "-o", str(out))
     assert rc == 0
     assert "trained 2 records" in capsys.readouterr().out
+
+
+def test_align_too_long_names_the_record_in_the_whole_data_set(tmp_path, model_path, capsys):
+    records = [r for r in toy_preference_dataset(n_queries=3) if r.continent == "Asia"]
+    europe = next(r for r in toy_preference_dataset(n_queries=1) if r.continent == "Europe")
+    records.append(PreferenceRecord(europe.query, "x" * 200, europe.rejected, "Europe"))
+    data = tmp_path / "train.jsonl"
+    save_records_jsonl(records, data)
+    out = tmp_path / "out.st"
+    for continent in (("--continent", "Europe"), ()):
+        assert run_cli("align", "--model", str(model_path), "--data", str(data),
+                       *continent, "--epochs", "1", "-o", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "too_long"
+        assert err["context"] == {"record": 3, "field": "preferred"}
+        assert not out.exists()
 
 
 def test_align_continent_filter_matching_nothing_names_it(tmp_path, model_path, capsys):

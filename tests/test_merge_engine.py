@@ -87,6 +87,13 @@ def test_ties_density_guard():
             ties_merge(base, [ckpt(w=[1.0])], density=density)
 
 
+def test_ties_scale_guard():
+    base = ckpt(w=[0.0])
+    for scale in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(SchemaMismatch, match="scale must be finite"):
+            ties_merge(base, [ckpt(w=[1.0])], density=0.5, scale=scale)
+
+
 def test_ties_exhaustive_small_integer_vectors():
     # every pair of integer task vectors of length 1 and 2, entries in -2..2
     grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
