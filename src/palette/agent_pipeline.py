@@ -71,6 +71,10 @@ class OpinionItem:
     qid: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.question, str) or not self.question:
+            raise ValueError("question must be a non-empty string")
+        if not all(isinstance(o, str) for o in self.options):
+            raise ValueError("options must be strings")
         if len(self.options) < 2:
             raise ValueError("an opinion item needs at least 2 options")
         if len(self.options) != len(self.gold):
@@ -345,7 +349,6 @@ class PipelineConfig:
     meta: object  # a provider with backend_for(), or any backend
     no_draft: bool = False
     no_regulate: bool = False
-    pearson_mode: str = "pooled"  # or "per_question_mean"
 
     def describe(self) -> dict:
         return {
@@ -353,7 +356,7 @@ class PipelineConfig:
             "meta": self.meta.describe(),
             "no_draft": self.no_draft,
             "no_regulate": self.no_regulate,
-            "pearson_mode": self.pearson_mode,
+            "pearson_mode": "pooled",  # kept so every config_fingerprint stays the same
         }
 
 
@@ -412,9 +415,8 @@ def evaluate_country(
     for item in items:
         try:
             answer, p_gen = run_item(config, item, country)
-        except Exception as exc:
-            if isinstance(exc, BackendFailure):
-                exc.context.setdefault("qid", item.qid)
+        except BackendFailure as exc:
+            exc.context.setdefault("qid", item.qid)
             raise
         s = alignment_score(p_gen, item.gold)
         scores.append(s)
@@ -430,20 +432,10 @@ def evaluate_country(
             }
         )
 
-    if config.pearson_mode == "per_question_mean":
-        rs = [
-            pearson(q["p_gen"], q["p_gold"])
-            for q in per_question
-        ]
-        defined = [r for r in rs if r is not None]
-        r = sum(defined) / len(defined) if defined else None
-    else:
-        r = pearson(gen_all, gold_all)
-
     return AlignmentReport(
         country=country,
         per_question=per_question,
         mean_s_align=sum(scores) / len(scores),
-        pearson_r=r,
+        pearson_r=pearson(gen_all, gold_all),
         config_fingerprint=fingerprint(config.describe()),
     )

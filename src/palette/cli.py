@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .common import CONTINENTS, atomic_write_text, dumps_canonical, iter_jsonl, round9, unreadable, write_jsonl
+from .common import CONTINENTS, atomic_write_text, bad_line, dumps_canonical, iter_jsonl, round9, unreadable, write_jsonl
 from .errors import BadDensity, BadInput, EmptyDataset, GateDimensionMismatch, PaletteError, SchemaMismatch, TooLong
 from . import agent_pipeline, align_trainer, data_synth, gate_router, merge_engine, metrics
 from .backends import LocalReference, RemoteChat, ScriptedMock
@@ -105,6 +105,14 @@ def _load_prompts(path) -> dict[str, str]:
     return prompts
 
 
+# metrics subcommand -> (its function, the flags of its two arrays, its output key)
+_ARRAY_METRICS = {
+    "kl": (metrics.kl, ("p", "q"), "kl_bits"),
+    "salign": (metrics.alignment_score, ("gen", "gold"), "s_align"),
+    "pearson": (metrics.pearson, ("x", "y"), "pearson_r"),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="palette", description="Continent-expert merging, routing, alignment, and evaluation toolkit")
     parser.add_argument("--version", action="version", version=f"palette {__version__}")
@@ -128,7 +136,6 @@ def build_parser() -> _Parser:
     p.add_argument("--density", type=float)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--gate", help="comma-separated gate weights, one per expert")
-    p.add_argument("--ffn-pattern", default="*.ffn.*")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("gate", help="gate initialization and routing")
@@ -172,7 +179,6 @@ def build_parser() -> _Parser:
     p.add_argument("--no-draft", action="store_true")
     p.add_argument("--no-regulate", action="store_true")
     p.add_argument("--no-moerges", action="store_true")
-    p.add_argument("--pearson-mode", choices=("pooled", "per_question_mean"), default="pooled")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("synth", help="dialogue synthesis pipeline")
@@ -195,15 +201,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("metrics", help="closed-form metric computations")
     msub2 = p.add_subparsers(dest="metrics_command", required=True)
-    mk = msub2.add_parser("kl")
-    mk.add_argument("--p", required=True, help="JSON array")
-    mk.add_argument("--q", required=True, help="JSON array")
-    ms = msub2.add_parser("salign")
-    ms.add_argument("--gen", required=True, help="JSON array")
-    ms.add_argument("--gold", required=True, help="JSON array")
-    mp = msub2.add_parser("pearson")
-    mp.add_argument("--x", required=True, help="JSON array")
-    mp.add_argument("--y", required=True, help="JSON array")
+    for name, (_, flags, _) in _ARRAY_METRICS.items():
+        ma = msub2.add_parser(name)
+        for flag in flags:
+            ma.add_argument(f"--{flag}", required=True, help="JSON array")
     mn = msub2.add_parser("semantic")
     mn.add_argument("--url", required=True)
     mn.add_argument("--gold", required=True)
@@ -249,7 +250,7 @@ def _cmd_merge(args) -> int:
     else:
         if gate is None:
             raise GateDimensionMismatch("moerges merge requires a gate vector")
-        merged = merge_engine.moerges_fuse(base, experts, gate, args.ffn_pattern)
+        merged = merge_engine.moerges_fuse(base, experts, gate)
     save_checkpoint(merged, args.output)
     print(f"wrote merged checkpoint to {args.output}")
     return 0
@@ -351,7 +352,6 @@ def _build_eval_config(args) -> agent_pipeline.PipelineConfig:
         meta=meta,
         no_draft=args.no_draft,
         no_regulate=args.no_regulate,
-        pearson_mode=args.pearson_mode,
     )
 
 
@@ -384,7 +384,11 @@ def _synth_backend(args):
 
 def _cmd_synth(args) -> int:
     if args.synth_command == "run":
-        queries = [row for _, row in iter_jsonl(args.queries, required=("id", "query"))]
+        queries = []
+        for index, row in iter_jsonl(args.queries, required=("id", "query")):
+            if not isinstance(row["query"], str) or not row["query"]:
+                raise bad_line(args.queries, index, '"query" must be a non-empty string')
+            queries.append(row)
         cfg = _checked(data_synth.SynthConfig, backend=_synth_backend(args), max_rounds=args.max_rounds)
         records = data_synth.run_synthesis(cfg, queries, args.out)
         approved = sum(1 for r in records if r.approved)
@@ -402,20 +406,26 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _numbers(flag: str, text: str) -> list:
+    """The JSON array of numbers given to ``flag``; anything else is a usage error."""
+    try:
+        values = json.loads(text)
+    except ValueError:
+        values = None
+    if isinstance(values, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        return values
+    raise _UsageError(f"{flag} must be a JSON array of numbers, got {text!r}")
+
+
 def _cmd_metrics(args) -> int:
-    if args.metrics_command == "kl":
-        value = metrics.kl(json.loads(args.p), json.loads(args.q))
-        print(dumps_canonical({"kl_bits": value}, indent=None))
-    elif args.metrics_command == "salign":
-        value = metrics.alignment_score(json.loads(args.gen), json.loads(args.gold))
-        print(dumps_canonical({"s_align": value}, indent=None))
-    elif args.metrics_command == "pearson":
-        value = metrics.pearson(json.loads(args.x), json.loads(args.y))
-        print(dumps_canonical({"pearson_r": value}, indent=None))
-    else:
+    if args.metrics_command == "semantic":
         endpoint = metrics.NliScorerEndpoint(base_url=args.url)
-        value = metrics.semantic_score(endpoint, args.gold, args.llm)
-        print(dumps_canonical({"s_semantic": value}, indent=None))
+        key, value = "s_semantic", metrics.semantic_score(endpoint, args.gold, args.llm)
+    else:
+        fn, flags, key = _ARRAY_METRICS[args.metrics_command]
+        a, b = (_numbers(f"--{flag}", getattr(args, flag)) for flag in flags)
+        value = _checked(lambda: fn(a, b))
+    print(dumps_canonical({key: value}, indent=None))
     return 0
 
 

@@ -169,10 +169,6 @@ class StepStore:
         return output
 
 
-def records_file(out_dir, continent: str) -> Path:
-    return Path(out_dir) / f"records_{continent}.jsonl"
-
-
 def load_synth_records(path) -> list[SynthRecord]:
     """Read SynthRecords from a per-continent JSONL file or a directory of them."""
     path = Path(path)
@@ -242,7 +238,7 @@ def run_synthesis(
                 rounds_used=rounds_used,
                 approved=approved,
             )
-            append_jsonl(records_file(out_dir, continent), record.to_dict())
+            append_jsonl(out_dir / f"records_{continent}.jsonl", record.to_dict())
             records.append(record)
     return records
 

@@ -9,7 +9,6 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
-from urllib.parse import urlparse
 
 import numpy as np
 
@@ -97,11 +96,6 @@ class NliScorerEndpoint:
     base_url: str
     timeout: float = 10.0
     auth_env: str = NLI_TOKEN_ENV
-
-    def __post_init__(self):
-        parts = urlparse(self.base_url)
-        if not (parts.scheme and parts.netloc):
-            raise ValueError(f"base_url must be an absolute URL, got {self.base_url!r}")
 
 
 def semantic_score(

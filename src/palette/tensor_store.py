@@ -70,10 +70,6 @@ class TensorSpec:
         """Data viewed in its declared shape."""
         return self.data.reshape(self.shape)
 
-    @property
-    def nbytes(self) -> int:
-        return self.data.size * F32_BYTES
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorSpec):
             return NotImplemented
@@ -142,7 +138,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     offset = 0
     blobs = []
     for name, spec in ckpt.items():
-        end = offset + spec.nbytes
+        end = offset + spec.data.size * F32_BYTES
         header[name] = {"dtype": "F32", "shape": list(spec.shape), "data_offsets": [offset, end]}
         blobs.append(spec.data.astype("<f4", copy=False).tobytes())
         offset = end
@@ -255,16 +251,6 @@ def _check_same_schema(a: Checkpoint, b: Checkpoint, what: str = "checkpoints") 
             raise SchemaMismatch(
                 f"{what}: tensor {name!r} shapes differ: {a[name].shape} vs {b[name].shape}"
             )
-
-
-def delta(a: Checkpoint, b: Checkpoint) -> Checkpoint:
-    """Element-wise a - b over every tensor; schemas must match exactly."""
-    _check_same_schema(a, b)
-    specs = [
-        TensorSpec(name=name, shape=spec.shape, data=spec.data - b[name].data)
-        for name, spec in a.items()
-    ]
-    return Checkpoint(specs, a.metadata)
 
 
 def _glob_to_regex(pattern: str) -> re.Pattern:

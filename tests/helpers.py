@@ -131,6 +131,11 @@ def toy_preference_dataset(n_queries=50, seed=42) -> list[PreferenceRecord]:
     return records
 
 
+def chat_body(text):
+    """A chat-completions reply whose one choice says ``text``."""
+    return json.dumps({"choices": [{"message": {"role": "assistant", "content": text}}]}).encode()
+
+
 class ReplyServer:
     """Loopback HTTP server for client tests. The n-th POST gets the n-th
     ``(status, body)`` of ``replies``, and the last one repeats. Each request's

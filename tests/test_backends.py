@@ -13,11 +13,7 @@ from palette.errors import BackendFailure, EndpointUnreachable
 from palette.metrics import NliScorerEndpoint, semantic_score
 from palette.reference_model import BOS, SEP, TinyTransformer
 
-from helpers import ReplyServer, tiny_model
-
-
-def chat_body(text):
-    return json.dumps({"choices": [{"message": {"role": "assistant", "content": text}}]}).encode()
+from helpers import ReplyServer, chat_body, tiny_model
 
 
 class MockChatServer(ReplyServer):
@@ -224,7 +220,7 @@ def test_remote_chat_bad_url_fails_at_once(base_url, sleeps, attempts):
     assert attempts == []
 
 
-@pytest.mark.parametrize("base_url", ["ftp://127.0.0.1:9", "http://:80", "http://127.0.0.1:99999"])
+@pytest.mark.parametrize("base_url", ["ftp://127.0.0.1:9", "http://:80", "http://127.0.0.1:99999", "not-a-url"])
 def test_scorer_bad_url_fails_at_once(base_url, sleeps, attempts):
     with pytest.raises(EndpointUnreachable) as exc:
         semantic_score(NliScorerEndpoint(base_url=base_url), "a", "b")

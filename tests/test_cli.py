@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import palette
@@ -11,9 +12,10 @@ from palette.cli import main
 from palette.common import CONTINENTS
 from palette.tensor_store import load_checkpoint, save_checkpoint
 
-from helpers import tiny_model, toy_preference_dataset
-from palette.align_trainer import PreferenceRecord, save_records_jsonl
-from palette.gate_router import init_gate, save_gate
+from helpers import ReplyServer, chat_body, tiny_model, toy_preference_dataset
+from palette import agent_pipeline
+from palette.align_trainer import PreferenceRecord, TrainConfig, save_records_jsonl, train
+from palette.gate_router import init_gate, load_gate, save_gate
 
 
 @pytest.fixture
@@ -155,6 +157,15 @@ def test_gate_init_and_route(tmp_path, model_path, capsys):
     assert abs(sum(weights.values()) - 1.0) < 1e-6
 
 
+def test_gate_init_raw_keeps_unnormalized_columns(tmp_path, model_path):
+    gate_path = tmp_path / "gate.st"
+    assert run_cli("gate", "init", "--model", str(model_path), "--raw", "-o", str(gate_path)) == 0
+    assert load_checkpoint(gate_path).metadata["normalized"] == "false"
+    gate = load_gate(gate_path)
+    assert gate.normalized is False
+    assert not np.allclose(np.linalg.norm(gate.matrix, axis=0), 1.0)
+
+
 def test_gate_init_with_prompts_file(tmp_path, model_path):
     prompts = {c: f"prompt about {c}" for c in CONTINENTS}
     pfile = tmp_path / "prompts.json"
@@ -210,6 +221,19 @@ def test_align_runs_and_writes_report(tmp_path, model_path, capsys):
     body = json.loads(report.read_text())
     assert len(body["epoch_total"]) == 1
     assert out.exists()
+
+
+@pytest.mark.parametrize("flag, field", [("--true-odds", {"true_odds": True}),
+                                         ("--raw-sums", {"length_normalize": False})])
+def test_align_flag_sets_its_train_config_field(tmp_path, model_path, flag, field):
+    dataset = toy_preference_dataset(n_queries=1)
+    data, report = tmp_path / "train.jsonl", tmp_path / "report.json"
+    save_records_jsonl(dataset, data)
+    assert run_cli("align", "--model", str(model_path), "--data", str(data), "--epochs", "1", flag,
+                   "-o", str(tmp_path / "out.st"), "--report", str(report)) == 0
+    fingerprints = [train(load_checkpoint(model_path), dataset, TrainConfig(epochs=1, **kw))[1].config_fingerprint
+                    for kw in (field, {})]
+    assert json.loads(report.read_text())["config_fingerprint"] == fingerprints[0] != fingerprints[1]
 
 
 def test_align_continent_filter(tmp_path, model_path, capsys):
@@ -277,6 +301,45 @@ def test_eval_mock_end_to_end(tmp_path, capsys):
     assert report["pearson_r"] == pytest.approx(1.0)
 
 
+def test_eval_gate_mode_per_country_fuses_once_per_country(tmp_path, model_path, monkeypatch):
+    items, gate = tmp_path / "qa.jsonl", tmp_path / "gate.st"
+    items.write_text("".join(json.dumps({"question": f"pick {i}", "options": ["a", "b"], "gold": [0.7, 0.3],
+                                         "country": "NZL"}) + "\n" for i in range(2)))
+    save_gate(init_gate(load_checkpoint(model_path)), gate)
+    experts = []
+    for i, c in enumerate(CONTINENTS):
+        save_checkpoint(tiny_model(seed=100 + i), tmp_path / f"{c}.st")
+        experts += ["--expert", f"{c}={tmp_path / f'{c}.st'}"]
+    fused, fuse_meta = [], agent_pipeline.fuse_meta
+    monkeypatch.setattr(agent_pipeline, "fuse_meta", lambda *a, **kw: fused.append(a[3]) or fuse_meta(*a, **kw))
+    fingerprints = {}
+    for mode in ("per-request", "per-country"):
+        fused.clear()
+        out = tmp_path / f"{mode}.json"
+        assert run_cli("eval", "--country", "NZL", "--items", str(items), "--meta-backend", "local", "--model",
+                       str(model_path), *experts, "--gate", str(gate), "--gate-mode", mode, "--no-draft",
+                       "-o", str(out)) == 0
+        assert fused == ["NZL"] * (2 if mode == "per-request" else 1)
+        fingerprints[mode] = json.loads(out.read_text())["config_fingerprint"]
+    assert fingerprints["per-request"] != fingerprints["per-country"]
+
+
+@pytest.mark.parametrize("command", ["eval", "synth"])
+def test_model_name_reaches_the_remote_endpoint(tmp_path, command):
+    data, out = tmp_path / "in.jsonl", tmp_path / "out"
+    data.write_text(json.dumps({"id": "q0", "query": "q", "question": "q", "options": ["a", "b"],
+                                "gold": [0.7, 0.3], "country": "NZL"}) + "\n")
+    reply = "[0.7, 0.3]" if command == "eval" else "[Approved]"
+    with ReplyServer([(200, chat_body(reply))]) as server:
+        argv = {
+            "eval": ("eval", "--country", "NZL", "--items", str(data), "--meta-backend", "remote", "-o", str(out)),
+            "synth": ("synth", "run", "--queries", str(data), "--backend", "remote", "--out", str(out)),
+        }[command]
+        assert run_cli(*argv, "--url", server.base_url, "--model-name", "toy-7b") == 0
+    assert server.requests_seen
+    assert {seen["body"]["model"] for seen in server.requests_seen} == {"toy-7b"}
+
+
 @pytest.mark.parametrize("content, code", [(None, "io_failure"), ("{", "bad_input")], ids=["missing", "malformed"])
 def test_bad_transcript_names_it(tmp_path, capsys, content, code):
     items, transcript = tmp_path / "qa.jsonl", tmp_path / "transcript.json"
@@ -333,8 +396,14 @@ def test_transcript_that_is_not_an_object_is_bad_input(tmp_path, capsys, command
     (("route", "--temperature", "0"), "--temperature must be > 0, got 0.0"),
     (("route", "--temperature", "-1"), "--temperature must be > 0, got -1.0"),
     (("route", "--temperature", "nan"), "--temperature must be > 0, got nan"),
+    (("metrics", "kl", "--p", "[1]", "--q", "[1]"), "p must be a vector with at least 2 entries"),
+    (("metrics", "kl", "--p", "[0.5,0.6]", "--q", "[0.5,0.5]"), "p sums to 1.1, expected 1"),
+    (("metrics", "salign", "--gen", "nope", "--gold", "[1,0]"), "--gen must be a JSON array of numbers, got 'nope'"),
+    (("metrics", "pearson", "--x", "[1,2]", "--y", '{"a":1}'),
+     """--y must be a JSON array of numbers, got '{"a":1}'"""),
+    (("metrics", "pearson", "--x", "[true,2]", "--y", "[1,2]"), "--x must be a JSON array of numbers, got '[true,2]'"),
 ], ids=["epochs", "batch-size", "lr", "lambda", "max-rounds", "gate", "temperature-zero", "temperature-negative",
-        "temperature-nan"])
+        "temperature-nan", "kl-one-entry", "kl-sum", "salign-not-json", "pearson-object", "pearson-bool"])
 def test_out_of_range_numbers_are_usage_errors(tmp_path, model_path, capsys, argv, message):
     data, queries, transcript = tmp_path / "in.jsonl", tmp_path / "q.jsonl", tmp_path / "transcript.json"
     gate = tmp_path / "gate.st"
@@ -351,6 +420,7 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, model_path, capsys, arg
         "merge": ("merge", "--method", "moerges", "--base", str(model_path), "--expert", f"a={model_path}",
                   "--expert", f"b={model_path}", "-o", str(out)),
         "route": ("gate", "route", "--model", str(model_path), "--gate", str(gate), "--prompt", "hi"),
+        "metrics": ("metrics",),
     }[command]
     assert run_cli(*full, *numbers) == 1
     assert f"usage error: {message}" in capsys.readouterr().err
@@ -418,6 +488,11 @@ def test_metrics_subcommands(capsys):
     assert json.loads(capsys.readouterr().out)["pearson_r"] == pytest.approx(0.993399268, abs=1e-8)
     assert run_cli("metrics", "pearson", "--x", "[1,1]", "--y", "[1,2]") == 0
     assert json.loads(capsys.readouterr().out)["pearson_r"] is None
+    for argv, code in [(("--p", "[1,0]", "--q", "[0.5,0.25,0.25]"), "length_mismatch"),
+                       (("--p", "[-1,2]", "--q", "[0.5,0.5]"), "negative_entry"),
+                       (("--p", "[1,0]", "--q", "[0,1]"), "support_violation")]:
+        assert run_cli("metrics", "kl", *argv) == 2
+        assert json.loads(capsys.readouterr().err)["code"] == code
 
 
 def test_metrics_semantic_against_mock(capsys):
@@ -427,6 +502,12 @@ def test_metrics_semantic_against_mock(capsys):
         assert run_cli("metrics", "semantic", "--url", server.base_url,
                        "--gold", "same words", "--llm", "same words") == 0
     assert json.loads(capsys.readouterr().out)["s_semantic"] == 1.0
+
+
+def test_metrics_semantic_bad_url_is_endpoint_unreachable(capsys):
+    assert run_cli("metrics", "semantic", "--url", "not-a-url", "--gold", "a", "--llm", "b") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["code"], err["context"]) == ("endpoint_unreachable", {"url": "not-a-url/score"})
 
 
 def test_float_output_uses_nine_significant_digits(tmp_path, capsys):
@@ -499,6 +580,11 @@ def test_item_with_one_option_exits_bad_input(tmp_path, capsys):
         ('{"question": "q", "options": ["a", "b"], "gold": 3, "country": "NZL"}', "must be arrays"),
         ('{"question": "q", "options": ["a", "b"], "selections": [1], "country": "NZL"}',
          '"selections" must be an object'),
+        ('{"question": "", "options": ["a", "b"], "gold": [1, 1], "country": "NZL"}',
+         "question must be a non-empty string"),
+        ('{"question": 7, "options": ["a", "b"], "gold": [1, 1], "country": "NZL"}',
+         "question must be a non-empty string"),
+        ('{"question": "q", "options": [1, 2], "gold": [1, 1], "country": "NZL"}', "options must be strings"),
     ]
     for row, reason in rows:
         items.write_text(f"\n{row}\n")
@@ -507,6 +593,16 @@ def test_item_with_one_option_exits_bad_input(tmp_path, capsys):
         assert err["context"] == {"path": str(items), "line": 2}
         assert err["message"].startswith(f"{items}:2: ")
         assert reason in err["message"]
+
+
+@pytest.mark.parametrize("query", ["", 7], ids=["empty", "number"])
+def test_synth_query_that_is_not_a_non_empty_string_exits_bad_input(tmp_path, capsys, query):
+    queries, out = tmp_path / "q.jsonl", tmp_path / "out"
+    queries.write_text(json.dumps({"id": "q0", "query": "fine"}) + "\n" + json.dumps({"id": "q1", "query": query}) + "\n")
+    err = _run_reader(READER_COMMANDS[2], queries, out, None, capsys)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(queries), "line": 2}
+    assert err["message"] == f'{queries}:2: "query" must be a non-empty string'
 
 
 def test_csv_field_over_the_size_limit_exits_bad_input(tmp_path, capsys):

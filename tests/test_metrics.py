@@ -229,8 +229,3 @@ def test_semantic_score_shares_the_chat_retry_rule(monkeypatch):
     assert exc.value.context == {"url": server.base_url + "/score", "status": 404}
     assert len(server.requests_seen) == 1
     assert sleeps == [0.25]
-
-
-def test_endpoint_requires_absolute_url():
-    with pytest.raises(ValueError):
-        NliScorerEndpoint(base_url="not-a-url")

@@ -8,13 +8,11 @@ from palette.errors import (
     DuplicateName,
     EmptySelectionWarning,
     MalformedHeader,
-    SchemaMismatch,
     ShapeMismatch,
 )
 from palette.tensor_store import (
     Checkpoint,
     TensorSpec,
-    delta,
     load_checkpoint,
     save_checkpoint,
     select_ffn,
@@ -150,44 +148,6 @@ def test_duplicate_name_at_construction():
 def test_iteration_is_lexicographic():
     c = ckpt(zeta=[1.0], alpha=[2.0], mid=[3.0])
     assert c.names == ("alpha", "mid", "zeta")
-
-
-def test_delta_self_is_zero():
-    rng = np.random.default_rng(5)
-    c = random_checkpoint(rng)
-    d = delta(c, c)
-    assert all(np.all(spec.data == 0) for spec in d.specs())
-
-
-def test_delta_hand_example():
-    a = ckpt(w=[3.0, 5.0])
-    b = ckpt(w=[1.0, 2.0])
-    assert list(delta(a, b)["w"].data) == [2.0, 3.0]
-
-
-def test_delta_schema_guard():
-    a = ckpt(w=[1.0], extra=[2.0])
-    b = ckpt(w=[1.0])
-    with pytest.raises(SchemaMismatch):
-        delta(a, b)
-
-
-def test_delta_plus_b_recovers_a_same_binade():
-    # values in [1, 2): subtraction is exact (Sterbenz), so (a-b)+b == a bitwise
-    rng = np.random.default_rng(11)
-    a = ckpt(w=rng.uniform(1.0, 2.0, 64))
-    b = ckpt(w=rng.uniform(1.0, 2.0, 64))
-    d = delta(a, b)
-    restored = d["w"].data + b["w"].data
-    assert np.array_equal(restored, a["w"].data)
-
-
-def test_delta_plus_b_close_for_normal_data():
-    rng = np.random.default_rng(12)
-    a = ckpt(w=rng.normal(size=256))
-    b = ckpt(w=rng.normal(size=256))
-    restored = delta(a, b)["w"].data + b["w"].data
-    assert np.max(np.abs(restored - a["w"].data)) < 1e-6
 
 
 def test_select_ffn_matches():
