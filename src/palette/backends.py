@@ -115,7 +115,9 @@ class LocalReference:
     """Greedy deterministic decoding over the tiny reference model.
 
     Prompts longer than the context window are truncated to their byte tail
-    (the question and options sit at the end of pipeline prompts).
+    (the question and options sit at the end of pipeline prompts). In
+    `score_options`, options are scored as continuations of one prompt, cut
+    once to leave room for the longest option.
     """
 
     kind = "local"
@@ -141,16 +143,11 @@ class LocalReference:
     def score_options(self, prompt: str, options: Sequence[str]) -> list[float]:
         """Length-normalized log-probability of each option continuing the prompt."""
         self.calls.append(prompt)
-        scores = []
-        for option in options:
-            cont = list(option.encode("utf-8"))
-            if not cont:
-                cont = [SEP]
-            cont = cont[: self.model.cfg.max_seq // 2]
-            tokens = self._prompt_tokens(prompt, len(cont))
-            lp = self.model.sequence_logprob(tokens, cont)
-            scores.append(lp / len(cont))
-        return scores
+        conts = [list(option.encode("utf-8"))[: self.model.cfg.max_seq // 2] or [SEP] for option in options]
+        if not conts:
+            return []
+        tokens = self._prompt_tokens(prompt, max(map(len, conts)))
+        return [lp / len(c) for lp, c in zip(self.model.sequence_logprobs(tokens, conts), conts)]
 
     def describe(self) -> dict:
         return {"kind": self.kind, "label": self.label}

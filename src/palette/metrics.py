@@ -81,6 +81,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
         raise LengthMismatch(f"x has shape {xa.shape}, y has shape {ya.shape}")
     if xa.size < 2:
         raise LengthMismatch("need at least 2 points")
+    for name, arr in (("x", xa), ("y", ya)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite entries")
     dx = xa - xa.mean()
     dy = ya - ya.mean()
     denom = math.sqrt(float(dx @ dx) * float(dy @ dy))

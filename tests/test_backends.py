@@ -268,6 +268,57 @@ def test_local_reference_score_options_matches_logprobs():
         assert got == pytest.approx(expected, abs=1e-12)
 
 
+# A prompt longer than the window, and options of 0, 1, 7 and (capped at
+# max_seq // 2 = 24) 40 bytes.
+LONG_PROMPT = "Which answer fits best? " * 20
+UNEVEN_OPTIONS = ["", "y", "perhaps", "z" * 40]
+
+
+def _option_tokens(backend, options):
+    return [list(o.encode())[: backend.model.cfg.max_seq // 2] or [SEP] for o in options]
+
+
+def test_local_reference_scores_options_over_one_cut_prompt():
+    backend = LocalReference(tiny_model(max_seq=48), max_new_tokens=8)
+    conts = _option_tokens(backend, UNEVEN_OPTIONS)
+    common = backend._prompt_tokens(LONG_PROMPT, max(map(len, conts)))
+    assert len(common) + 24 == 48
+    # Cut for its own length, a shorter option would keep more of the prompt.
+    assert backend._prompt_tokens(LONG_PROMPT, 1) != common
+    model = TinyTransformer.from_checkpoint(backend.params)
+    scores = backend.score_options(LONG_PROMPT, UNEVEN_OPTIONS)
+    assert len(scores) == len(UNEVEN_OPTIONS)
+    for got, cont in zip(scores, conts):
+        assert got == pytest.approx(model.sequence_logprob(common, cont) / len(cont), rel=1e-12, abs=0)
+
+
+def test_local_reference_score_options_passes_over_the_prompt_once(monkeypatch):
+    backend = LocalReference(tiny_model(max_seq=48), max_new_tokens=8)
+    calls = []
+    extend = TinyTransformer._extend
+
+    def recording_extend(self, tokens, pos, keys, values, rows=1, trace=None):
+        calls.append((list(tokens), pos))
+        return extend(self, tokens, pos, keys, values, rows, trace)
+
+    monkeypatch.setattr(TinyTransformer, "_extend", recording_extend)
+    conts = _option_tokens(backend, UNEVEN_OPTIONS)
+    common = backend._prompt_tokens(LONG_PROMPT, max(map(len, conts)))
+    backend.score_options(LONG_PROMPT, UNEVEN_OPTIONS)
+    assert calls == [(common, 0)] + [(c[:-1], len(common)) for c in conts]
+
+
+def test_local_reference_scores_no_options_without_the_model(monkeypatch):
+    backend = LocalReference(tiny_model(), max_new_tokens=8)
+
+    def no_extend(self, *args, **kwargs):
+        raise AssertionError("no option needs a model pass")
+
+    monkeypatch.setattr(TinyTransformer, "_extend", no_extend)
+    assert backend.score_options("pick one", []) == []
+    assert backend.calls == ["pick one"]
+
+
 def test_option_distribution_softmax():
     dist = option_distribution_from_scores([0.0, 0.0])
     assert dist == [0.5, 0.5]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import palette
+from palette import cli
 from palette.cli import main
 from palette.common import CONTINENTS
 from palette.tensor_store import load_checkpoint, save_checkpoint
@@ -402,8 +403,18 @@ def test_transcript_that_is_not_an_object_is_bad_input(tmp_path, capsys, command
     (("metrics", "pearson", "--x", "[1,2]", "--y", '{"a":1}'),
      """--y must be a JSON array of numbers, got '{"a":1}'"""),
     (("metrics", "pearson", "--x", "[true,2]", "--y", "[1,2]"), "--x must be a JSON array of numbers, got '[true,2]'"),
+    (("metrics", "pearson", "--x", "[NaN,1]", "--y", "[1,2]"), "x contains non-finite entries"),
+    (("metrics", "pearson", "--x", "[1,Infinity]", "--y", "[1,2]"), "x contains non-finite entries"),
+    (("metrics", "pearson", "--x", "[1,2]", "--y", "[NaN,2]"), "y contains non-finite entries"),
+    (("metrics", "pearson", "--x", "[1,2]", "--y", "[1,-Infinity]"), "y contains non-finite entries"),
+    (("metrics", "kl", "--p", "[NaN,0.5]", "--q", "[0.5,0.5]"), "p contains non-finite entries"),
+    (("metrics", "kl", "--p", "[0.5,0.5]", "--q", "[0.5,Infinity]"), "q contains non-finite entries"),
+    (("metrics", "salign", "--gen", "[Infinity,0]", "--gold", "[0.5,0.5]"), "p_gen contains non-finite entries"),
+    (("metrics", "salign", "--gen", "[0.5,0.5]", "--gold", "[0.5,NaN]"), "p_gold contains non-finite entries"),
 ], ids=["epochs", "batch-size", "lr", "lambda", "max-rounds", "gate", "temperature-zero", "temperature-negative",
-        "temperature-nan", "kl-one-entry", "kl-sum", "salign-not-json", "pearson-object", "pearson-bool"])
+        "temperature-nan", "kl-one-entry", "kl-sum", "salign-not-json", "pearson-object", "pearson-bool",
+        "pearson-x-nan", "pearson-x-infinity", "pearson-y-nan", "pearson-y-infinity",
+        "kl-p-nan", "kl-q-infinity", "salign-gen-infinity", "salign-gold-nan"])
 def test_out_of_range_numbers_are_usage_errors(tmp_path, model_path, capsys, argv, message):
     data, queries, transcript = tmp_path / "in.jsonl", tmp_path / "q.jsonl", tmp_path / "transcript.json"
     gate = tmp_path / "gate.st"
@@ -493,6 +504,32 @@ def test_metrics_subcommands(capsys):
                        (("--p", "[1,0]", "--q", "[0,1]"), "support_violation")]:
         assert run_cli("metrics", "kl", *argv) == 2
         assert json.loads(capsys.readouterr().err)["code"] == code
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses the ``NaN`` and ``Infinity`` literals, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_metrics_subcommand_prints_strict_json(capsys):
+    from helpers import MockScorerServer
+
+    with MockScorerServer() as server:
+        runs = [
+            ("kl", "--p", "[1,0]", "--q", "[0.5,0.5]"),
+            ("salign", "--gen", "[1,0]", "--gold", "[0.5,0.5]"),
+            ("pearson", "--x", "[1,2,3]", "--y", "[2,4,7]"),
+            ("pearson", "--x", "[1,1]", "--y", "[1,2]"),
+            ("semantic", "--url", server.base_url, "--gold", "same words", "--llm", "same words"),
+        ]
+        assert {argv[0] for argv in runs} == set(cli._ARRAY_METRICS) | {"semantic"}
+        for argv in runs:
+            assert run_cli("metrics", *argv) == 0
+            assert len(_strict_json(capsys.readouterr().out)) == 1
+    with pytest.raises(ValueError, match="NaN is not JSON"):
+        _strict_json('{"pearson_r": NaN}')
 
 
 def test_metrics_semantic_against_mock(capsys):

@@ -139,6 +139,11 @@ def test_pearson_guards():
         pearson([1.0], [1.0])
     with pytest.raises(LengthMismatch):
         pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x contains non-finite entries"):
+            pearson([bad, 1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="y contains non-finite entries"):
+            pearson([1.0, 2.0], [1.0, bad])
 
 
 def test_normalize_uniform():
