@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -33,33 +34,6 @@ logger = logging.getLogger(__name__)
 
 OPTION_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 PARSE_ATTEMPTS = 3
-
-
-@dataclass(frozen=True)
-class CountryQuery:
-    country: str
-    query: str
-
-    def __post_init__(self):
-        if not self.country or not self.query:
-            raise ValueError("country and query must both be non-empty")
-
-
-@dataclass(frozen=True)
-class Draft:
-    """Exactly five (continent, response) pairs in fixed continental order."""
-
-    entries: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        labels = tuple(label for label, _ in self.entries)
-        if labels != CONTINENTS:
-            raise ValueError(f"draft entries must follow {CONTINENTS}, got {labels}")
-
-    def as_text(self) -> str:
-        return "\n\n".join(
-            f"[{label}] perspective:\n{text}" for label, text in self.entries
-        )
 
 
 @dataclass
@@ -132,8 +106,9 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
 
 # --- stages -------------------------------------------------------------------
 
-def draft(agents: Mapping[str, object], cq: CountryQuery) -> Draft:
-    """Ask all five continent agents; fails atomically if any agent fails.
+def draft(agents: Mapping[str, object], country: str, query: str) -> str:
+    """Ask all five continent agents and join their replies, each under its
+    continent's tag, in continental order; fails atomically if any agent fails.
 
     Remote agents wait on HTTP, so they are asked at once on a thread pool.
     Every other agent is compute under the GIL and is asked in continental
@@ -145,7 +120,7 @@ def draft(agents: Mapping[str, object], cq: CountryQuery) -> Draft:
 
     def ask(continent: str) -> str:
         prompt = render_template(
-            "draft", continent=continent, country=cq.country, query=cq.query
+            "draft", continent=continent, country=country, query=query
         )
         return agents[continent].complete(prompt)
 
@@ -167,15 +142,12 @@ def draft(agents: Mapping[str, object], cq: CountryQuery) -> Draft:
     if failure is not None:
         continent, exc = failure
         raise BackendFailure(f"draft stage failed for {continent}: {exc}", continent) from exc
-    return Draft(entries=tuple((c, results[c]) for c in CONTINENTS))
+    return "\n\n".join(f"[{c}] perspective:\n{results[c]}" for c in CONTINENTS)
 
 
-def self_regulate(meta, draft_obj: Draft, cq: CountryQuery) -> str:
+def self_regulate(meta, drafts: str, country: str, query: str) -> str:
     """One meta call that recontextualizes all five tagged drafts for the country."""
-    prompt = render_template(
-        "regulate", country=cq.country, query=cq.query, drafts=draft_obj.as_text()
-    )
-    return meta.complete(prompt)
+    return meta.complete(render_template("regulate", country=country, query=query, drafts=drafts))
 
 
 def _lettered_options(options: Sequence[str]) -> str:
@@ -198,16 +170,16 @@ _ARRAY_RE = re.compile(r"\[[^\[\]]*\]")
 def _parse_probability_array(text: str, n: int) -> list[float] | None:
     for match in _ARRAY_RE.finditer(text):
         try:
-            values = json.loads(match.group(0))
+            values = json.loads(match.group(0), parse_int=float)
         except ValueError:
             continue
         if (
             isinstance(values, list)
             and len(values) == n
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
-            and all(v >= 0 for v in values)
+            and all(isinstance(v, float) and v >= 0 for v in values)
+            and math.isfinite(sum(values))  # so the normalized entries are finite too
         ):
-            return [float(v) for v in values]
+            return values
     return None
 
 
@@ -377,18 +349,12 @@ class AlignmentReport:
 
 def run_item(config: PipelineConfig, item: OpinionItem, country: str) -> tuple[str, list[float]]:
     """Drive one item through the (possibly ablated) three stages."""
-    cq = CountryQuery(country=country, query=item.question)
     meta = config.meta
     if hasattr(meta, "backend_for"):
         meta = meta.backend_for(country, item.question)
-    if config.no_draft:
-        context = ""
-    else:
-        draft_obj = draft(config.agents, cq)
-        if config.no_regulate:
-            context = draft_obj.as_text()
-        else:
-            context = self_regulate(meta, draft_obj, cq)
+    context = "" if config.no_draft else draft(config.agents, country, item.question)
+    if not (config.no_draft or config.no_regulate):
+        context = self_regulate(meta, context, country, item.question)
     return final_decision(meta, context, item, country)
 
 
@@ -407,6 +373,8 @@ def evaluate_country(
     for item in items:
         if item.country != country:
             raise ValueError(f"item {item.qid!r} belongs to {item.country!r}, not {country!r}")
+    if not country:
+        raise ValueError("country must be non-empty")
 
     per_question = []
     gen_all: list[float] = []

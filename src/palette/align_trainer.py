@@ -86,10 +86,10 @@ class TrainConfig:
     length_normalize: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not 0 <= self.lam < math.inf:  # also NaN
+            raise ValueError(f"lambda must be >= 0 and finite, got {self.lam}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be >= 0 and finite, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
 

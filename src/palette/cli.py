@@ -143,7 +143,6 @@ def build_parser() -> _Parser:
     gi = gsub.add_parser("init", help="initialize the gate from system prompts")
     gi.add_argument("--model", required=True)
     gi.add_argument("--prompts", help="JSON file: {continent: prompt} or a 5-array")
-    gi.add_argument("--raw", action="store_true", help="keep unnormalized columns")
     gi.add_argument("-o", "--output", required=True)
     gr = gsub.add_parser("route", help="route a prompt to expert weights")
     gr.add_argument("--model", required=True)
@@ -260,7 +259,7 @@ def _cmd_gate(args) -> int:
     if args.gate_command == "init":
         model = load_checkpoint(args.model)
         prompts = _load_prompts(args.prompts) if args.prompts else None
-        gate = gate_router.init_gate(model, prompts, normalize=not args.raw)
+        gate = gate_router.init_gate(model, prompts)
         gate_router.save_gate(gate, args.output)
         print(f"wrote gate to {args.output}")
         return 0

@@ -28,10 +28,9 @@ _COLUMN_NORM_TOL = 1e-6
 
 @dataclass
 class GateMatrix:
-    """Routing matrix with one column per continent, in fixed order."""
+    """Routing matrix with one unit-norm column per continent, in fixed order."""
 
     matrix: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -42,10 +41,9 @@ class GateMatrix:
             )
         if not np.all(np.isfinite(self.matrix)):
             raise NonFiniteInput("gate matrix contains non-finite entries")
-        if self.normalized:
-            norms = np.linalg.norm(self.matrix, axis=0)
-            if np.any(np.abs(norms - 1.0) > _COLUMN_NORM_TOL):
-                raise DimensionMismatch("normalized gate matrix must have unit-norm columns")
+        norms = np.linalg.norm(self.matrix, axis=0)
+        if np.any(np.abs(norms - 1.0) > _COLUMN_NORM_TOL):
+            raise DimensionMismatch("gate matrix must have unit-norm columns")
 
     @property
     def d_model(self) -> int:
@@ -66,12 +64,6 @@ class GateWeights:
 
     def __iter__(self):
         return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(CONTINENTS, self.values))
@@ -94,14 +86,12 @@ def softmax_weights(logits: Sequence[float], temperature: float = 1.0) -> np.nda
 def init_gate(
     model: Checkpoint,
     system_prompts: Mapping[str, str] | Sequence[str] | None = None,
-    normalize: bool = True,
 ) -> GateMatrix:
     """Build the gate from the mean-pooled hidden state of each continent's
     system prompt, encoded as `route_prompt` encodes a prompt.
 
-    Columns are L2-normalized by default so that routing a prompt against its
-    own column scores cosine 1; raw hidden states are kept with
-    ``normalize=False``.
+    Columns are L2-normalized so that routing a prompt against its own column
+    scores cosine 1.
     """
     if system_prompts is None:
         system_prompts = DEFAULT_SYSTEM_PROMPTS
@@ -121,10 +111,8 @@ def init_gate(
         if not prompt:
             raise EmptyPrompt(f"empty system prompt for {continent}")
         hidden = tt.mean_hidden(_head_tokens(tt, prompt))
-        if normalize:
-            hidden = hidden / np.linalg.norm(hidden)
-        columns.append(hidden)
-    return GateMatrix(matrix=np.stack(columns, axis=1), normalized=normalize)
+        columns.append(hidden / np.linalg.norm(hidden))
+    return GateMatrix(matrix=np.stack(columns, axis=1))
 
 
 def route(hidden: Sequence[float], gate: GateMatrix, temperature: float = 1.0) -> GateWeights:
@@ -155,10 +143,7 @@ def _head_tokens(tt: TinyTransformer, text: str) -> list[int]:
 
 
 def save_gate(gate: GateMatrix, path) -> None:
-    metadata = {
-        "labels": json.dumps(list(CONTINENTS)),
-        "normalized": "true" if gate.normalized else "false",
-    }
+    metadata = {"labels": json.dumps(list(CONTINENTS)), "normalized": "true"}
     save_checkpoint(Checkpoint([TensorSpec.from_array("W_g", gate.matrix)], metadata), path)
 
 
@@ -176,10 +161,9 @@ def load_gate(path) -> GateMatrix:
         raise DimensionMismatch(
             f"gate labels must be {list(CONTINENTS)} in this order, got {labels}", path=str(path)
         )
-    normalized = ckpt.metadata.get("normalized", "true") == "true"
+    if ckpt.metadata.get("normalized", "true") != "true":
+        raise DimensionMismatch(f"{path} holds an unnormalized gate; gate columns must be unit-norm", path=str(path))
     matrix = ckpt["W_g"].array().astype(np.float64)
-    if normalized:
-        # f32 storage wobbles the unit norms; restore them exactly.
-        matrix = matrix / np.linalg.norm(matrix, axis=0, keepdims=True)
-    return GateMatrix(matrix=matrix, normalized=normalized)
+    # f32 storage wobbles the unit norms; restore them exactly.
+    return GateMatrix(matrix=matrix / np.linalg.norm(matrix, axis=0, keepdims=True))
 

@@ -84,12 +84,18 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
     for name, arr in (("x", xa), ("y", ya)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite entries")
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
+    # r is scale-free: bring each input near 1 by an exact power of two, so
+    # that neither the sums nor the products can overflow or underflow.
+    dx, dy = (a - a.mean() for a in (_unit_scaled(xa), _unit_scaled(ya)))
     denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
     if denom == 0.0:
         return None
     return float(dx @ dy) / denom
+
+
+def _unit_scaled(arr: np.ndarray) -> np.ndarray:
+    """``arr`` times the power of two that brings its largest magnitude into [0.5, 1)."""
+    return np.ldexp(arr, -math.frexp(float(np.max(np.abs(arr))))[1])
 
 
 # --- external entailment scorer ---------------------------------------------

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from palette.agent_pipeline import (
-    CountryQuery,
-    Draft,
     FusedLocalMeta,
     OpinionItem,
     PipelineConfig,
@@ -26,6 +24,7 @@ from palette.errors import BackendFailure, EmptyDataset, UnparseableDistribution
 from palette.gate_router import init_gate, route, route_prompt
 from palette.metrics import alignment_score, normalize_distribution
 from palette.reference_model import TinyTransformer, forward, init_model, tokenize
+from palette.templates import render_template
 from palette.tensor_store import Checkpoint
 
 from helpers import ReplyServer, tiny_config, tiny_model
@@ -67,11 +66,18 @@ def nzl_meta():
     )
 
 
+def tagged(replies):
+    """The draft text: each continent's reply under its tag, in continental order."""
+    return "\n\n".join(f"[{c}] perspective:\n{r}" for c, r in zip(CONTINENTS, replies))
+
+
 def test_draft_mock_passthrough_fixed_order():
-    agents = {c: ScriptedMock(default=f"resp-{c}", label=c) for c in CONTINENTS}
-    d = draft(agents, CountryQuery("NZL", "q?"))
-    assert tuple(label for label, _ in d.entries) == CONTINENTS
-    assert [text for _, text in d.entries] == [f"resp-{c}" for c in CONTINENTS]
+    agents = {c: ScriptedMock(default=f"resp-{c}", label=c) for c in reversed(CONTINENTS)}
+    assert draft(agents, "NZL", "q?") == (
+        "[Africa] perspective:\nresp-Africa\n\n[America] perspective:\nresp-America\n\n"
+        "[Asia] perspective:\nresp-Asia\n\n[Europe] perspective:\nresp-Europe\n\n"
+        "[Oceania] perspective:\nresp-Oceania"
+    )
     for agent in agents.values():
         assert len(agent.calls) == 1
 
@@ -80,7 +86,7 @@ def test_draft_atomic_failure_names_continent():
     agents = {c: ScriptedMock(default=f"resp-{c}", label=c) for c in CONTINENTS}
     agents["Asia"] = ScriptedMock(label="Asia")  # no reply configured
     with pytest.raises(BackendFailure) as exc:
-        draft(agents, CountryQuery("NZL", "q?"))
+        draft(agents, "NZL", "q?")
     assert exc.value.label == "Asia"
 
 
@@ -112,10 +118,14 @@ def test_draft_asks_local_agents_in_order_on_the_calling_thread():
         for i, c in enumerate(CONTINENTS)
     }
     threads_before = threading.active_count()
-    d = draft(agents, CountryQuery("NZL", "q?"))
+    text = draft(agents, "NZL", "q?")
     assert seen == [(c, threading.get_ident(), threads_before) for c in CONTINENTS]
     assert all(len(agent.calls) == 1 for agent in agents.values())
-    assert [text for _, text in d.entries][::2] == [f"resp-{c}" for c in CONTINENTS[::2]]
+    replies = [
+        LocalReference(model, max_new_tokens=3).complete(agents[c].calls[0]) if i % 2 else f"resp-{c}"
+        for i, c in enumerate(CONTINENTS)
+    ]
+    assert text == tagged(replies)
 
 
 class AllOpenServer(ReplyServer):
@@ -141,8 +151,8 @@ class AllOpenServer(ReplyServer):
 def test_draft_asks_remote_agents_at_once():
     with AllOpenServer(len(CONTINENTS)) as server:
         agents = {c: RemoteChat(server.base_url, "toy", label=c) for c in CONTINENTS}
-        d = draft(agents, CountryQuery("NZL", "q?"))
-    assert [text for _, text in d.entries] == ["drafted"] * len(CONTINENTS)
+        text = draft(agents, "NZL", "q?")
+    assert text == tagged(["drafted"] * len(CONTINENTS))
     assert all(len(agent.calls) == 1 for agent in agents.values())
     assert len(server.requests_seen) == len(CONTINENTS)
 
@@ -161,7 +171,7 @@ def test_draft_failure_asks_every_agent_once_and_names_the_first(first):
         agents["America"] = failing[first]
         agents["Asia"] = failing["remote" if first == "local" else "local"]
         with pytest.raises(BackendFailure) as exc:
-            draft(agents, CountryQuery("NZL", "q?"))
+            draft(agents, "NZL", "q?")
     assert exc.value.label == "America"
     assert "draft stage failed for America" in str(exc.value)
     assert all(len(agent.calls) == 1 for agent in agents.values())
@@ -171,24 +181,17 @@ def test_draft_failure_asks_every_agent_once_and_names_the_first(first):
 def test_draft_requires_all_agents():
     agents = {c: ScriptedMock(default="r", label=c) for c in CONTINENTS[:4]}
     with pytest.raises(BackendFailure):
-        draft(agents, CountryQuery("NZL", "q?"))
-
-
-def test_draft_invariant_exactly_five_in_order():
-    with pytest.raises(ValueError):
-        Draft(entries=(("Asia", "x"),))
-    with pytest.raises(ValueError):
-        Draft(entries=tuple((c, "x") for c in reversed(CONTINENTS)))
+        draft(agents, "NZL", "q?")
 
 
 def test_self_regulate_echo_preserves_tags():
     agents = {c: ScriptedMock(default=f"resp-{c}", label=c) for c in CONTINENTS}
-    d = draft(agents, CountryQuery("NZL", "q?"))
+    drafts = draft(agents, "NZL", "q?")
+    assert drafts == tagged(f"resp-{c}" for c in CONTINENTS)
     meta = ScriptedMock(echo=True)
-    regulated = self_regulate(meta, d, CountryQuery("NZL", "q?"))
-    for c in CONTINENTS:
-        assert f"[{c}]" in regulated
-        assert f"resp-{c}" in regulated
+    regulated = self_regulate(meta, drafts, "NZL", "q?")
+    assert regulated == render_template("regulate", country="NZL", query="q?", drafts=drafts)
+    assert drafts in regulated
     assert len(meta.calls) == 1
 
 

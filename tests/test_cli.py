@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import palette
@@ -16,7 +15,7 @@ from palette.tensor_store import load_checkpoint, save_checkpoint
 from helpers import ReplyServer, chat_body, tiny_model, toy_preference_dataset
 from palette import agent_pipeline
 from palette.align_trainer import PreferenceRecord, TrainConfig, save_records_jsonl, train
-from palette.gate_router import init_gate, load_gate, save_gate
+from palette.gate_router import init_gate, save_gate
 
 
 @pytest.fixture
@@ -156,15 +155,8 @@ def test_gate_init_and_route(tmp_path, model_path, capsys):
     weights = json.loads(out)
     assert set(weights) == set(CONTINENTS)
     assert abs(sum(weights.values()) - 1.0) < 1e-6
-
-
-def test_gate_init_raw_keeps_unnormalized_columns(tmp_path, model_path):
-    gate_path = tmp_path / "gate.st"
-    assert run_cli("gate", "init", "--model", str(model_path), "--raw", "-o", str(gate_path)) == 0
-    assert load_checkpoint(gate_path).metadata["normalized"] == "false"
-    gate = load_gate(gate_path)
-    assert gate.normalized is False
-    assert not np.allclose(np.linalg.norm(gate.matrix, axis=0), 1.0)
+    assert run_cli("gate", "init", "--model", str(model_path), "--raw", "-o", str(tmp_path / "raw.st")) == 1
+    assert "unrecognized arguments: --raw" in capsys.readouterr().err
 
 
 def test_gate_init_with_prompts_file(tmp_path, model_path):
@@ -302,6 +294,18 @@ def test_eval_mock_end_to_end(tmp_path, capsys):
     assert report["pearson_r"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("reply", ["[Infinity, 1]", "[1e308, 1e308]"], ids=["infinite", "sum-overflows"])
+def test_eval_meta_reply_with_a_non_finite_sum_is_unparseable(tmp_path, capsys, reply):
+    items, transcript, out = tmp_path / "qa.jsonl", tmp_path / "transcript.json", tmp_path / "report.json"
+    items.write_text(json.dumps({"question": "pick one", "options": ["a", "b"], "gold": [0.7, 0.3],
+                                 "country": "NZL"}) + "\n")
+    transcript.write_text(json.dumps({"meta": {"default": reply}}))
+    assert run_cli("eval", "--country", "NZL", "--items", str(items), "--meta-backend", "mock",
+                   "--transcript", str(transcript), "-o", str(out)) == 2
+    assert json.loads(capsys.readouterr().err)["code"] == "unparseable_distribution"
+    assert not out.exists()
+
+
 def test_eval_gate_mode_per_country_fuses_once_per_country(tmp_path, model_path, monkeypatch):
     items, gate = tmp_path / "qa.jsonl", tmp_path / "gate.st"
     items.write_text("".join(json.dumps({"question": f"pick {i}", "options": ["a", "b"], "gold": [0.7, 0.3],
@@ -392,6 +396,10 @@ def test_transcript_that_is_not_an_object_is_bad_input(tmp_path, capsys, command
     (("align", "--batch-size", "0"), "epochs and batch_size must be >= 1"),
     (("align", "--lr", "-1"), "learning rate must be >= 0"),
     (("align", "--lambda", "-1"), "lambda must be >= 0"),
+    (("align", "--lr", "nan"), "learning rate must be >= 0 and finite, got nan"),
+    (("align", "--lr", "inf"), "learning rate must be >= 0 and finite, got inf"),
+    (("align", "--lambda", "nan"), "lambda must be >= 0 and finite, got nan"),
+    (("align", "--lambda", "inf"), "lambda must be >= 0 and finite, got inf"),
     (("synth", "--max-rounds", "0"), "max_rounds must be >= 1"),
     (("merge", "--gate", "0.5,x"), "--gate must be comma-separated numbers, got '0.5,x'"),
     (("route", "--temperature", "0"), "--temperature must be > 0, got 0.0"),
@@ -411,8 +419,8 @@ def test_transcript_that_is_not_an_object_is_bad_input(tmp_path, capsys, command
     (("metrics", "kl", "--p", "[0.5,0.5]", "--q", "[0.5,Infinity]"), "q contains non-finite entries"),
     (("metrics", "salign", "--gen", "[Infinity,0]", "--gold", "[0.5,0.5]"), "p_gen contains non-finite entries"),
     (("metrics", "salign", "--gen", "[0.5,0.5]", "--gold", "[0.5,NaN]"), "p_gold contains non-finite entries"),
-], ids=["epochs", "batch-size", "lr", "lambda", "max-rounds", "gate", "temperature-zero", "temperature-negative",
-        "temperature-nan", "kl-one-entry", "kl-sum", "salign-not-json", "pearson-object", "pearson-bool",
+], ids=["epochs", "batch-size", "lr", "lambda", "lr-nan", "lr-inf", "lambda-nan", "lambda-inf", "max-rounds",
+        "gate", "temperature-zero", "temperature-negative", "temperature-nan", "kl-one-entry", "kl-sum", "salign-not-json", "pearson-object", "pearson-bool",
         "pearson-x-nan", "pearson-x-infinity", "pearson-y-nan", "pearson-y-infinity",
         "kl-p-nan", "kl-q-infinity", "salign-gen-infinity", "salign-gold-nan"])
 def test_out_of_range_numbers_are_usage_errors(tmp_path, model_path, capsys, argv, message):
@@ -499,6 +507,8 @@ def test_metrics_subcommands(capsys):
     assert json.loads(capsys.readouterr().out)["pearson_r"] == pytest.approx(0.993399268, abs=1e-8)
     assert run_cli("metrics", "pearson", "--x", "[1,1]", "--y", "[1,2]") == 0
     assert json.loads(capsys.readouterr().out)["pearson_r"] is None
+    assert run_cli("metrics", "pearson", "--x", "[1e308,-1e308]", "--y", "[1e308,-1e308]") == 0
+    assert capsys.readouterr().out == '{"pearson_r": 1.0}\n'
     for argv, code in [(("--p", "[1,0]", "--q", "[0.5,0.25,0.25]"), "length_mismatch"),
                        (("--p", "[-1,2]", "--q", "[0.5,0.5]"), "negative_entry"),
                        (("--p", "[1,0]", "--q", "[0,1]"), "support_violation")]:

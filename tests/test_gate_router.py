@@ -20,8 +20,6 @@ from palette.gate_router import (
 from palette.reference_model import ModelConfig, init_model
 from palette.tensor_store import Checkpoint, TensorSpec, load_checkpoint, save_checkpoint
 
-from helpers import tiny_model
-
 # Frozen once from the seed-42 default model with the default system prompts.
 SEED42_WG_ROW0 = [
     -0.08154203696250416,
@@ -149,19 +147,11 @@ def test_route_prompt_empty_prompt_is_valid(seed42_model, seed42_gate):
     assert all(0.0 < v < 1.0 for v in w)
 
 
-def test_raw_mode_supported():
-    model = tiny_model()
-    gate = init_gate(model, normalize=False)
-    assert not gate.normalized
-    norms = np.linalg.norm(gate.matrix, axis=0)
-    assert not np.allclose(norms, 1.0)
-
-
 def test_gate_save_load_round_trip(tmp_path, seed42_model, seed42_gate):
     path = tmp_path / "gate.st"
     save_gate(seed42_gate, path)
     loaded = load_gate(path)
-    assert loaded.normalized
+    assert load_checkpoint(path).metadata["normalized"] == "true"
     # f32 storage then re-normalization: columns match to f32 precision
     assert np.allclose(loaded.matrix, seed42_gate.matrix, atol=1e-6)
     for continent in CONTINENTS:
@@ -191,6 +181,17 @@ def test_load_gate_requires_the_continents_in_order(tmp_path, seed42_gate):
     assert err.value.context["path"] == str(flipped)
 
 
+def test_load_gate_refuses_a_gate_marked_unnormalized(tmp_path, seed42_gate):
+    # A gate file that says its columns are not unit-norm: loading must not renormalize it silently.
+    path = tmp_path / "raw.st"
+    metadata = {"labels": json.dumps(list(CONTINENTS)), "normalized": "false"}
+    save_checkpoint(Checkpoint([TensorSpec.from_array("W_g", 3.0 * seed42_gate.matrix)], metadata), path)
+    with pytest.raises(DimensionMismatch) as err:
+        load_gate(path)
+    assert str(path) in str(err.value)
+    assert err.value.context["path"] == str(path)
+
+
 def test_gate_weights_validation_and_format():
     w = GateWeights(values=(0.2, 0.2, 0.2, 0.2, 0.2))
     assert w.as_dict()["Asia"] == 0.2
@@ -205,6 +206,6 @@ def test_gate_matrix_validation():
     with pytest.raises(DimensionMismatch):
         GateMatrix(matrix=np.zeros((4, 3)))
     with pytest.raises(NonFiniteInput):
-        GateMatrix(matrix=np.full((4, 5), np.nan), normalized=False)
+        GateMatrix(matrix=np.full((4, 5), np.nan))
     with pytest.raises(DimensionMismatch):
-        GateMatrix(matrix=np.ones((4, 5)), normalized=True)  # columns not unit norm
+        GateMatrix(matrix=np.ones((4, 5)))  # columns not unit norm

@@ -130,6 +130,15 @@ def test_pearson_affine_invariance():
     assert pearson(x, [0.5 * v - 7.0 for v in y]) == pytest.approx(r, abs=1e-9)
 
 
+@pytest.mark.parametrize("x, y, r", [
+    ([1e200, -1e200, 0.0], [1, 2, 3], -0.5),  # the squared deviations overflow unscaled
+    ([1e308, -1e308], [1e308, -1e308], 1.0),  # so do the deviations themselves
+    ([1e-200, 2e-200, 3e-200], [2, 4, 7], PEARSON_123_247),  # the squared deviations underflow unscaled
+], ids=["overflow", "overflow-deviations", "underflow"])
+def test_pearson_at_extreme_magnitudes(x, y, r):
+    assert pearson(x, y) == pytest.approx(r, abs=1e-12)
+
+
 def test_pearson_degenerate_returns_none():
     assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
 
