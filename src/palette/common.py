@@ -57,13 +57,14 @@ def fingerprint(obj) -> str:
     return hashlib.sha256(dumps_canonical(obj, indent=None).encode("utf-8")).hexdigest()[:16]
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via temp file + rename so failures never leave partial output."""
+def atomic_write_bytes(path, chunks: Sequence) -> None:
+    """Write the buffers in `chunks`, in order, via temp file + rename so
+    failures never leave partial output."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -74,7 +75,7 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 # --- JSONL: one JSON object per line, keys sorted -------------------------------

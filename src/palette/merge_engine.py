@@ -35,7 +35,7 @@ def _check_experts(base: Checkpoint, experts: Sequence[Checkpoint]) -> None:
 
 def _out(base: Checkpoint, arrays: dict[str, np.ndarray], metadata: dict[str, str]) -> Checkpoint:
     specs = [
-        TensorSpec(name=name, shape=spec.shape, data=arrays[name].astype(np.float32))
+        TensorSpec(name=name, shape=spec.shape, data=arrays[name])
         for name, spec in base.items()
     ]
     return Checkpoint(specs, metadata)
@@ -53,12 +53,16 @@ def task_arithmetic(
         raise SchemaMismatch("coefficients must be finite")
 
     arrays = {}
+    buf = np.empty(max((spec.data.size for spec in base.specs()), default=0))
     for name, spec in base.items():
         acc = spec.data.astype(np.float64)
         base64 = spec.data.astype(np.float64)
+        tau = buf[: spec.data.size]
         for coeff, expert in zip(coeffs, experts):
-            acc = acc + coeff * (expert[name].data.astype(np.float64) - base64)
-        arrays[name] = acc
+            np.subtract(expert[name].data, base64, out=tau)
+            tau *= coeff
+            acc += tau
+        arrays[name] = acc.astype(np.float32)
     return _out(base, arrays, dict(base.metadata))
 
 
@@ -105,18 +109,23 @@ def ties_merge(
         raise SchemaMismatch("scale must be finite")
 
     arrays = {}
+    buf = np.empty(len(experts) * max((spec.data.size for spec in base.specs()), default=0))
     for name, spec in base.items():
         base64 = spec.data.astype(np.float64)
         keep = math.ceil(density * spec.data.size)
-        trimmed = np.stack([_trim_top_magnitude(e[name].data - base64, keep) for e in experts])
+        trimmed = buf[: len(experts) * spec.data.size].reshape(len(experts), -1)
+        for tau, e in zip(trimmed, experts):
+            np.subtract(e[name].data, base64, out=tau)
+            tau[:] = _trim_top_magnitude(tau, keep)
         plus = trimmed.sum(axis=0) >= 0.0  # a NaN sum elects -
         match = ((trimmed > 0.0) & plus) | ((trimmed < 0.0) & ~plus)
         counts = match.sum(axis=0)
         # A product, not np.where: an unmatched NaN or inf entry times 0 is NaN,
         # so it makes the mean at its index NaN whenever another entry matched.
-        summed = (trimmed * match).sum(axis=0)
+        trimmed *= match
+        summed = trimmed.sum(axis=0)
         merged = np.divide(summed, counts, out=np.zeros_like(summed), where=counts > 0)
-        arrays[name] = base64 + scale * merged
+        arrays[name] = (base64 + scale * merged).astype(np.float32)
     return _out(base, arrays, dict(base.metadata))
 
 
@@ -135,7 +144,9 @@ def model_stock(base: Checkpoint, experts: Sequence[Checkpoint]) -> Checkpoint:
     arrays = {}
     for name, spec in base.items():
         base64 = spec.data.astype(np.float64)
-        taus = [e[name].data.astype(np.float64) - base64 for e in experts]
+        taus = np.empty((k, spec.data.size))
+        for tau, e in zip(taus, experts):
+            np.subtract(e[name].data, base64, out=tau)
         norms = [float(np.linalg.norm(t)) for t in taus]
         cos_sum = 0.0
         for i in range(k):
@@ -146,8 +157,8 @@ def model_stock(base: Checkpoint, experts: Sequence[Checkpoint]) -> Checkpoint:
         cos_mean = cos_sum / (k * (k - 1) / 2)
         denom = 1.0 + (k - 1) * cos_mean
         t = 0.0 if denom <= 0.0 else min(max(k * cos_mean / denom, 0.0), 1.0)
-        w_avg = np.mean(taus, axis=0)
-        arrays[name] = base64 + t * w_avg
+        w_avg = taus.sum(axis=0) / k
+        arrays[name] = (base64 + t * w_avg).astype(np.float32)
     return _out(base, arrays, dict(base.metadata))
 
 
@@ -190,8 +201,8 @@ def moerges_fuse(
     """
     _check_experts(base, experts)
     weights = _validate_gate(gate, len(experts))
-    arrays = {name: spec.data for name, spec in base.items()}
-    arrays.update(gate_weighted_sum(experts, weights, select_ffn(base, ffn_pattern)))
+    arrays = gate_weighted_sum(experts, weights, select_ffn(base, ffn_pattern))
+    arrays.update({name: spec.data.copy() for name, spec in base.items() if name not in arrays})
     metadata = dict(base.metadata)
     metadata["gate"] = ",".join(f"{round9(w):.9g}" for w in weights)
     return _out(base, arrays, metadata)

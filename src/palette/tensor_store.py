@@ -8,13 +8,16 @@ buffer start and must be non-overlapping and ascending in lexicographic
 name order. Only F32 tensors are supported.
 
 Saving is byte-deterministic: the same checkpoint always produces an
-identical file.
+identical file. Loading reads the tensor buffer once, and each loaded tensor
+is a writable view of its range in that buffer, so keeping any one tensor
+keeps the whole file's data alive.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
 import warnings
@@ -76,7 +79,7 @@ class TensorSpec:
         return (
             self.name == other.name
             and self.shape == other.shape
-            and self.data.tobytes() == other.data.tobytes()
+            and np.array_equal(self.data.view(np.uint32), other.data.view(np.uint32))
         )
 
 
@@ -140,15 +143,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     for name, spec in ckpt.items():
         end = offset + spec.data.size * F32_BYTES
         header[name] = {"dtype": "F32", "shape": list(spec.shape), "data_offsets": [offset, end]}
-        blobs.append(spec.data.astype("<f4", copy=False).tobytes())
+        blobs.append(spec.data.astype("<f4", copy=False))
         offset = end
     if ckpt.metadata:
         header["__metadata__"] = dict(sorted(ckpt.metadata.items()))
 
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
-    payload = struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(blobs)
     try:
-        atomic_write_bytes(Path(path), payload)
+        atomic_write_bytes(Path(path), [struct.pack("<Q", len(header_bytes)), header_bytes, *blobs])
     except OSError as exc:
         raise IoFailure(f"cannot write checkpoint to {path}: {exc}") from exc
 
@@ -167,19 +169,23 @@ def _reject_duplicate_keys(pairs):
 def load_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint file, validating the header and all offsets."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            fh.seek(0)
+            prefix = fh.read(8)
+            if len(prefix) < 8:
+                raise MalformedHeader(f"file too short for length prefix ({len(prefix)} bytes)")
+            (header_len,) = struct.unpack("<Q", prefix)
+            if 8 + header_len > size:
+                raise MalformedHeader(f"declared header length {header_len} exceeds file size {size}")
+            header_raw = fh.read(header_len)
+            # Read apart from the header, so that tensors at multiples of 4 are aligned views.
+            buffer = np.fromfile(fh, dtype=np.uint8)
     except OSError as exc:
         raise IoFailure(f"cannot read checkpoint from {path}: {exc}") from exc
 
-    if len(raw) < 8:
-        raise MalformedHeader(f"file too short for length prefix ({len(raw)} bytes)")
-    (header_len,) = struct.unpack("<Q", raw[:8])
-    if 8 + header_len > len(raw):
-        raise MalformedHeader(f"declared header length {header_len} exceeds file size {len(raw)}")
-
     try:
-        header_text = raw[8 : 8 + header_len].decode("utf-8")
-        header = json.loads(header_text, object_pairs_hook=_reject_duplicate_keys)
+        header = json.loads(header_raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys)
     except DuplicateName:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -193,7 +199,6 @@ def load_checkpoint(path) -> Checkpoint:
     ):
         raise MalformedHeader("__metadata__ must be a string-to-string map")
 
-    buffer = raw[8 + header_len :]
     specs = []
     prev_end = 0
     for name in sorted(header):
@@ -232,7 +237,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise ShapeMismatch(
                 f"tensor {name!r}: offsets span {end - begin} bytes but shape {shape} needs {expected}"
             )
-        data = np.frombuffer(buffer[begin:end], dtype="<f4").astype(np.float32, copy=True)
+        data = buffer[begin:end].view("<f4")
+        if not data.flags.aligned:
+            data = data.copy()
         specs.append(TensorSpec(name=name, shape=tuple(shape), data=data))
         prev_end = end
 

@@ -1,15 +1,23 @@
+import errno
+import io
 import json
+import os
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from palette.common import atomic_write_bytes
 from palette.errors import (
     DuplicateName,
     EmptySelectionWarning,
+    IoFailure,
     MalformedHeader,
     ShapeMismatch,
 )
+from palette.reference_model import ModelConfig, init_model
 from palette.tensor_store import (
     Checkpoint,
     TensorSpec,
@@ -178,3 +186,112 @@ def test_metadata_survives_round_trip(tmp_path):
     path = tmp_path / "md.st"
     save_checkpoint(c, path)
     assert load_checkpoint(path).metadata == {"config": '{"d":1}', "gate": "0.2,0.8"}
+
+
+def _f32(*words):
+    return np.array(words, dtype=np.uint32).view(np.float32)
+
+
+def test_tensor_equality_is_bitwise():
+    assert TensorSpec("w", (1,), _f32(0x00000000)) != TensorSpec("w", (1,), _f32(0x80000000))  # 0.0, -0.0
+    quiet_nan = _f32(0x7FC00000, 0x7FC00001)
+    assert TensorSpec("w", (2,), quiet_nan) == TensorSpec("w", (2,), quiet_nan.copy())
+    assert TensorSpec("w", (2,), quiet_nan) != TensorSpec("w", (2,), _f32(0x7FC00000, 0x7FC00002))
+
+
+def test_load_and_save_copy_no_tensor(tmp_path):
+    # Header lengths of every residue mod 4: a loaded tensor is an aligned,
+    # writable view of one buffer per file, and a save writes the tensors as they are.
+    model = init_model(ModelConfig(d_model=256, n_layers=1))
+    residues = set()
+    for pad in range(4):
+        path = tmp_path / f"m{pad}.st"
+        c = model.with_metadata(note="x" * pad)
+        tracemalloc.start()
+        try:
+            save_checkpoint(c, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert save_peak <= 0.1 * size and load_peak <= 1.1 * size, (save_peak, load_peak, size)
+        residues.add((8 + struct.unpack("<Q", path.read_bytes()[:8])[0]) % 4)
+        assert all(spec.data.flags.aligned and spec.data.flags.writeable for spec in loaded.specs())
+        assert loaded == c
+    assert residues == {0, 1, 2, 3}
+
+
+def test_load_copies_a_tensor_at_an_unaligned_offset(tmp_path):
+    path = tmp_path / "gap.st"
+    a, b = np.array([1.5], dtype="<f4"), np.array([-2.25, 3.0e-38], dtype="<f4")
+    _write_raw(
+        path,
+        {
+            "a": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
+            "b": {"dtype": "F32", "shape": [2], "data_offsets": [5, 13]},
+        },
+        a.tobytes() + b"\xff" + b.tobytes(),
+    )
+    loaded = load_checkpoint(path)
+    assert loaded["a"].data.tobytes() == a.tobytes() and loaded["b"].data.tobytes() == b.tobytes()
+    assert loaded["b"].data.flags.aligned and loaded["b"].data.flags.writeable
+
+
+def test_load_rejects_a_file_cut_inside_its_data(tmp_path):
+    path = tmp_path / "cut.st"
+    save_checkpoint(ckpt(a=[1.0, 2.0], b=[3.0, 4.0]), path)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(MalformedHeader, match="past the data buffer"):
+        load_checkpoint(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_from_a_pipe_is_an_io_failure(tmp_path):
+    path = tmp_path / "p.st"
+    save_checkpoint(ckpt(w=[1.0]), path)
+    r, w = os.pipe()
+    try:
+        os.write(w, path.read_bytes())
+        os.close(w)
+        with pytest.raises(IoFailure, match=f"/dev/fd/{r}"):
+            load_checkpoint(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+def test_writing_a_loaded_tensor_leaves_the_others_alone(tmp_path):
+    path = tmp_path / "w.st"
+    c = ckpt(a=[1.0, 2.0], b=[3.0, 4.0, 5.0], c=[6.0])
+    save_checkpoint(c, path)
+    loaded = load_checkpoint(path)
+    loaded["b"].data[:] = 9.0
+    assert loaded["a"] == c["a"] and loaded["c"] == c["c"]
+    assert list(loaded["b"].data) == [9.0, 9.0, 9.0]
+    assert load_checkpoint(path) == c
+
+
+class _SecondWriteFails(io.BufferedWriter):
+    writes = 0
+
+    def write(self, chunk):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(chunk)
+
+
+def test_a_failed_chunk_write_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "m.st"
+    target.write_bytes(b"old bytes")
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _SecondWriteFails(io.FileIO(fd, "w")))
+    with pytest.raises(OSError):
+        atomic_write_bytes(target, [b"new", b"bytes"])
+    assert target.read_bytes() == b"old bytes"
+    with pytest.raises(IoFailure, match=re.escape(str(target))):
+        save_checkpoint(ckpt(w=[1.0, 2.0]), target)
+    assert target.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.st"]
