@@ -21,6 +21,7 @@ from .errors import (
     AllZero,
     BackendFailure,
     EmptyDataset,
+    NegativeEntry,
     UnparseableDistribution,
 )
 from .backends import LocalReference, option_distribution_from_scores
@@ -98,7 +99,7 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
                 country=country,
                 qid=str(row.get("id", f"q{lineno:04d}")),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, NegativeEntry, AllZero) as exc:
             raise bad_line(path, lineno, str(exc)) from exc
         items.append(item)
     return items
@@ -150,20 +151,6 @@ def self_regulate(meta, drafts: str, country: str, query: str) -> str:
     return meta.complete(render_template("regulate", country=country, query=query, drafts=drafts))
 
 
-def _lettered_options(options: Sequence[str]) -> str:
-    return "\n".join(f"{OPTION_LETTERS[i]}. {opt}" for i, opt in enumerate(options))
-
-
-def final_prompt(item: OpinionItem, country: str, context: str) -> str:
-    return render_template(
-        "final",
-        country=country,
-        query=item.question,
-        options=_lettered_options(item.options),
-        drafts=context,
-    )
-
-
 _ARRAY_RE = re.compile(r"\[[^\[\]]*\]")
 
 
@@ -192,7 +179,8 @@ def final_decision(
     softmax them; text backends must reply with a JSON probability array and
     are re-prompted up to three times before UnparseableDistribution.
     """
-    prompt = final_prompt(item, country, regulated)
+    options = "\n".join(f"{OPTION_LETTERS[i]}. {opt}" for i, opt in enumerate(item.options))
+    prompt = render_template("final", country=country, query=item.question, options=options, drafts=regulated)
     if hasattr(meta, "score_options"):
         scores = meta.score_options(prompt, item.options)
         p_gen = option_distribution_from_scores(scores)
@@ -235,18 +223,17 @@ def fuse_meta(
     country: str,
     query: str | None = None,
     *,
-    mode: str = "per-request",
     gate_override: Sequence[float] | None = None,
 ) -> tuple[Checkpoint, GateWeights]:
-    """Route the country/query context through the gate and fuse the experts'
-    feed-forward tensors onto the base. Returns (fused params, gate used)."""
+    """Route the country preamble, plus ``query`` unless it is None, through the
+    gate and fuse the experts' feed-forward tensors onto the base. Returns
+    (fused params, gate used)."""
     if gate_override is not None:
         weights = GateWeights(values=tuple(float(g) for g in gate_override))
     else:
         if gate_matrix is None:
             raise ValueError("either gate_matrix or gate_override is required")
-        text = routing_text(country, query if mode == "per-request" else None)
-        weights = route_prompt(base, gate_matrix, text)
+        weights = route_prompt(base, gate_matrix, routing_text(country, query))
     fused = moerges_fuse(base, [experts[c] for c in CONTINENTS], list(weights))
     return fused, weights
 
@@ -281,19 +268,15 @@ class FusedLocalMeta:
         self.max_new_tokens = max_new_tokens
         self.fusions: list[dict] = []
         self._country_cache: dict[str, LocalReference] = {}
-        self._base_backend: LocalReference | None = None
+        self._base_backend = LocalReference(base, max_new_tokens, label="meta-base") if no_fuse else None
 
     def backend_for(self, country: str, query: str) -> LocalReference:
-        if self.no_fuse:
-            if self._base_backend is None:
-                self._base_backend = LocalReference(
-                    self.base, self.max_new_tokens, label="meta-base"
-                )
+        if self._base_backend is not None:
             return self._base_backend
         if self.mode == "per-country" and country in self._country_cache:
             return self._country_cache[country]
         fused, weights = fuse_meta(
-            self.base, self.experts, self.gate_matrix, country, query, mode=self.mode
+            self.base, self.experts, self.gate_matrix, country, query if self.mode == "per-request" else None
         )
         self.fusions.append({"country": country, "gate": list(weights)})
         backend = LocalReference(fused, self.max_new_tokens, label="meta-fused")

@@ -133,14 +133,10 @@ def _score_and_slope(lp_sum: float, n_tokens: int, true_odds: bool, length_norma
     mean = lp_sum / n_tokens
     if true_odds:
         p = math.exp(mean)
-        score = mean - math.log1p(-p)
-        slope_mean = 1.0 / (1.0 - p)
-    else:
-        score = mean if length_normalize else lp_sum
-        slope_mean = 1.0
-    if true_odds or length_normalize:
-        return score, slope_mean / n_tokens
-    return score, slope_mean
+        return mean - math.log1p(-p), 1.0 / (1.0 - p) / n_tokens
+    if length_normalize:
+        return mean, 1.0 / n_tokens
+    return lp_sum, 1.0
 
 
 def _as_model(params) -> TinyTransformer:

@@ -18,8 +18,6 @@ from .errors import BackendFailure, EndpointUnreachable
 from .reference_model import BOS, SEP, TinyTransformer, detokenize
 from .tensor_store import Checkpoint
 
-API_KEY_ENV = "PALETTE_API_KEY"
-
 
 class ScriptedMock:
     """Deterministic canned backend.
@@ -70,23 +68,15 @@ class RemoteChat:
 
     Wire contract: POST {base_url}/v1/chat/completions with JSON
     {"model": ..., "messages": [{"role", "content"}...], "temperature": 0};
-    the reply text is choices[0].message.content. `common.post_json` sends it,
-    with a bearer token from the configured environment variable and retries.
+    the reply text is choices[0].message.content, which must be a string.
+    `common.post_json` sends it, with a bearer token from PALETTE_API_KEY and retries.
     """
 
     kind = "remote"
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        auth_env: str = API_KEY_ENV,
-        timeout: float = 60.0,
-        label: str = "remote",
-    ):
+    def __init__(self, base_url: str, model: str, timeout: float = 60.0, label: str = "remote"):
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.auth_env = auth_env
         self.timeout = timeout
         self.label = label
         self.calls: list[str] = []
@@ -98,14 +88,17 @@ class RemoteChat:
         try:
             body = post_json(
                 f"{self.base_url}/v1/chat/completions", payload,
-                auth_env=self.auth_env, timeout=self.timeout,
+                auth_env="PALETTE_API_KEY", timeout=self.timeout,
             )
         except EndpointUnreachable as exc:
             raise BackendFailure(f"chat request failed: {exc}", self.label, **exc.context) from exc
         try:
-            return json.loads(body)["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}, not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendFailure(f"malformed chat response: {exc}", self.label) from exc
+        return content
 
     def describe(self) -> dict:
         return {"kind": self.kind, "label": self.label, "model": self.model}

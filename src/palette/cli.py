@@ -17,7 +17,7 @@ from .errors import BadDensity, BadInput, EmptyDataset, GateDimensionMismatch, P
 from . import agent_pipeline, align_trainer, data_synth, gate_router, merge_engine, metrics
 from .backends import LocalReference, RemoteChat, ScriptedMock
 from .reference_model import ModelConfig, init_model
-from .tensor_store import load_checkpoint, save_checkpoint
+from .tensor_store import Checkpoint, load_checkpoint, save_checkpoint
 
 
 class _UsageError(Exception):
@@ -29,14 +29,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_experts(pairs: list[str]) -> list[tuple[str, object]]:
-    experts = []
-    for pair in pairs:
-        label, sep, path = pair.partition("=")
+def _parse_experts(pairs: list[str]) -> dict[str, Checkpoint]:
+    """``--expert LABEL=PATH`` flags as {label: checkpoint}, in the order given.
+    A label given twice is schema_mismatch, raised before any file loads."""
+    split = [pair.partition("=") for pair in pairs]
+    for pair, (label, sep, path) in zip(pairs, split):
         if not sep or not label or not path:
             raise _UsageError(f"--expert must look like LABEL=PATH, got {pair!r}")
-        experts.append((label, load_checkpoint(path)))
-    return experts
+    labels = [label for label, _, _ in split]
+    if len(set(labels)) != len(labels):
+        raise SchemaMismatch(f"expert labels must be unique, got {labels}")
+    return {label: load_checkpoint(path) for label, _, path in split}
 
 
 def _strings(values) -> bool:
@@ -117,6 +120,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="palette", description="Continent-expert merging, routing, alignment, and evaluation toolkit")
     parser.add_argument("--version", action="version", version=f"palette {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    backend_flags = argparse.ArgumentParser(add_help=False)  # the chat backends of eval and synth run
+    backend_flags.add_argument("--url", help="chat endpoint base URL (remote backend)")
+    backend_flags.add_argument("--model-name", default="default", help="remote model name")
+    backend_flags.add_argument("--transcript", help="JSON transcript file (mock backend)")
 
     p = sub.add_parser("model", help="reference-model utilities")
     msub = p.add_subparsers(dest="model_command", required=True)
@@ -164,7 +171,7 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report")
 
-    p = sub.add_parser("eval", help="evaluate a country on opinion items")
+    p = sub.add_parser("eval", parents=[backend_flags], help="evaluate a country on opinion items")
     p.add_argument("--country", required=True)
     p.add_argument("--items", required=True)
     p.add_argument("--meta-backend", choices=("local", "remote", "mock"), required=True)
@@ -172,9 +179,6 @@ def build_parser() -> _Parser:
     p.add_argument("--expert", action="append", default=[], metavar="CONTINENT=PATH")
     p.add_argument("--gate", help="gate checkpoint (local backend)")
     p.add_argument("--gate-mode", choices=("per-request", "per-country"), default="per-request")
-    p.add_argument("--url", help="chat endpoint base URL (remote backend)")
-    p.add_argument("--model-name", default="default", help="remote model name")
-    p.add_argument("--transcript", help="JSON transcript file (mock backend)")
     p.add_argument("--no-draft", action="store_true")
     p.add_argument("--no-regulate", action="store_true")
     p.add_argument("--no-moerges", action="store_true")
@@ -182,13 +186,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="dialogue synthesis pipeline")
     ssub = p.add_subparsers(dest="synth_command", required=True)
-    sr = ssub.add_parser("run", help="run the four-step synthesis loop")
+    sr = ssub.add_parser("run", parents=[backend_flags], help="run the four-step synthesis loop")
     sr.add_argument("--queries", required=True)
-    sr.add_argument("--backend", choices=("remote", "mock", "local"), required=True)
-    sr.add_argument("--url")
-    sr.add_argument("--model-name", default="default")
-    sr.add_argument("--model", help="reference model checkpoint (local backend)")
-    sr.add_argument("--transcript", help="JSON transcript file (mock backend)")
+    sr.add_argument("--backend", choices=("remote", "mock"), required=True)
     sr.add_argument("--max-rounds", type=int, default=3)
     sr.add_argument("--out", required=True)
     sp = ssub.add_parser("pairs", help="assemble preference pairs from synthesis records")
@@ -235,9 +235,7 @@ def _cmd_merge(args) -> int:
         except ValueError:
             raise _UsageError(f"--gate must be comma-separated numbers, got {args.gate!r}") from None
     base = load_checkpoint(args.base)
-    labels, experts = zip(*_parse_experts(args.expert))
-    if len(set(labels)) != len(labels):
-        raise SchemaMismatch(f"expert labels must be unique, got {list(labels)}")
+    experts = list(_parse_experts(args.expert).values())
     if args.method == "task":
         merged = merge_engine.task_arithmetic(base, experts, args.coeff or [1.0] * len(experts))
     elif args.method == "ties":
@@ -330,7 +328,7 @@ def _build_eval_config(args) -> agent_pipeline.PipelineConfig:
         if not args.model:
             raise _UsageError("--model is required with --meta-backend local")
         base = load_checkpoint(args.model)
-        experts = dict(_parse_experts(args.expert))
+        experts = _parse_experts(args.expert)
         unknown = sorted(set(experts) - set(CONTINENTS))
         if unknown:
             raise _UsageError(f"--expert labels must be continents {CONTINENTS}, got {unknown}")
@@ -372,13 +370,9 @@ def _synth_backend(args):
         if not args.transcript:
             raise _UsageError("--transcript is required with --backend mock")
         return _mock_from_spec(_load_transcript(args.transcript), "synth", args.transcript)
-    if args.backend == "remote":
-        if not args.url:
-            raise _UsageError("--url is required with --backend remote")
-        return RemoteChat(args.url, args.model_name, label="synth")
-    if not args.model:
-        raise _UsageError("--model is required with --backend local")
-    return LocalReference(load_checkpoint(args.model), label="synth")
+    if not args.url:
+        raise _UsageError("--url is required with --backend remote")
+    return RemoteChat(args.url, args.model_name, label="synth")
 
 
 def _cmd_synth(args) -> int:

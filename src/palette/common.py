@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import http.client
 import json
@@ -59,18 +60,21 @@ def fingerprint(obj) -> str:
 
 def atomic_write_bytes(path, chunks: Sequence) -> None:
     """Write the buffers in `chunks`, in order, via temp file + rename so
-    failures never leave partial output."""
+    failures never leave partial output. Any OSError, from creating the temp
+    file to the rename, removes the temp file and raises IoFailure naming ``path``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise unwritable(path, exc) from exc
         raise
 
 
@@ -92,6 +96,11 @@ def bad_line(path, index: int, message: str, **context) -> BadInput:
 def unreadable(path, exc: OSError) -> IoFailure:
     """IoFailure for a file that cannot be opened or read, naming ``path``."""
     return IoFailure(f"cannot read {path}: {exc}", path=str(path))
+
+
+def unwritable(path, exc: OSError) -> IoFailure:
+    """IoFailure for a file or directory that cannot be created or written, naming ``path``."""
+    return IoFailure(f"cannot write {path}: {exc}", path=str(path))
 
 
 def iter_jsonl(path, required: Sequence[str] = ()):
@@ -175,6 +184,7 @@ def drop_torn_tail(path) -> None:
 
 _idle: dict[tuple, list[http.client.HTTPConnection]] = {}  # by (scheme, host, port, proxy)
 _idle_lock = threading.Lock()
+ATTEMPTS = 3  # tries per post_json call
 
 
 def _exchange(key, target: str, body: bytes, headers: dict, timeout: float, reuse: bool = True):
@@ -211,11 +221,11 @@ def _exchange(key, target: str, body: bytes, headers: dict, timeout: float, reus
     return resp.status, data
 
 
-def post_json(url: str, payload, *, auth_env: str, timeout: float, retries: int = 3, backoff: float = 0.25) -> bytes:
+def post_json(url: str, payload, *, auth_env: str, timeout: float, backoff: float = 0.25) -> bytes:
     """POST ``payload`` as JSON and return the body of a 200 reply.
 
     Sends a bearer token from ``auth_env`` if set, via the environment's ``http(s)_proxy``
-    unless ``no_proxy`` names the host, on a kept-alive connection. Up to ``retries``
+    unless ``no_proxy`` names the host, on a kept-alive connection. Up to ``ATTEMPTS``
     attempts; connection errors and 5xx replies are retried after ``backoff * 2**(attempt - 1)``
     seconds. Any other status (3xx too), the last failure or a URL that is not
     ``http(s)://host...`` raises EndpointUnreachable (``url``, ``status``).
@@ -235,7 +245,7 @@ def post_json(url: str, payload, *, auth_env: str, timeout: float, retries: int 
     headers = {"Content-Type": "application/json"} | ({"Authorization": f"Bearer {token}"} if token else {})
     body = json.dumps(payload).encode("utf-8")
     failure, context = "no attempts made", {}
-    for attempt in range(retries):
+    for attempt in range(ATTEMPTS):
         if attempt:
             time.sleep(backoff * 2 ** (attempt - 1))
         try:
@@ -248,4 +258,4 @@ def post_json(url: str, payload, *, auth_env: str, timeout: float, retries: int 
         if status < 500:
             raise EndpointUnreachable(f"{url} returned HTTP {status}", url=url, status=status)
         failure, context = f"HTTP {status}", {"status": status}
-    raise EndpointUnreachable(f"{url}: {failure} after {retries} attempts", url=url, **context)
+    raise EndpointUnreachable(f"{url}: {failure} after {ATTEMPTS} attempts", url=url, **context)

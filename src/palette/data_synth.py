@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .align_trainer import PreferenceRecord
-from .common import CONTINENTS, append_jsonl, bad_line, drop_torn_tail, iter_jsonl, unreadable
-from .errors import IncompleteQuery
+from .common import CONTINENTS, append_jsonl, bad_line, drop_torn_tail, iter_jsonl, unreadable, unwritable
+from .errors import BackendFailure, IncompleteQuery
 from .templates import render_template
 
 logger = logging.getLogger(__name__)
@@ -59,7 +59,12 @@ class SynthRecord:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthRecord":
-        return cls(**obj)
+        """The record of one JSON row; TypeError for a missing or extra key or a value of another type."""
+        record = cls(**obj)
+        for f in fields(cls):  # the annotations are strings; JSON values have exactly these types
+            if type(obj[f.name]).__name__ != f.type:
+                raise TypeError(f"{f.name!r} must be {f.type}, got {type(obj[f.name]).__name__}")
+        return record
 
 
 # --- individual steps -----------------------------------------------------------
@@ -145,7 +150,9 @@ class StepStore:
     """Append-only JSONL store of per-step backend outputs.
 
     Keys are (query_id, continent, step). `get_or_call` returns the persisted
-    output when present, otherwise invokes the function and appends.
+    output when present, otherwise invokes the function and appends its output,
+    which must be a non-empty string: anything else raises BackendFailure and
+    is not stored, so a rerun asks again.
     """
 
     def __init__(self, path):
@@ -154,14 +161,18 @@ class StepStore:
         if self.path.exists():
             drop_torn_tail(self.path)
             rows = iter_jsonl(self.path, required=("query_id", "continent", "step", "output"))
-            for _, row in rows:
-                self._cache[(row["query_id"], row["continent"], row["step"])] = row["output"]
+            for _, row in rows:  # an empty or null output, which older runs stored, is asked again
+                if isinstance(row["output"], str) and row["output"]:
+                    self._cache[(row["query_id"], row["continent"], row["step"])] = row["output"]
 
     def get_or_call(self, query_id: str, continent: str, step: str, fn: Callable[[], str]) -> str:
         key = (query_id, continent, step)
         if key in self._cache:
             return self._cache[key]
         output = fn()
+        if not isinstance(output, str) or not output:
+            raise BackendFailure(f"empty or non-string reply for query {query_id!r}, {continent}, step {step!r}",
+                                 query_id=query_id, continent=continent, step=step)
         self._cache[key] = output
         append_jsonl(
             self.path, {"query_id": query_id, "continent": continent, "step": step, "output": output}
@@ -191,7 +202,10 @@ def run_synthesis(
     any previously persisted state in `out_dir`. Completed records append to
     one JSONL per continent."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise unwritable(out_dir, exc) from exc
     store = StepStore(out_dir / "steps.jsonl")
 
     for file in sorted(out_dir.glob("records_*.jsonl")):
@@ -300,8 +314,11 @@ _QUERY_FIELDS = ("question", "query", "utterance", "user_prompt", "opening_promp
 _ID_FIELDS = ("id", "question_id", "utterance_id", "conversation_id")
 
 
-def _extract(row: Mapping[str, object], index: int) -> dict[str, str] | None:
-    query = next((str(row[f]).strip() for f in _QUERY_FIELDS if row.get(f)), "")
+def _extract(row: Mapping[str, object], index: int, path) -> dict[str, str] | None:
+    query = next((row[f] for f in _QUERY_FIELDS if row.get(f)), "")
+    if not isinstance(query, str):
+        raise bad_line(path, index, f"the query field must be a string, got {type(query).__name__}")
+    query = query.strip()
     if not query:
         return None
     qid = next((str(row[f]) for f in _ID_FIELDS if row.get(f)), f"q{index:05d}")
@@ -312,7 +329,7 @@ def import_prism(path) -> list[dict[str, str]]:
     """Convert a question CSV or JSONL export into {"id","query"} rows."""
     path = Path(path)
     if path.suffix.lower() != ".csv":
-        return [r for i, row in iter_jsonl(path) if (r := _extract(row, i))]
+        return [r for i, row in iter_jsonl(path) if (r := _extract(row, i, path))]
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -323,7 +340,7 @@ def import_prism(path) -> list[dict[str, str]]:
         raise bad_line(path, data.count(b"\n", 0, exc.start), "not valid UTF-8") from exc
     rows = csv.DictReader(io.StringIO(text, newline=""))
     try:
-        return [r for i, row in enumerate(rows) if (r := _extract(row, i))]
+        return [r for i, row in enumerate(rows) if (r := _extract(row, i, path))]
     except csv.Error as exc:
         # line_num counts the lines read in full, so it is the failing line's index.
         raise bad_line(path, rows.line_num, str(exc)) from exc

@@ -23,7 +23,6 @@ from .errors import (
 )
 
 DISTRIBUTION_SUM_TOL = 1e-9
-NLI_TOKEN_ENV = "PALETTE_NLI_TOKEN"
 
 
 def check_distribution(p: Sequence[float], name: str = "distribution") -> np.ndarray:
@@ -40,13 +39,17 @@ def check_distribution(p: Sequence[float], name: str = "distribution") -> np.nda
 
 
 def normalize_distribution(raw: Sequence[float]) -> list[float]:
-    """Divide by the sum; a -0.0 entry comes out as 0.0."""
+    """Divide by the sum; a -0.0 entry comes out as 0.0. A sum that is not
+    finite (an entry is, or the sum overflows) raises ValueError."""
     arr = np.asarray(raw, dtype=np.float64) + 0.0
     if np.any(arr < 0):
         raise NegativeEntry("raw vector contains negative entries")
-    total = float(arr.sum())
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
     if total <= 0.0:
         raise AllZero("raw vector has no positive mass")
+    if not math.isfinite(total):
+        raise ValueError(f"raw vector sums to {total!r}, not a finite number")
     return [float(x) for x in arr / total]
 
 
@@ -104,24 +107,18 @@ def _unit_scaled(arr: np.ndarray) -> np.ndarray:
 class NliScorerEndpoint:
     base_url: str
     timeout: float = 10.0
-    auth_env: str = NLI_TOKEN_ENV
 
 
-def semantic_score(
-    endpoint: NliScorerEndpoint,
-    r_gold: str,
-    r_llm: str,
-    retries: int = 3,
-    backoff: float = 0.25,
-) -> float:
+def semantic_score(endpoint: NliScorerEndpoint, r_gold: str, r_llm: str, backoff: float = 0.25) -> float:
     """POST the text pair to {base_url}/score and return the consistency
-    probability; connection errors and 5xx replies are retried (`common.post_json`)."""
+    probability; sends a bearer token from PALETTE_NLI_TOKEN if set, and
+    retries connection errors and 5xx replies (`common.post_json`)."""
     if not r_gold or not r_llm:
         raise EmptyText("both texts must be non-empty")
     url = endpoint.base_url.rstrip("/") + "/score"
     body = post_json(
         url, {"premise": r_gold, "hypothesis": r_llm},
-        auth_env=endpoint.auth_env, timeout=endpoint.timeout, retries=retries, backoff=backoff,
+        auth_env="PALETTE_NLI_TOKEN", timeout=endpoint.timeout, backoff=backoff,
     )
     try:
         score = json.loads(body)["score"]

@@ -132,12 +132,6 @@ def init_model(cfg: ModelConfig) -> Checkpoint:
     return Checkpoint(specs, {"config": cfg.to_json()})
 
 
-def config_of(params: Checkpoint) -> ModelConfig:
-    if "config" not in params.metadata:
-        raise BadConfig("checkpoint has no 'config' metadata entry")
-    return ModelConfig.from_json(params.metadata["config"])
-
-
 # --- tokenizer --------------------------------------------------------------
 
 def tokenize(text: str, max_seq: int = ModelConfig.max_seq) -> list[int]:
@@ -350,7 +344,9 @@ class TinyTransformer:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "TinyTransformer":
-        cfg = config_of(ckpt)
+        if "config" not in ckpt.metadata:
+            raise BadConfig("checkpoint has no 'config' metadata entry")
+        cfg = ModelConfig.from_json(ckpt.metadata["config"])
         expected = dict(param_template(cfg))
         if set(ckpt.names) != set(expected):
             missing = sorted(set(expected) - set(ckpt.names))

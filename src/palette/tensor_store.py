@@ -21,17 +21,15 @@ import os
 import re
 import struct
 import warnings
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .common import atomic_write_bytes
+from .common import atomic_write_bytes, unreadable
 from .errors import (
     DuplicateName,
     EmptySelectionWarning,
-    IoFailure,
     MalformedHeader,
     SchemaMismatch,
     ShapeMismatch,
@@ -83,7 +81,7 @@ class TensorSpec:
         )
 
 
-class Checkpoint:
+class Checkpoint(Mapping):
     """An immutable-by-convention map of tensors, iterated lexicographically."""
 
     def __init__(self, tensors: Iterable[TensorSpec] = (), metadata: Mapping[str, str] | None = None):
@@ -102,17 +100,11 @@ class Checkpoint:
     def __len__(self) -> int:
         return len(self._tensors)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._tensors)
 
     def __getitem__(self, name: str) -> TensorSpec:
         return self._tensors[name]
-
-    def items(self):
-        return self._tensors.items()
 
     def specs(self):
         return self._tensors.values()
@@ -149,10 +141,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         header["__metadata__"] = dict(sorted(ckpt.metadata.items()))
 
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
-    try:
-        atomic_write_bytes(Path(path), [struct.pack("<Q", len(header_bytes)), header_bytes, *blobs])
-    except OSError as exc:
-        raise IoFailure(f"cannot write checkpoint to {path}: {exc}") from exc
+    atomic_write_bytes(path, [struct.pack("<Q", len(header_bytes)), header_bytes, *blobs])
 
 
 def _reject_duplicate_keys(pairs):
@@ -182,7 +171,7 @@ def load_checkpoint(path) -> Checkpoint:
             # Read apart from the header, so that tensors at multiples of 4 are aligned views.
             buffer = np.fromfile(fh, dtype=np.uint8)
     except OSError as exc:
-        raise IoFailure(f"cannot read checkpoint from {path}: {exc}") from exc
+        raise unreadable(path, exc) from exc
 
     try:
         header = json.loads(header_raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys)
@@ -260,26 +249,14 @@ def _check_same_schema(a: Checkpoint, b: Checkpoint, what: str = "checkpoints") 
             )
 
 
-def _glob_to_regex(pattern: str) -> re.Pattern:
-    # Only * and ? wildcards; everything else (including brackets) is literal.
-    parts = []
-    for ch in pattern:
-        if ch == "*":
-            parts.append(".*")
-        elif ch == "?":
-            parts.append(".")
-        else:
-            parts.append(re.escape(ch))
-    return re.compile("".join(parts) + r"\Z")
-
-
 def select_ffn(ckpt: Checkpoint, pattern: str = "*.ffn.*") -> tuple[str, ...]:
     """Select tensor names matching a glob (feed-forward tensors by default).
 
     An empty match warns (EmptySelectionWarning) but still returns the
     empty tuple.
     """
-    rx = _glob_to_regex(pattern)
+    # Only * and ? are wildcards; everything else (including brackets) is literal.
+    rx = re.compile(re.escape(pattern).replace(r"\*", ".*").replace(r"\?", ".") + r"\Z")
     names = tuple(name for name in ckpt.names if rx.match(name))
     if not names:
         warnings.warn(f"pattern {pattern!r} matched no tensors", EmptySelectionWarning, stacklevel=2)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -736,3 +737,134 @@ def test_synth_pairs_leaves_no_partial_output(tmp_path, capsys, monkeypatch):
     assert run_cli("synth", "pairs", "--records", str(out_dir), "-o", str(pairs)) == 2
     assert pairs.read_text() == "earlier output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_eval_repeated_expert_label_is_schema_mismatch_before_any_load(tmp_path, model_path, capsys):
+    items, out = tmp_path / "qa.jsonl", tmp_path / "report.json"
+    items.write_text(json.dumps({"question": "q", "options": ["a", "b"], "gold": [0.7, 0.3], "country": "NZL"}) + "\n")
+    experts = [arg for c in CONTINENTS for arg in ("--expert", f"{c}={model_path}")]
+    rc = run_cli("eval", "--country", "NZL", "--items", str(items), "--meta-backend", "local",
+                 "--model", str(model_path), *experts, "--expert", f"Africa={tmp_path / 'missing.st'}",
+                 "--gate", str(tmp_path / "missing_gate.st"), "-o", str(out))
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "schema_mismatch"
+    assert err["message"] == f"expert labels must be unique, got {[*CONTINENTS, 'Africa']}"
+    assert not out.exists()
+
+
+UNWRITABLE = {
+    "model init -o": ("model", "init", "-o", "{bad}"),
+    "eval -o": ("eval", "--country", "NZL", "--items", "{items}", "--meta-backend", "mock",
+                "--transcript", "{eval_mock}", "-o", "{bad}"),
+    "align --report": ("align", "--model", "{model}", "--data", "{pairs}", "--epochs", "1",
+                       "-o", "{aligned}", "--report", "{bad}"),
+    "synth run --out": ("synth", "run", "--queries", "{queries}", "--backend", "mock",
+                        "--transcript", "{synth_mock}", "--out", "{file}"),
+    "synth pairs -o": ("synth", "pairs", "--records", "{records}", "-o", "{bad}"),
+    "synth import-prism -o": ("synth", "import-prism", "--input", "{queries}", "-o", "{bad}"),
+}
+
+
+@pytest.mark.parametrize("command", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_unwritable_output_exits_io_failure_naming_it(tmp_path, model_path, capsys, command):
+    records, _ = _synth_dir(tmp_path, 1)
+    paths = {
+        "bad": tmp_path / "missing_dir" / "out", "file": tmp_path / "a_file", "model": model_path,
+        "items": tmp_path / "qa.jsonl", "eval_mock": tmp_path / "eval_mock.json", "pairs": tmp_path / "pairs.jsonl",
+        "aligned": tmp_path / "aligned.st", "queries": tmp_path / "q.jsonl",
+        "synth_mock": tmp_path / "transcript.json", "records": records,
+    }
+    paths["file"].write_text("not a directory\n")
+    paths["items"].write_text(json.dumps({"question": "q", "options": ["a", "b"], "gold": [0.7, 0.3],
+                                          "country": "NZL"}) + "\n")
+    paths["eval_mock"].write_text(json.dumps({"meta": {"default": "[0.7, 0.3]"}}))
+    save_records_jsonl(toy_preference_dataset(n_queries=1), paths["pairs"])
+    capsys.readouterr()
+    assert run_cli(*(arg.format(**paths) for arg in command)) == 2
+    err = json.loads(capsys.readouterr().err)
+    target = paths["file" if "{file}" in command else "bad"]
+    assert err["code"] == "io_failure"
+    assert err["context"] == {"path": str(target)}
+    assert err["message"].startswith(f"cannot write {target}: ")
+    assert not (tmp_path / "missing_dir").exists()
+
+
+def test_synth_run_has_no_local_backend(tmp_path, model_path, capsys):
+    assert run_cli("synth", "run", "--queries", str(tmp_path / "q.jsonl"), "--backend", "local",
+                   "--model", str(model_path), "--out", str(tmp_path / "out")) == 1
+    assert "invalid choice: 'local'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, ""], ids=["null", "empty"])
+def test_synth_chat_reply_that_is_null_or_empty_is_not_stored(tmp_path, capsys, content):
+    queries, out = tmp_path / "q.jsonl", tmp_path / "synth"
+    queries.write_text(json.dumps({"id": "q0", "query": "what is fair?"}) + "\n")
+    # The first continent's draft is stored; its feedback step gets the bad reply.
+    replies = [(200, chat_body("a draft")), (200, chat_body(content))]
+    with ReplyServer(replies) as server:
+        assert run_cli("synth", "run", "--queries", str(queries), "--backend", "remote",
+                       "--url", server.base_url, "--out", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "backend_failure"
+    if content is None:
+        assert err["context"] == {"label": "synth"} and "malformed chat response" in err["message"]
+    else:
+        assert err["context"] == {"label": "", "query_id": "q0", "continent": "Africa", "step": "feedback"}
+    rows = [json.loads(line) for line in (out / "steps.jsonl").read_text().splitlines()]
+    assert [(row["step"], row["output"]) for row in rows] == [("response", "a draft")]
+    transcript = tmp_path / "transcript.json"  # a rerun asks again, and the job finishes
+    transcript.write_text(json.dumps({"default": "[Approved]"}))
+    assert run_cli("synth", "run", "--queries", str(queries), "--backend", "mock",
+                   "--transcript", str(transcript), "--out", str(out)) == 0
+    assert len((out / "records_Africa.jsonl").read_text().splitlines()) == 1
+
+
+def test_eval_remote_chat_reply_that_is_null_is_backend_failure(tmp_path, capsys):
+    items, out = tmp_path / "qa.jsonl", tmp_path / "report.json"
+    items.write_text(json.dumps({"question": "q", "options": ["a", "b"], "gold": [0.7, 0.3], "country": "NZL"}) + "\n")
+    with ReplyServer([(200, chat_body(None))]) as server:
+        assert run_cli("eval", "--country", "NZL", "--items", str(items), "--meta-backend", "remote",
+                       "--url", server.base_url, "--no-draft", "-o", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "backend_failure"
+    assert err["context"] == {"label": "meta", "qid": "q0000"}
+    assert err["message"] == "malformed chat response: content is NoneType, not a string"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, kind", [("final", 5, "int"), ("rounds_used", True, "bool"),
+                                                ("rounds_used", 1.0, "float"), ("approved", 1, "int")])
+def test_synth_record_with_a_wrong_typed_field_exits_bad_input(tmp_path, capsys, field, value, kind):
+    out_dir, _ = _synth_dir(tmp_path, 1)
+    records = out_dir / "records_Asia.jsonl"
+    row = json.loads(records.read_text())
+    records.write_text("\n" + json.dumps({**row, field: value}) + "\n")
+    capsys.readouterr()
+    err = _run_reader(READER_COMMANDS[3], out_dir, tmp_path / "pairs.jsonl", None, capsys)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(records), "line": 2}
+    assert err["message"].endswith(f"'{field}' must be {type(row[field]).__name__}, got {kind}")
+
+
+def test_import_prism_query_that_is_not_a_string_exits_bad_input(tmp_path, capsys):
+    src, out = tmp_path / "prism.jsonl", tmp_path / "queries.jsonl"
+    src.write_text(json.dumps({"question": "fine"}) + "\n" + json.dumps({"id": "u1", "question": ["a"]}) + "\n")
+    err = _run_reader(READER_COMMANDS[-1], src, out, None, capsys)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(src), "line": 2}
+    assert err["message"] == f"{src}:2: the query field must be a string, got list"
+
+
+@pytest.mark.parametrize("gold, reason", [([0.5, -0.5], "negative entries"), ([0, 0], "no positive mass"),
+                                          ([1e308, 1e308], "not a finite number")],
+                         ids=["negative", "all-zero", "sum-overflows"])
+def test_gold_vector_that_is_not_a_distribution_names_its_line(tmp_path, capsys, gold, reason):
+    items, out = tmp_path / "items.jsonl", tmp_path / "out"
+    items.write_text("\n" + json.dumps({"question": "q", "options": ["a", "b"], "gold": gold, "country": "NZL"}) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print on stderr
+        err = _run_reader(READER_COMMANDS[0], items, out, None, capsys)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(items), "line": 2}
+    assert err["message"].startswith(f"{items}:2: ") and reason in err["message"]

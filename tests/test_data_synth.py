@@ -277,6 +277,16 @@ def test_step_store_round_trip(tmp_path):
     assert reloaded.get_or_call("q1", "Asia", "response", lambda: "never") == "value"
 
 
+def test_step_store_asks_again_for_a_stored_output_that_is_empty_or_null(tmp_path):
+    path = tmp_path / "steps.jsonl"
+    for step, output in (("response", ""), ("feedback", None)):
+        append_jsonl(path, {"query_id": "q1", "continent": "Asia", "step": step, "output": output})
+    store = StepStore(path)
+    assert store.get_or_call("q1", "Asia", "response", lambda: "fresh") == "fresh"
+    assert store.get_or_call("q1", "Asia", "feedback", lambda: "again") == "again"
+    assert StepStore(path).get_or_call("q1", "Asia", "feedback", lambda: "never") == "again"
+
+
 def _toy_records(qid="q0"):
     return {
         c: SynthRecord(

@@ -211,7 +211,7 @@ def test_semantic_score_empty_text():
 def test_semantic_score_unreachable_after_retries():
     endpoint = NliScorerEndpoint(base_url="http://127.0.0.1:1", timeout=0.2)
     with pytest.raises(EndpointUnreachable):
-        semantic_score(endpoint, "a", "b", retries=3, backoff=0.0)
+        semantic_score(endpoint, "a", "b", backoff=0.0)
 
 
 def test_semantic_score_malformed_response():

@@ -288,8 +288,9 @@ def test_a_failed_chunk_write_keeps_the_old_file(tmp_path, monkeypatch):
     target = tmp_path / "m.st"
     target.write_bytes(b"old bytes")
     monkeypatch.setattr(os, "fdopen", lambda fd, mode: _SecondWriteFails(io.FileIO(fd, "w")))
-    with pytest.raises(OSError):
+    with pytest.raises(IoFailure, match=re.escape(str(target))) as failure:
         atomic_write_bytes(target, [b"new", b"bytes"])
+    assert failure.value.context == {"path": str(target)}
     assert target.read_bytes() == b"old bytes"
     with pytest.raises(IoFailure, match=re.escape(str(target))):
         save_checkpoint(ckpt(w=[1.0, 2.0]), target)
