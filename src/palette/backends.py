@@ -74,9 +74,9 @@ class RemoteChat:
 
     kind = "remote"
 
-    def __init__(self, base_url: str, model: str, timeout: float = 60.0, label: str = "remote"):
+    def __init__(self, base_url: str, model: str | None, timeout: float = 60.0, label: str = "remote"):
         self.base_url = base_url.rstrip("/")
-        self.model = model
+        self.model = "default" if model is None else model
         self.timeout = timeout
         self.label = label
         self.calls: list[str] = []

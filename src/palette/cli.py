@@ -17,7 +17,7 @@ from .errors import BadDensity, BadInput, EmptyDataset, GateDimensionMismatch, P
 from . import agent_pipeline, align_trainer, data_synth, gate_router, merge_engine, metrics
 from .backends import LocalReference, RemoteChat, ScriptedMock
 from .reference_model import ModelConfig, init_model
-from .tensor_store import Checkpoint, load_checkpoint, save_checkpoint
+from .tensor_store import load_checkpoint, save_checkpoint
 
 
 class _UsageError(Exception):
@@ -29,9 +29,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_experts(pairs: list[str]) -> dict[str, Checkpoint]:
-    """``--expert LABEL=PATH`` flags as {label: checkpoint}, in the order given.
-    A label given twice is schema_mismatch, raised before any file loads."""
+def _expert_paths(pairs: list[str]) -> dict[str, str]:
+    """``--expert LABEL=PATH`` flags as {label: path}, in the order given.
+    A label given twice is schema_mismatch; no file is read."""
     split = [pair.partition("=") for pair in pairs]
     for pair, (label, sep, path) in zip(pairs, split):
         if not sep or not label or not path:
@@ -39,7 +39,39 @@ def _parse_experts(pairs: list[str]) -> dict[str, Checkpoint]:
     labels = [label for label, _, _ in split]
     if len(set(labels)) != len(labels):
         raise SchemaMismatch(f"expert labels must be unique, got {labels}")
-    return {label: load_checkpoint(path) for label, _, path in split}
+    return {label: path for label, _, path in split}
+
+
+# command -> (its mode flag, {mode: the flags that only this mode reads})
+_MODES = {
+    "eval": ("--meta-backend", {
+        "local": ("--model", "--expert", "--gate", "--gate-mode", "--no-moerges"),
+        "remote": ("--url", "--model-name"),
+        "mock": ("--transcript",),
+    }),
+    "synth run": ("--backend", {"remote": ("--url", "--model-name"), "mock": ("--transcript",)}),
+    "merge": ("--method", {
+        "task": ("--coeff",),
+        "ties": ("--density", "--scale"),
+        "stock": (),
+        "moerges": ("--gate",),
+    }),
+}
+_REQUIRED = ("--model", "--url", "--transcript")  # by each mode that reads them
+
+
+def _check_mode(args, command: str) -> None:
+    """Refuse a flag of ``command`` given outside the mode that reads it, and a required one left out."""
+    mode_flag, modes = _MODES[command]
+    mode = getattr(args, mode_flag[2:].replace("-", "_"))
+    for other, flags in modes.items():
+        for flag in flags:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            given = value is not None and value is not False and value != []
+            if given and other != mode:
+                raise _UsageError(f"{flag} applies only to {mode_flag} {other}")
+            if not given and other == mode and flag in _REQUIRED:
+                raise _UsageError(f"{flag} is required with {mode_flag} {mode}")
 
 
 def _strings(values) -> bool:
@@ -81,13 +113,6 @@ def _load_json(path):
         raise BadInput(f"{path}: not valid JSON: {exc}", path=str(path)) from exc
 
 
-def _load_transcript(path) -> dict:
-    spec = _load_json(path)
-    if not isinstance(spec, dict):
-        raise BadInput(f"{path}: a transcript must be a JSON object", path=str(path))
-    return spec
-
-
 def _checked(make, **kwargs):
     """``make(**kwargs)``, with its ValueError for a number out of range as a usage error."""
     try:
@@ -108,6 +133,8 @@ def _load_prompts(path) -> dict[str, str]:
     return prompts
 
 
+_MODEL_FLAGS = ("d_model", "n_layers", "n_heads", "max_seq", "seed")  # the ModelConfig fields `model init` sets
+
 # metrics subcommand -> (its function, the flags of its two arrays, its output key)
 _ARRAY_METRICS = {
     "kl": (metrics.kl, ("p", "q"), "kl_bits"),
@@ -122,30 +149,30 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     backend_flags = argparse.ArgumentParser(add_help=False)  # the chat backends of eval and synth run
     backend_flags.add_argument("--url", help="chat endpoint base URL (remote backend)")
-    backend_flags.add_argument("--model-name", default="default", help="remote model name")
+    backend_flags.add_argument("--model-name", help="remote model name (default: default)")
     backend_flags.add_argument("--transcript", help="JSON transcript file (mock backend)")
 
     p = sub.add_parser("model", help="reference-model utilities")
+    p.set_defaults(run=_cmd_model)
     msub = p.add_subparsers(dest="model_command", required=True)
     mi = msub.add_parser("init", help="initialize a seeded reference model checkpoint")
-    mi.add_argument("--d-model", type=int, default=64)
-    mi.add_argument("--n-layers", type=int, default=2)
-    mi.add_argument("--n-heads", type=int, default=4)
-    mi.add_argument("--max-seq", type=int, default=256)
-    mi.add_argument("--seed", type=int, default=42)
+    for name in _MODEL_FLAGS:
+        mi.add_argument(f"--{name.replace('_', '-')}", type=int, default=getattr(ModelConfig, name))
     mi.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("merge", help="merge expert checkpoints onto a base")
+    p.set_defaults(run=_cmd_merge)
     p.add_argument("--method", choices=("task", "ties", "stock", "moerges"), required=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--expert", action="append", default=[], metavar="LABEL=PATH")
+    p.add_argument("--expert", action="append", required=True, metavar="LABEL=PATH")
     p.add_argument("--coeff", action="append", type=float, default=None)
     p.add_argument("--density", type=float)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=float, help="ties scale (default: 1.0)")
     p.add_argument("--gate", help="comma-separated gate weights, one per expert")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("gate", help="gate initialization and routing")
+    p.set_defaults(run=_cmd_gate)
     gsub = p.add_subparsers(dest="gate_command", required=True)
     gi = gsub.add_parser("init", help="initialize the gate from system prompts")
     gi.add_argument("--model", required=True)
@@ -158,6 +185,7 @@ def build_parser() -> _Parser:
     gr.add_argument("--temperature", type=float, default=1.0)
 
     p = sub.add_parser("align", help="preference-train the reference model")
+    p.set_defaults(run=_cmd_align)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
@@ -172,19 +200,21 @@ def build_parser() -> _Parser:
     p.add_argument("--report")
 
     p = sub.add_parser("eval", parents=[backend_flags], help="evaluate a country on opinion items")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--country", required=True)
     p.add_argument("--items", required=True)
     p.add_argument("--meta-backend", choices=("local", "remote", "mock"), required=True)
     p.add_argument("--model", help="base model checkpoint (local backend)")
     p.add_argument("--expert", action="append", default=[], metavar="CONTINENT=PATH")
     p.add_argument("--gate", help="gate checkpoint (local backend)")
-    p.add_argument("--gate-mode", choices=("per-request", "per-country"), default="per-request")
+    p.add_argument("--gate-mode", choices=("per-request", "per-country"), help="default: per-request")
     p.add_argument("--no-draft", action="store_true")
     p.add_argument("--no-regulate", action="store_true")
     p.add_argument("--no-moerges", action="store_true")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("synth", help="dialogue synthesis pipeline")
+    p.set_defaults(run=_cmd_synth)
     ssub = p.add_subparsers(dest="synth_command", required=True)
     sr = ssub.add_parser("run", parents=[backend_flags], help="run the four-step synthesis loop")
     sr.add_argument("--queries", required=True)
@@ -199,6 +229,7 @@ def build_parser() -> _Parser:
     si.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("metrics", help="closed-form metric computations")
+    p.set_defaults(run=_cmd_metrics)
     msub2 = p.add_subparsers(dest="metrics_command", required=True)
     for name, (_, flags, _) in _ARRAY_METRICS.items():
         ma = msub2.add_parser(name)
@@ -213,40 +244,31 @@ def build_parser() -> _Parser:
 
 
 def _cmd_model(args) -> int:
-    cfg = ModelConfig(
-        d_model=args.d_model,
-        n_layers=args.n_layers,
-        n_heads=args.n_heads,
-        max_seq=args.max_seq,
-        seed=args.seed,
-    )
+    cfg = ModelConfig(**{name: getattr(args, name) for name in _MODEL_FLAGS})
     save_checkpoint(init_model(cfg), args.output)
     print(f"wrote model checkpoint to {args.output}")
     return 0
 
 
 def _cmd_merge(args) -> int:
-    if not args.expert:
-        raise _UsageError("at least one --expert LABEL=PATH is required")
-    gate = None
-    if args.gate is not None:
-        try:
-            gate = [float(x) for x in args.gate.split(",")]
-        except ValueError:
-            raise _UsageError(f"--gate must be comma-separated numbers, got {args.gate!r}") from None
+    _check_mode(args, "merge")
     base = load_checkpoint(args.base)
-    experts = list(_parse_experts(args.expert).values())
+    experts = [load_checkpoint(path) for path in _expert_paths(args.expert).values()]
     if args.method == "task":
         merged = merge_engine.task_arithmetic(base, experts, args.coeff or [1.0] * len(experts))
     elif args.method == "ties":
         if args.density is None:
             raise BadDensity("ties merge requires a density in (0, 1]")
-        merged = merge_engine.ties_merge(base, experts, args.density, args.scale)
+        merged = merge_engine.ties_merge(base, experts, args.density, 1.0 if args.scale is None else args.scale)
     elif args.method == "stock":
         merged = merge_engine.model_stock(base, experts)
     else:
-        if gate is None:
+        if args.gate is None:
             raise GateDimensionMismatch("moerges merge requires a gate vector")
+        try:
+            gate = [float(x) for x in args.gate.split(",")]
+        except ValueError:
+            raise _UsageError(f"--gate must be comma-separated numbers, got {args.gate!r}") from None
         merged = merge_engine.moerges_fuse(base, experts, gate)
     save_checkpoint(merged, args.output)
     print(f"wrote merged checkpoint to {args.output}")
@@ -302,13 +324,13 @@ def _cmd_align(args) -> int:
     return 0
 
 
-def _build_eval_config(args) -> agent_pipeline.PipelineConfig:
-    if args.no_moerges and args.meta_backend != "local":
-        raise _UsageError("--no-moerges applies only to --meta-backend local")
+def _cmd_eval(args) -> int:
+    items = agent_pipeline.load_opinion_items(args.items, args.country)
+    _check_mode(args, "eval")
     if args.meta_backend == "mock":
-        if not args.transcript:
-            raise _UsageError("--transcript is required with --meta-backend mock")
-        spec = _load_transcript(args.transcript)
+        spec = _load_json(args.transcript)
+        if not isinstance(spec, dict):
+            raise BadInput(f"{args.transcript}: a transcript must be a JSON object", path=str(args.transcript))
         entries = spec.get("agents", {})
         if not isinstance(entries, dict) or not all(isinstance(e, dict) for e in entries.values()):
             raise BadInput(f"{args.transcript}: 'agents' must be an object of objects", path=str(args.transcript))
@@ -318,43 +340,35 @@ def _build_eval_config(args) -> agent_pipeline.PipelineConfig:
         }
         meta = _mock_from_spec(spec.get("meta", {}), "meta", args.transcript)
     elif args.meta_backend == "remote":
-        if not args.url:
-            raise _UsageError("--url is required with --meta-backend remote")
         agents = {
             c: RemoteChat(args.url, args.model_name, label=c) for c in CONTINENTS
         }
         meta = RemoteChat(args.url, args.model_name, label="meta")
     else:
-        if not args.model:
-            raise _UsageError("--model is required with --meta-backend local")
-        base = load_checkpoint(args.model)
-        experts = _parse_experts(args.expert)
-        unknown = sorted(set(experts) - set(CONTINENTS))
+        paths = _expert_paths(args.expert)
+        unknown = sorted(set(paths) - set(CONTINENTS))
         if unknown:
             raise _UsageError(f"--expert labels must be continents {CONTINENTS}, got {unknown}")
-        if len(experts) != len(CONTINENTS) and not args.no_moerges:
-            raise _UsageError("local eval needs all five --expert CONTINENT=PATH (or --no-moerges)")
+        if args.no_moerges and (args.gate is not None or args.gate_mode is not None):
+            raise _UsageError("--gate and --gate-mode apply only without --no-moerges")
+        if not args.no_moerges and (not args.gate or len(paths) != len(CONTINENTS)):
+            raise _UsageError("local eval needs --gate and all five --expert CONTINENT=PATH, or --no-moerges")
+        base = load_checkpoint(args.model)
+        experts = {c: load_checkpoint(path) for c, path in paths.items()}
         agents = {
             c: LocalReference(experts.get(c, base), label=c) for c in CONTINENTS
         }
-        gate = gate_router.load_gate(args.gate) if args.gate else None
-        if gate is None and not args.no_moerges:
-            raise _UsageError("--gate is required with --meta-backend local unless --no-moerges")
         meta = agent_pipeline.FusedLocalMeta(
-            base, experts or {c: base for c in CONTINENTS}, gate,
-            mode=args.gate_mode, no_fuse=args.no_moerges,
+            base, experts or {c: base for c in CONTINENTS},
+            gate_router.load_gate(args.gate) if args.gate else None,
+            mode=args.gate_mode or "per-request", no_fuse=args.no_moerges,
         )
-    return agent_pipeline.PipelineConfig(
+    config = agent_pipeline.PipelineConfig(
         agents=agents,
         meta=meta,
         no_draft=args.no_draft,
         no_regulate=args.no_regulate,
     )
-
-
-def _cmd_eval(args) -> int:
-    items = agent_pipeline.load_opinion_items(args.items, args.country)
-    config = _build_eval_config(args)
     report = agent_pipeline.evaluate_country(config, items, args.country)
     atomic_write_text(args.output, report.to_json() + "\n")
     r = "undefined" if report.pearson_r is None else f"{round9(report.pearson_r):.9g}"
@@ -365,16 +379,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _synth_backend(args):
-    if args.backend == "mock":
-        if not args.transcript:
-            raise _UsageError("--transcript is required with --backend mock")
-        return _mock_from_spec(_load_transcript(args.transcript), "synth", args.transcript)
-    if not args.url:
-        raise _UsageError("--url is required with --backend remote")
-    return RemoteChat(args.url, args.model_name, label="synth")
-
-
 def _cmd_synth(args) -> int:
     if args.synth_command == "run":
         queries = []
@@ -382,7 +386,12 @@ def _cmd_synth(args) -> int:
             if not isinstance(row["query"], str) or not row["query"]:
                 raise bad_line(args.queries, index, '"query" must be a non-empty string')
             queries.append(row)
-        cfg = _checked(data_synth.SynthConfig, backend=_synth_backend(args), max_rounds=args.max_rounds)
+        _check_mode(args, "synth run")
+        if args.backend == "mock":
+            backend = _mock_from_spec(_load_json(args.transcript), "synth", args.transcript)
+        else:
+            backend = RemoteChat(args.url, args.model_name, label="synth")
+        cfg = _checked(data_synth.SynthConfig, backend=backend, max_rounds=args.max_rounds)
         records = data_synth.run_synthesis(cfg, queries, args.out)
         approved = sum(1 for r in records if r.approved)
         print(f"synthesized {len(records)} records ({approved} approved) into {args.out}")
@@ -422,22 +431,11 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "model": _cmd_model,
-    "merge": _cmd_merge,
-    "gate": _cmd_gate,
-    "align": _cmd_align,
-    "eval": _cmd_eval,
-    "synth": _cmd_synth,
-    "metrics": _cmd_metrics,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -447,24 +448,81 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, model_path, capsys, arg
     assert not out.exists()
 
 
-@pytest.mark.parametrize("backend", ["mock", "remote"])
-def test_no_moerges_without_a_local_meta_is_usage_error(tmp_path, capsys, backend):
-    items = tmp_path / "qa.jsonl"
-    items.write_text(json.dumps({
-        "question": "pick one", "options": ["a", "b"], "gold": [0.7, 0.3], "country": "NZL",
-    }) + "\n")
-    transcript = tmp_path / "transcript.json"
-    transcript.write_text(json.dumps({"meta": {"default": "[0.7, 0.3]"}}))
-    source = {
-        "mock": ("--transcript", str(transcript)),
-        "remote": ("--url", "http://127.0.0.1:9"),  # never contacted
-    }[backend]
-    out = tmp_path / "report.json"
-    rc = run_cli("eval", "--country", "NZL", "--items", str(items), "--meta-backend", backend,
-                 *source, "--no-moerges", "-o", str(out))
-    assert rc == 1
-    assert "--no-moerges applies only to --meta-backend local" in capsys.readouterr().err
-    assert not out.exists()
+# Each command with its inputs, up to its mode flag; the cases below add the mode and its flags.
+MODE_COMMANDS = {
+    "eval": ("eval", "--country", "NZL", "--items", "{items}", "-o", "{out}", "--meta-backend"),
+    "synth": ("synth", "run", "--queries", "{items}", "--out", "{out}", "--backend"),
+    "merge": ("merge", "--base", "{model}", "--expert", "a={model}", "--expert", "b={model}", "-o", "{out}",
+              "--method"),
+}
+MOCK, REMOTE = ("--transcript", "{transcript}"), ("--url", "http://127.0.0.1:9")  # the port is never contacted
+LOCAL = ("--model", "{model}", "--no-moerges")
+
+
+@pytest.mark.parametrize("command, mode, flags, message", [
+    pytest.param("eval", "mock", (*MOCK, "--no-moerges"), "--no-moerges applies only to --meta-backend local",
+                 id="eval-mock-no-moerges"),
+    pytest.param("eval", "remote", (*REMOTE, "--no-moerges"), "--no-moerges applies only to --meta-backend local",
+                 id="eval-remote-no-moerges"),
+    pytest.param("eval", "mock", (*MOCK, "--model", "{missing}"), "--model applies only to --meta-backend local",
+                 id="eval-mock-model"),
+    pytest.param("eval", "mock", (*MOCK, "--expert", "Africa={missing}"),
+                 "--expert applies only to --meta-backend local", id="eval-mock-expert"),
+    pytest.param("eval", "mock", (*MOCK, "--gate", "{missing}"), "--gate applies only to --meta-backend local",
+                 id="eval-mock-gate"),
+    pytest.param("eval", "mock", (*MOCK, "--gate-mode", "per-request"),
+                 "--gate-mode applies only to --meta-backend local", id="eval-mock-gate-mode"),
+    pytest.param("eval", "mock", (*MOCK, "--url", "http://nowhere"), "--url applies only to --meta-backend remote",
+                 id="eval-mock-url"),
+    pytest.param("eval", "mock", (*MOCK, "--model-name", "default"),
+                 "--model-name applies only to --meta-backend remote", id="eval-mock-model-name"),
+    pytest.param("eval", "remote", (*REMOTE, *MOCK), "--transcript applies only to --meta-backend mock",
+                 id="eval-remote-transcript"),
+    pytest.param("eval", "local", (*LOCAL, *REMOTE), "--url applies only to --meta-backend remote",
+                 id="eval-local-url"),
+    pytest.param("eval", "local", (*LOCAL, "--gate", "{missing}"),
+                 "--gate and --gate-mode apply only without --no-moerges", id="eval-no-moerges-gate"),
+    pytest.param("eval", "local", (*LOCAL, "--gate-mode", "per-country"),
+                 "--gate and --gate-mode apply only without --no-moerges", id="eval-no-moerges-gate-mode"),
+    pytest.param("eval", "local", (*LOCAL, "--expert", "Moon={missing}"),
+                 "--expert labels must be continents", id="eval-expert-label-before-any-load"),
+    pytest.param("eval", "local", ("--no-moerges",), "--model is required with --meta-backend local",
+                 id="eval-local-without-model"),
+    pytest.param("eval", "remote", (), "--url is required with --meta-backend remote", id="eval-remote-without-url"),
+    pytest.param("eval", "mock", (), "--transcript is required with --meta-backend mock",
+                 id="eval-mock-without-transcript"),
+    pytest.param("synth", "mock", (*MOCK, "--url", "http://nowhere"), "--url applies only to --backend remote",
+                 id="synth-mock-url"),
+    pytest.param("synth", "mock", (*MOCK, "--model-name", "zz"), "--model-name applies only to --backend remote",
+                 id="synth-mock-model-name"),
+    pytest.param("synth", "remote", (*REMOTE, *MOCK), "--transcript applies only to --backend mock",
+                 id="synth-remote-transcript"),
+    pytest.param("synth", "remote", (), "--url is required with --backend remote", id="synth-remote-without-url"),
+    pytest.param("synth", "mock", (), "--transcript is required with --backend mock",
+                 id="synth-mock-without-transcript"),
+    pytest.param("merge", "stock", ("--density", "0.3"), "--density applies only to --method ties",
+                 id="merge-stock-density"),
+    pytest.param("merge", "stock", ("--density", "0"), "--density applies only to --method ties",
+                 id="merge-stock-density-zero"),
+    pytest.param("merge", "stock", ("--coeff", "5"), "--coeff applies only to --method task", id="merge-stock-coeff"),
+    pytest.param("merge", "stock", ("--gate", "1,2"), "--gate applies only to --method moerges",
+                 id="merge-stock-gate"),
+    pytest.param("merge", "stock", ("--scale", "9"), "--scale applies only to --method ties", id="merge-stock-scale"),
+    pytest.param("merge", "task", ("--gate", "zz"), "--gate applies only to --method moerges", id="merge-task-gate"),
+    pytest.param("merge", "moerges", ("--gate", "0.5,0.5", "--density", "0.5"),
+                 "--density applies only to --method ties", id="merge-moerges-density"),
+])
+def test_flag_outside_its_mode_or_missing_is_usage_error(tmp_path, model_path, capsys, command, mode, flags,
+                                                          message):
+    paths = {"items": tmp_path / "in.jsonl", "transcript": tmp_path / "transcript.json",
+             "model": model_path, "missing": tmp_path / "missing.st", "out": tmp_path / "out"}
+    paths["items"].write_text(json.dumps({"id": "q0", "query": "q", "question": "q", "options": ["a", "b"],
+                                          "gold": [0.7, 0.3], "country": "NZL"}) + "\n")
+    paths["transcript"].write_text(json.dumps({"default": "[Approved]", "meta": {"default": "[0.7, 0.3]"}}))
+    argv = [arg.format(**paths) for arg in (*MODE_COMMANDS[command], mode, *flags)]
+    assert run_cli(*argv) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not paths["out"].exists()
 
 
 def test_synth_run_and_pairs(tmp_path, capsys):
@@ -713,11 +771,53 @@ def test_synth_record_with_an_extra_key_exits_bad_input(tmp_path, capsys):
     assert "'extra'" in err["message"]
 
 
-def test_cli_imports_without_requests():
+def _python(*argv, **env):
+    """Run ``python argv`` in a fresh interpreter that imports this palette, with ``env`` added."""
     src = str(Path(palette.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    check = "import palette.cli, sys; assert 'requests' not in sys.modules"
-    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, *argv], env={**os.environ, "PYTHONPATH": path, **env}, check=True, timeout=120)
+
+
+def test_cli_imports_without_requests():
+    _python("-c", "import palette.cli, sys; assert 'requests' not in sys.modules")
+
+
+# Default-size model, four experts' merges and a local eval, written into argv[1].
+WALKTHROUGH = """
+import sys
+from palette.cli import main
+from palette.common import CONTINENTS
+
+out, items = sys.argv[1:]
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+run("model", "init", "-o", f"{out}/base.st")
+experts = []
+for seed, c in enumerate(CONTINENTS):
+    run("model", "init", "--seed", str(seed), "-o", f"{out}/{c}.st")
+    experts += ["--expert", f"{c}={out}/{c}.st"]
+for method, extra in [("task", ()), ("ties", ("--density", "0.5")), ("stock", ()),
+                      ("moerges", ("--gate", "0.1,0.3,0.2,0.2,0.2"))]:
+    run("merge", "--method", method, "--base", f"{out}/base.st", *experts, *extra, "-o", f"{out}/{method}.st")
+run("gate", "init", "--model", f"{out}/base.st", "-o", f"{out}/gate.st")
+run("eval", "--country", "NZL", "--items", items, "--meta-backend", "local", "--model", f"{out}/base.st",
+    *experts, "--gate", f"{out}/gate.st", "-o", f"{out}/report.json")
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    items = tmp_path / "qa.jsonl"
+    items.write_text("".join(json.dumps({"question": f"is rule {i} fair?", "options": ["yes", "no", "unsure"],
+                                         "gold": [0.5, 0.3, 0.2], "country": "NZL"}) + "\n" for i in range(2)))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        _python("-c", WALKTHROUGH, str(out), str(items), OPENBLAS_NUM_THREADS=threads)
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()})
+    assert sorted(digests[0]) == sorted(["base.st", *(f"{c}.st" for c in CONTINENTS), "task.st", "ties.st",
+                                         "stock.st", "moerges.st", "gate.st", "report.json"])
+    assert digests[0] == digests[1]
 
 
 def test_synth_pairs_leaves_no_partial_output(tmp_path, capsys, monkeypatch):
