@@ -145,9 +145,18 @@ def write_jsonl(path, rows) -> None:
 
 
 def append_jsonl(path, row) -> None:
-    """Append one row to a JSONL file."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(_jsonl_line(row))
+    """Append one row and its newline to a JSONL file in one write. Any
+    OSError, or a write cut short, raises IoFailure naming ``path``."""
+    data = _jsonl_line(row).encode("utf-8")
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            if (written := os.write(fd, data)) < len(data):
+                raise OSError(f"wrote {written} of {len(data)} bytes")
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise unwritable(path, exc) from exc
 
 
 def drop_torn_tail(path) -> None:
@@ -185,40 +194,88 @@ def drop_torn_tail(path) -> None:
 _idle: dict[tuple, list[http.client.HTTPConnection]] = {}  # by (scheme, host, port, proxy)
 _idle_lock = threading.Lock()
 ATTEMPTS = 3  # tries per post_json call
+_MAX_LINE, _MAX_HEADERS = 65536, 100  # http.client's limits on a reply's head
 
 
-def _exchange(key, target: str, body: bytes, headers: dict, timeout: float, reuse: bool = True):
-    """One request and its whole reply, ``(status, body)``, on an idle connection
-    to ``key`` or a new one. A reused one that fails with a ConnectionError (a
-    reset, abort or broken pipe) before any reply byte came is reopened once."""
+def _line(rfile) -> bytes:
+    if len(line := rfile.readline(_MAX_LINE + 1)) > _MAX_LINE:
+        raise http.client.LineTooLong("reply line")
+    return line
+
+
+def _exact(rfile, size: int) -> bytes:
+    if len(data := rfile.read(size)) < size:
+        raise http.client.IncompleteRead(data, size - len(data))
+    return data
+
+
+def _read_reply(rfile) -> tuple[int, bytes, bool]:
+    """One HTTP/1.x reply after any 1xx ones, ``(status, body, keep_alive)``, its body framed
+    by chunked coding, Content-Length or the close. A bad reply raises http.client.HTTPException."""
+    status = 100
+    while status < 200:
+        head = (line := _line(rfile)).split(None, 2)
+        if len(head) < 2 or head[0] not in (b"HTTP/1.0", b"HTTP/1.1") or not (len(head[1]) == 3 and head[1].isdigit()):
+            raise http.client.BadStatusLine(repr(line)) if line else http.client.RemoteDisconnected("closed without a reply")
+        status, headers = int(head[1]), {}
+        while (line := _line(rfile)) not in (b"\r\n", b"\n", b""):
+            if len(headers) == _MAX_HEADERS:
+                raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower()] = value.strip()
+    connection = headers.get(b"connection", b"").lower()
+    keep_alive = b"close" not in connection if head[0] == b"HTTP/1.1" else b"keep-alive" in connection
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        chunks = []  # up to the last chunk, whose size is 0; an extension follows a ";"
+        while (size := _line(rfile).split(b";", 1)[0].strip()).lstrip(b"0") or not size:
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise http.client.IncompleteRead(b"".join(chunks))
+            chunks.append(_exact(rfile, int(size, 16) + 2)[:-2])  # the data, then its CRLF
+        while _line(rfile) not in (b"\r\n", b"\n", b""):  # the trailer
+            pass
+        return status, b"".join(chunks), keep_alive
+    length = b"0" if status in (204, 304) else headers.get(b"content-length")
+    if length is None:
+        return status, rfile.read(), False
+    if not length.isdigit():
+        raise http.client.HTTPException(f"bad Content-Length {length!r}")
+    return status, _exact(rfile, int(length)), keep_alive
+
+
+def _exchange(key, request: bytes, timeout: float, reuse: bool = True):
+    """Send ``request`` in one write on an idle connection to ``key`` or a new one that
+    http.client opens, and read the whole reply: ``(status, body)``. A reused one that
+    fails with a ConnectionError before any reply byte came is reopened once."""
     with _idle_lock:
         conn = _idle[key].pop() if reuse and _idle.get(key) else None
     reused = conn is not None
-    if reused:
-        conn.sock.settimeout(timeout)
-    else:
+    if not reused:
         scheme, host, port, proxy = key
         via = urlsplit(proxy if "://" in proxy else "//" + proxy) if proxy else None
         cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
         conn = cls(via.hostname, via.port, timeout=timeout) if via else cls(host, port, timeout=timeout)
         if via and scheme == "https":
             conn.set_tunnel(host, port)
-    resp = None
+    replied = b""
     try:
-        conn.request("POST", target, body, headers)
-        resp = conn.getresponse()
-        data = resp.read()
+        if not reused:
+            conn.connect()  # with TLS and a proxy's CONNECT tunnel, as the key asks
+        conn.sock.settimeout(timeout)
+        conn.sock.sendall(request)
+        with conn.sock.makefile("rb") as rfile:
+            replied = rfile.peek(1)
+            status, data, keep_alive = _read_reply(rfile)
     except BaseException as exc:
         conn.close()
-        if reused and resp is None and isinstance(exc, ConnectionError):
-            return _exchange(key, target, body, headers, timeout, reuse=False)
+        if reused and not replied and isinstance(exc, ConnectionError):
+            return _exchange(key, request, timeout, reuse=False)
         raise
-    if resp.will_close:
+    if not keep_alive:
         conn.close()
     else:
         with _idle_lock:
             _idle.setdefault(key, []).append(conn)
-    return resp.status, data
+    return status, data
 
 
 def post_json(url: str, payload, *, auth_env: str, timeout: float, backoff: float = 0.25) -> bytes:
@@ -226,30 +283,35 @@ def post_json(url: str, payload, *, auth_env: str, timeout: float, backoff: floa
 
     Sends a bearer token from ``auth_env`` if set, via the environment's ``http(s)_proxy``
     unless ``no_proxy`` names the host, on a kept-alive connection. Up to ``ATTEMPTS``
-    attempts; connection errors and 5xx replies are retried after ``backoff * 2**(attempt - 1)``
-    seconds. Any other status (3xx too), the last failure or a URL that is not
-    ``http(s)://host...`` raises EndpointUnreachable (``url``, ``status``).
+    attempts; connection errors, malformed and 5xx replies are retried after ``backoff *
+    2**(attempt - 1)`` seconds. Any other status (3xx too), the last failure, a URL not of
+    the form ``http(s)://host...``, or a URL or token that is not printable ASCII raises
+    EndpointUnreachable (``url``, ``status``).
     """
     try:
         parts = urlsplit(url)
         key = (parts.scheme, parts.hostname, parts.port)
     except ValueError:  # a bad port or IPv6 literal
         key = ("", None, None)
-    if key[0] not in ("http", "https") or not key[1]:
+    if key[0] not in ("http", "https") or not key[1] or not (url.isascii() and url.isprintable()) or " " in url:
         raise EndpointUnreachable(f"bad URL {url!r}: expected http(s)://host...", url=url)
+    token = os.environ.get(auth_env, "")
+    if not (token.isascii() and token.isprintable()):
+        raise EndpointUnreachable(f"{auth_env} is not printable ASCII, as a header must be", url=url)
     name = parts.scheme + "_proxy"  # as urllib.request.getproxies() reads it, without a scan of os.environ
     proxy = os.environ[name] if name in os.environ else os.environ.get(name.upper())
     proxy = None if not proxy or urllib.request.proxy_bypass(parts.netloc) else proxy
-    target = url if proxy and parts.scheme == "http" else urlunsplit(("", "", parts.path, parts.query, ""))
-    token = os.environ.get(auth_env, "")
-    headers = {"Content-Type": "application/json"} | ({"Authorization": f"Bearer {token}"} if token else {})
+    target = url if proxy and parts.scheme == "http" else urlunsplit(("", "", parts.path, parts.query, "")) or "/"
     body = json.dumps(payload).encode("utf-8")
+    auth = f"Authorization: Bearer {token}\r\n" if token else ""
+    request = (f"POST {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\nAccept-Encoding: identity\r\n"
+               f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n{auth}\r\n").encode("ascii") + body
     failure, context = "no attempts made", {}
     for attempt in range(ATTEMPTS):
         if attempt:
             time.sleep(backoff * 2 ** (attempt - 1))
         try:
-            status, data = _exchange((*key, proxy), target, body, headers, timeout)
+            status, data = _exchange((*key, proxy), request, timeout)
         except (OSError, http.client.HTTPException) as exc:
             failure, context = f"{type(exc).__name__}: {exc}", {}
             continue

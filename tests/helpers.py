@@ -1,8 +1,9 @@
-"""Shared test helpers: checkpoint builders, toy datasets, fixture records, a
-loopback HTTP server with scripted replies and an entailment scorer on it."""
+"""Shared test helpers: checkpoint builders, toy datasets, fixture records,
+loopback HTTP servers with scripted replies and an entailment scorer on one."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import socket
@@ -139,8 +140,8 @@ def chat_body(text):
 class ReplyServer:
     """Loopback HTTP server for client tests. The n-th POST gets the n-th
     ``(status, body)`` of ``replies``, and the last one repeats. Each request's
-    path, JSON body and Authorization header go to ``requests_seen``, and
-    ``connections`` counts the connections accepted.
+    path, JSON body, Authorization header and all its headers go to
+    ``requests_seen``, and ``connections`` counts the connections accepted.
 
     It speaks HTTP/1.0, closing the connection after each reply, unless
     ``keep_alive`` is set: then it speaks HTTP/1.1 and keeps connections open.
@@ -186,6 +187,7 @@ class ReplyServer:
                     "path": self.path,
                     "body": json.loads(self.rfile.read(length)),
                     "auth": self.headers.get("Authorization"),
+                    "headers": dict(self.headers),
                 })
                 status, body = outer.respond()
                 self.send_response(status)
@@ -214,6 +216,72 @@ class ReplyServer:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+
+
+class RawReplyServer:
+    """Loopback server for replies that ReplyServer cannot produce: the n-th
+    request gets the n-th of ``replies``, bytes sent as they are, and the last
+    one repeats. A reply given as a tuple of parts is sent one part at a time,
+    50 ms apart, so that the client reads them apart. Each request's bytes go
+    to ``requests_seen``, and ``connections`` counts the connections accepted.
+    It serves one connection at a time and closes each after its first reply,
+    unless ``keep_alive`` is set: then it reads the next request on it until
+    the client closes it."""
+
+    def __init__(self, replies, keep_alive=False):
+        self.replies = list(replies)
+        self.keep_alive = keep_alive
+        self.requests_seen = []
+        self.connections = 0
+        self._listener = self._thread = self._conn = None
+
+    @property
+    def base_url(self):
+        host, port = self._listener.getsockname()
+        return f"http://{host}:{port}"
+
+    def _serve(self):
+        while True:
+            try:
+                self._conn, _ = self._listener.accept()
+            except OSError:  # the listener was shut down
+                return
+            self.connections += 1
+            try:
+                with self._conn, self._conn.makefile("rb") as rfile:
+                    while request := _read_request(rfile):
+                        self.requests_seen.append(request)
+                        reply = self.replies[min(len(self.requests_seen), len(self.replies)) - 1]
+                        for k, part in enumerate(reply if isinstance(reply, tuple) else (reply,)):
+                            threading.Event().wait(0.05 if k else 0)  # not time.sleep, which tests patch
+                            self._conn.sendall(part)
+                        if not self.keep_alive:
+                            break
+            except OSError:  # the client hung up on a reply it refused
+                pass
+
+    def __enter__(self):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        # shutdown, not close, wakes a thread waiting in accept or on a kept-alive connection
+        for sock in filter(None, (self._listener, self._conn)):
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+        self._thread.join(timeout=10)
+        self._listener.close()
+
+
+def _read_request(rfile) -> bytes:
+    """One request's head and Content-Length body, or b"" once the client closed."""
+    head = b""
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        head += line
+    length = re.search(rb"(?im)^content-length: *(\d+)", head)
+    return head + b"\r\n" + rfile.read(int(length[1])) if length else head
 
 
 def token_overlap_score(premise: str, hypothesis: str) -> float:

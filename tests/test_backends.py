@@ -8,12 +8,13 @@ import time
 import pytest
 
 from palette import common
+from palette.common import post_json
 from palette.backends import LocalReference, RemoteChat, ScriptedMock, option_distribution_from_scores
 from palette.errors import BackendFailure, EndpointUnreachable
 from palette.metrics import NliScorerEndpoint, semantic_score
 from palette.reference_model import BOS, SEP, TinyTransformer
 
-from helpers import ReplyServer, chat_body, tiny_model
+from helpers import RawReplyServer, ReplyServer, chat_body, tiny_model
 
 
 class MockChatServer(ReplyServer):
@@ -209,13 +210,106 @@ def test_remote_chat_goes_through_the_http_proxy_of_the_environment(monkeypatch)
     assert [seen["path"] for seen in proxy.requests_seen] == ["http://example.invalid/v1/chat/completions"]
 
 
-@pytest.mark.parametrize("base_url", ["127.0.0.1:9", "http:///nohost", "file://localhost/x", "http://127.0.0.1:99999"])
+@pytest.mark.parametrize("proxied", [False, True], ids=["direct", "via_http_proxy"])
+def test_remote_chat_request_headers(monkeypatch, proxied):
+    for name in ("no_proxy", "NO_PROXY", "http_proxy", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("PALETTE_API_KEY", "key123")
+    with ReplyServer([(200, chat_body("pong"))]) as server:
+        url = "http://example.invalid:8080" if proxied else server.base_url
+        if proxied:
+            monkeypatch.setenv("http_proxy", server.base_url)
+        assert RemoteChat(url, model="toy").complete("x") == "pong"
+    body = json.dumps({"model": "toy", "messages": [{"role": "user", "content": "x"}], "temperature": 0})
+    seen = server.requests_seen[-1]
+    # The proxy gets the absolute URL; either way Host names the origin.
+    assert seen["path"] == ("http://example.invalid:8080" if proxied else "") + "/v1/chat/completions"
+    assert seen["headers"] == {
+        "Host": url.removeprefix("http://"),
+        "Accept-Encoding": "identity",
+        "Content-Type": "application/json",
+        "Content-Length": str(len(body)),
+        "Authorization": "Bearer key123",
+    }
+
+
+def test_remote_chat_sends_each_request_in_one_write_without_http_client_requests(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("http.client built a request or read a reply")
+
+    for cls, name in ((http.client.HTTPConnection, "request"), (http.client.HTTPConnection, "getresponse"),
+                      (http.client.HTTPResponse, "begin")):
+        monkeypatch.setattr(cls, name, refuse)
+    sent, sendall = [], socket.socket.sendall
+
+    def recording_sendall(sock, data, *args):
+        if threading.current_thread() is threading.main_thread():  # the client's, not the server's
+            sent.append(bytes(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+    with ReplyServer([(200, chat_body("pong"))], keep_alive=True) as server:
+        backend = RemoteChat(server.base_url, model="toy")
+        assert [backend.complete(f"q{k}") for k in range(3)] == ["pong"] * 3
+    assert len(sent) == 3
+    for k, request in enumerate(sent):
+        assert request.startswith(b"POST /v1/chat/completions HTTP/1.1\r\n")
+        assert request.endswith(b"\r\n\r\n" + json.dumps(server.requests_seen[k]["body"]).encode())
+
+
+OK_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\npong"
+
+
+@pytest.mark.parametrize("replies, keep_alive, body, connections, sleeps_seen", [
+    pytest.param([(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                   b"4;name=value\r\npong\r\n3\r\n!!!\r\n0\r\n", b"X-Trailer: t\r\n\r\n")],
+                 True, b"pong!!!", 1, [], id="chunked-extension-trailer"),
+    pytest.param([b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\nto the close"],
+                 False, b"to the close", 2, [], id="http10-read-to-close"),
+    pytest.param([b"HTPT/1.1 2OO OK\r\nContent-Length: 4\r\n\r\npong", OK_REPLY],
+                 True, b"pong", 2, [0.25], id="garbled-status-line-retried"),
+])
+def test_post_json_reads_replies_of_each_framing(sleeps, replies, keep_alive, body, connections, sleeps_seen):
+    # Two calls: a reply read to its exact end leaves a kept-alive connection usable.
+    with RawReplyServer(replies, keep_alive=keep_alive) as server:
+        for _ in range(2):
+            assert post_json(server.base_url + "/x", {}, auth_env="UNSET_TOKEN", timeout=5.0) == body
+        key = ("http", "127.0.0.1", int(server.base_url.rsplit(":", 1)[1]), None)
+    assert server.connections == connections
+    assert len(common._idle.get(key, [])) == keep_alive  # an HTTP/1.0 reply without keep-alive closes
+    assert sleeps == sleeps_seen
+
+
+@pytest.mark.parametrize("reply, error", [
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort", "IncompleteRead"),
+    (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\nContent-Length: 4\r\n\r\npong", "LineTooLong"),
+], ids=["body-shorter-than-content-length", "over-long-header-line"])
+def test_post_json_retries_a_broken_reply_then_fails(sleeps, reply, error):
+    with RawReplyServer([reply]) as server:
+        with pytest.raises(EndpointUnreachable) as exc:
+            post_json(server.base_url + "/x", {}, auth_env="UNSET_TOKEN", timeout=5.0)
+    assert error in str(exc.value)
+    assert len(server.requests_seen) == 3
+    assert sleeps == [0.25, 0.5]
+
+
+@pytest.mark.parametrize("base_url", ["127.0.0.1:9", "http:///nohost", "file://localhost/x", "http://127.0.0.1:99999",
+                                      "http://127.0.0.1:9/a b", "http://127.0.0.1:9/caf\u00e9"])
 def test_remote_chat_bad_url_fails_at_once(base_url, sleeps, attempts):
     with pytest.raises(BackendFailure) as exc:
         RemoteChat(base_url, model="toy", label="Asia").complete("x")
     assert exc.value.code == "backend_failure"
     assert "bad URL" in str(exc.value)
     assert exc.value.context == {"label": "Asia", "url": base_url + "/v1/chat/completions"}
+    assert sleeps == []
+    assert attempts == []
+
+
+def test_remote_chat_token_that_cannot_go_in_a_header_fails_at_once(monkeypatch, sleeps, attempts):
+    monkeypatch.setenv("PALETTE_API_KEY", "key\r\nX-Injected: 1")
+    with pytest.raises(BackendFailure) as exc:
+        RemoteChat("http://127.0.0.1:9", model="toy", label="Asia").complete("x")
+    assert "PALETTE_API_KEY is not printable ASCII" in str(exc.value)
     assert sleeps == []
     assert attempts == []
 

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -888,6 +890,38 @@ def test_unwritable_output_exits_io_failure_naming_it(tmp_path, model_path, caps
     assert err["context"] == {"path": str(target)}
     assert err["message"].startswith(f"cannot write {target}: ")
     assert not (tmp_path / "missing_dir").exists()
+
+
+@pytest.mark.parametrize("fault", ["enospc", "short_write"])
+@pytest.mark.parametrize("name", ["steps.jsonl", "records_Africa.jsonl"])
+def test_synth_run_failed_append_exits_io_failure_naming_it(tmp_path, capsys, monkeypatch, name, fault):
+    out_dir, argv = _synth_dir(tmp_path, 1)
+    shutil.rmtree(out_dir)
+    target, fds, real_open, real_write = out_dir / name, set(), os.open, os.write
+
+    def tracking_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        if Path(path) == target:
+            fds.add(fd)
+        return fd
+
+    def failing_write(fd, data):
+        if fd not in fds:
+            return real_write(fd, data)
+        if fault == "short_write":
+            return real_write(fd, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "open", tracking_open)
+    monkeypatch.setattr(os, "write", failing_write)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "io_failure"
+    assert err["context"] == {"path": str(target)}
+    assert err["message"].startswith(f"cannot write {target}: ")
+    monkeypatch.undo()
+    assert run_cli(*argv) == 0  # a half-written row is a torn tail that the resume drops
 
 
 def test_synth_run_has_no_local_backend(tmp_path, model_path, capsys):
