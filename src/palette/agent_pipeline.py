@@ -26,7 +26,7 @@ from .errors import (
 )
 from .backends import LocalReference, option_distribution_from_scores
 from .gate_router import GateMatrix, GateWeights, route_prompt
-from .merge_engine import moerges_fuse
+from .merge_engine import FFN_PATTERN, moerges_fuse
 from .metrics import alignment_score, check_distribution, normalize_distribution, pearson
 from .templates import render_template
 from .tensor_store import Checkpoint
@@ -52,6 +52,8 @@ class OpinionItem:
             raise ValueError("options must be strings")
         if len(self.options) < 2:
             raise ValueError("an opinion item needs at least 2 options")
+        if len(self.options) > len(OPTION_LETTERS):  # one answer letter per option
+            raise ValueError(f"an opinion item has at most {len(OPTION_LETTERS)} options, got {len(self.options)}")
         if len(self.options) != len(self.gold):
             raise ValueError(
                 f"{len(self.options)} options but {len(self.gold)} gold entries"
@@ -77,6 +79,8 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
         options = row["options"]
         if not isinstance(gold, list) or not isinstance(options, list):
             raise bad_line(path, lineno, f"options and the gold for {country!r} must be arrays")
+        if not all(isinstance(g, (int, float)) and not isinstance(g, bool) for g in gold):
+            raise bad_line(path, lineno, f"the gold for {country!r} must be numbers")
         if not gold:
             raise bad_line(path, lineno, f"no gold distribution for {country!r}")
         if len(gold) > len(options):
@@ -291,7 +295,7 @@ class FusedLocalMeta:
             "no_fuse": self.no_fuse,
             # The constants fuse_meta routes and fuses with; every eval
             # report's config_fingerprint hashes these two keys.
-            "ffn_pattern": "*.ffn.*",
+            "ffn_pattern": FFN_PATTERN,
             "temperature": 1.0,
         }
 

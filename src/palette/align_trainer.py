@@ -11,7 +11,8 @@ Loss per record:
 
 `score` is the length-normalized sequence log-probability by default
 (``length_normalize=False`` uses raw sums), or the log-odds of the
-length-normalized probability with ``true_odds=True``.
+length-normalized probability with ``true_odds=True``; TrainConfig refuses
+the two together.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be >= 0 and finite, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.true_odds and not self.length_normalize:
+            raise ValueError("true odds score the length-normalized probability, so they cannot use raw sums")
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,8 @@ def _cmd_align(args) -> int:
 def _cmd_eval(args) -> int:
     items = agent_pipeline.load_opinion_items(args.items, args.country)
     _check_mode(args, "eval")
+    if args.no_draft and args.no_regulate:  # with no drafts there is nothing to regulate
+        raise _UsageError("--no-regulate applies only without --no-draft")
     if args.meta_backend == "mock":
         spec = _load_json(args.transcript)
         if not isinstance(spec, dict):
@@ -381,10 +383,14 @@ def _cmd_eval(args) -> int:
 
 def _cmd_synth(args) -> int:
     if args.synth_command == "run":
-        queries = []
+        queries, lines = [], {}
         for index, row in iter_jsonl(args.queries, required=("id", "query")):
             if not isinstance(row["query"], str) or not row["query"]:
                 raise bad_line(args.queries, index, '"query" must be a non-empty string')
+            qid = str(row["id"])  # a job stores each step under its query's id
+            if qid in lines:
+                raise bad_line(args.queries, index, f"query id {qid!r} repeats line {lines[qid]}")
+            lines[qid] = index + 1
             queries.append(row)
         _check_mode(args, "synth run")
         if args.backend == "mock":
@@ -421,8 +427,7 @@ def _numbers(flag: str, text: str) -> list:
 
 def _cmd_metrics(args) -> int:
     if args.metrics_command == "semantic":
-        endpoint = metrics.NliScorerEndpoint(base_url=args.url)
-        key, value = "s_semantic", metrics.semantic_score(endpoint, args.gold, args.llm)
+        key, value = "s_semantic", metrics.semantic_score(args.url, args.gold, args.llm)
     else:
         fn, flags, key = _ARRAY_METRICS[args.metrics_command]
         a, b = (_numbers(f"--{flag}", getattr(args, flag)) for flag in flags)

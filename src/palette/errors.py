@@ -45,7 +45,7 @@ class IoFailure(PaletteError):
 
 
 class EmptySelectionWarning(UserWarning):
-    """A tensor-name glob matched nothing; the empty subset is still returned."""
+    """moerges_fuse found no tensor matching `merge_engine.FFN_PATTERN`, so it fused nothing."""
 
 
 # --- merge_engine ---------------------------------------------------------

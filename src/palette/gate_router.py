@@ -83,31 +83,24 @@ def softmax_weights(logits: Sequence[float], temperature: float = 1.0) -> np.nda
     return e / e.sum()
 
 
-def init_gate(
-    model: Checkpoint,
-    system_prompts: Mapping[str, str] | Sequence[str] | None = None,
-) -> GateMatrix:
+def init_gate(model: Checkpoint, system_prompts: Mapping[str, str] | None = None) -> GateMatrix:
     """Build the gate from the mean-pooled hidden state of each continent's
-    system prompt, encoded as `route_prompt` encodes a prompt.
+    system prompt ({continent: prompt}, DEFAULT_SYSTEM_PROMPTS when None),
+    encoded as `route_prompt` encodes a prompt.
 
     Columns are L2-normalized so that routing a prompt against its own column
     scores cosine 1.
     """
     if system_prompts is None:
         system_prompts = DEFAULT_SYSTEM_PROMPTS
-    if isinstance(system_prompts, Mapping):
-        missing = [c for c in CONTINENTS if c not in system_prompts]
-        if missing:
-            raise EmptyPrompt(f"missing system prompts for {missing}")
-        prompts = [system_prompts[c] for c in CONTINENTS]
-    else:
-        prompts = list(system_prompts)
-        if len(prompts) != len(CONTINENTS):
-            raise DimensionMismatch(f"expected {len(CONTINENTS)} prompts, got {len(prompts)}")
+    missing = [c for c in CONTINENTS if c not in system_prompts]
+    if missing:
+        raise EmptyPrompt(f"missing system prompts for {missing}")
 
     tt = TinyTransformer.from_checkpoint(model)
     columns = []
-    for continent, prompt in zip(CONTINENTS, prompts):
+    for continent in CONTINENTS:
+        prompt = system_prompts[continent]
         if not prompt:
             raise EmptyPrompt(f"empty system prompt for {continent}")
         hidden = tt.mean_hidden(_head_tokens(tt, prompt))

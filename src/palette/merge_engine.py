@@ -9,6 +9,8 @@ bit-identically from the base.
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -16,21 +18,33 @@ import numpy as np
 from .common import round9
 from .errors import (
     BadDensity,
+    EmptySelectionWarning,
     GateDimensionMismatch,
     SchemaMismatch,
     TooFewExperts,
     UnnormalizedGate,
 )
-from .tensor_store import Checkpoint, TensorSpec, _check_same_schema, select_ffn
+from .tensor_store import Checkpoint, TensorSpec
 
 GATE_SUM_TOL = 1e-6
+FFN_PATTERN = "*.ffn.*"  # the tensors moerges_fuse fuses; eval's config_fingerprint hashes this glob
+_FFN_RE = re.compile(FFN_PATTERN.replace(".", r"\.").replace("*", ".*"))  # each * stops at a newline
 
 
 def _check_experts(base: Checkpoint, experts: Sequence[Checkpoint]) -> None:
     if not experts:
         raise SchemaMismatch("at least one expert checkpoint is required")
     for i, expert in enumerate(experts):
-        _check_same_schema(base, expert, what=f"base vs expert[{i}]")
+        what = f"base vs expert[{i}]"
+        if base.names != expert.names:
+            raise SchemaMismatch(
+                f"{what} have different tensor names",
+                only_first=sorted(set(base.names) - set(expert.names)),
+                only_second=sorted(set(expert.names) - set(base.names)),
+            )
+        for name, spec in base.items():
+            if spec.shape != expert[name].shape:
+                raise SchemaMismatch(f"{what}: tensor {name!r} shapes differ: {spec.shape} vs {expert[name].shape}")
 
 
 def _out(base: Checkpoint, arrays: dict[str, np.ndarray], metadata: dict[str, str]) -> Checkpoint:
@@ -186,22 +200,20 @@ def gate_weighted_sum(
     }
 
 
-def moerges_fuse(
-    base: Checkpoint,
-    experts: Sequence[Checkpoint],
-    gate: Sequence[float],
-    ffn_pattern: str = "*.ffn.*",
-) -> Checkpoint:
+def moerges_fuse(base: Checkpoint, experts: Sequence[Checkpoint], gate: Sequence[float]) -> Checkpoint:
     """Compose frozen shared tensors from the base with a gate-weighted sum
     of the experts' feed-forward tensors.
 
-    Tensors matching `ffn_pattern` become sum_c gate[c] * expert_c; all other
-    tensors are copied bit-identically from the base. The gate is recorded in
-    the output metadata.
+    Tensors matching `FFN_PATTERN` become sum_c gate[c] * expert_c; all other
+    tensors are copied bit-identically from the base. No match warns
+    (EmptySelectionWarning). The gate is recorded in the output metadata.
     """
     _check_experts(base, experts)
     weights = _validate_gate(gate, len(experts))
-    arrays = gate_weighted_sum(experts, weights, select_ffn(base, ffn_pattern))
+    ffn = [name for name in base.names if _FFN_RE.fullmatch(name)]
+    if not ffn:
+        warnings.warn(f"pattern {FFN_PATTERN!r} matched no tensors", EmptySelectionWarning, stacklevel=2)
+    arrays = gate_weighted_sum(experts, weights, ffn)
     arrays.update({name: spec.data.copy() for name, spec in base.items() if name not in arrays})
     metadata = dict(base.metadata)
     metadata["gate"] = ",".join(f"{round9(w):.9g}" for w in weights)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -103,22 +102,16 @@ def _unit_scaled(arr: np.ndarray) -> np.ndarray:
 
 # --- external entailment scorer ---------------------------------------------
 
-@dataclass(frozen=True)
-class NliScorerEndpoint:
-    base_url: str
-    timeout: float = 10.0
-
-
-def semantic_score(endpoint: NliScorerEndpoint, r_gold: str, r_llm: str, backoff: float = 0.25) -> float:
+def semantic_score(base_url: str, r_gold: str, r_llm: str, *, timeout: float = 10.0, backoff: float = 0.25) -> float:
     """POST the text pair to {base_url}/score and return the consistency
     probability; sends a bearer token from PALETTE_NLI_TOKEN if set, and
     retries connection errors and 5xx replies (`common.post_json`)."""
     if not r_gold or not r_llm:
         raise EmptyText("both texts must be non-empty")
-    url = endpoint.base_url.rstrip("/") + "/score"
+    url = base_url.rstrip("/") + "/score"
     body = post_json(
         url, {"premise": r_gold, "hypothesis": r_llm},
-        auth_env="PALETTE_NLI_TOKEN", timeout=endpoint.timeout, backoff=backoff,
+        auth_env="PALETTE_NLI_TOKEN", timeout=timeout, backoff=backoff,
     )
     try:
         score = json.loads(body)["score"]

@@ -8,7 +8,6 @@ supply, so no prompt ever reaches a backend with an unfilled placeholder.
 from __future__ import annotations
 
 import functools
-import string
 from importlib import resources
 from typing import Mapping
 
@@ -23,21 +22,12 @@ def load_template(name: str) -> str:
         raise TemplateError(f"no template named {name!r}") from exc
 
 
-def placeholders(template: str) -> set[str]:
-    try:
-        return {fname for _, fname, _, _ in string.Formatter().parse(template) if fname}
-    except ValueError as exc:
-        raise TemplateError(f"malformed template: {exc}") from exc
-
-
 def render(template: str, fields: Mapping[str, object]) -> str:
-    needed = placeholders(template)
-    missing = sorted(needed - set(fields))
-    if missing:
-        raise TemplateError(f"unfilled placeholders: {missing}")
     try:
-        return template.format(**{k: fields[k] for k in needed})
-    except (IndexError, KeyError, ValueError) as exc:
+        return template.format(**fields)
+    except KeyError as exc:
+        raise TemplateError(f"unfilled placeholder {exc}") from exc
+    except (AttributeError, IndexError, ValueError) as exc:
         raise TemplateError(f"malformed template: {exc}") from exc
 
 

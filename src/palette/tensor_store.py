@@ -18,22 +18,14 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import struct
-import warnings
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .common import atomic_write_bytes, unreadable
-from .errors import (
-    DuplicateName,
-    EmptySelectionWarning,
-    MalformedHeader,
-    SchemaMismatch,
-    ShapeMismatch,
-)
+from .errors import DuplicateName, MalformedHeader, ShapeMismatch
 
 F32_BYTES = 4
 
@@ -233,31 +225,3 @@ def load_checkpoint(path) -> Checkpoint:
         prev_end = end
 
     return Checkpoint(specs, metadata)
-
-
-def _check_same_schema(a: Checkpoint, b: Checkpoint, what: str = "checkpoints") -> None:
-    if a.names != b.names:
-        only_a = sorted(set(a.names) - set(b.names))
-        only_b = sorted(set(b.names) - set(a.names))
-        raise SchemaMismatch(
-            f"{what} have different tensor names", only_first=only_a, only_second=only_b
-        )
-    for name in a.names:
-        if a[name].shape != b[name].shape:
-            raise SchemaMismatch(
-                f"{what}: tensor {name!r} shapes differ: {a[name].shape} vs {b[name].shape}"
-            )
-
-
-def select_ffn(ckpt: Checkpoint, pattern: str = "*.ffn.*") -> tuple[str, ...]:
-    """Select tensor names matching a glob (feed-forward tensors by default).
-
-    An empty match warns (EmptySelectionWarning) but still returns the
-    empty tuple.
-    """
-    # Only * and ? are wildcards; everything else (including brackets) is literal.
-    rx = re.compile(re.escape(pattern).replace(r"\*", ".*").replace(r"\?", ".") + r"\Z")
-    names = tuple(name for name in ckpt.names if rx.match(name))
-    if not names:
-        warnings.warn(f"pattern {pattern!r} matched no tensors", EmptySelectionWarning, stacklevel=2)
-    return names

@@ -75,7 +75,7 @@ def test_c01_merge_oracle_equivalence():
 
         raw = rng.uniform(0.05, 1.0, n_experts)
         gate = [float(g) for g in raw / raw.sum()]
-        got = moerges_fuse(base, experts, gate, "m.ffn.*")
+        got = moerges_fuse(base, experts, gate)
         ffn = {n for n in base.names if n.startswith("m.ffn.")}
         assert max_abs_diff(got, bf_moerges(base_l, experts_l, gate, ffn)) < 1e-6
 

@@ -11,7 +11,7 @@ from palette import common
 from palette.common import post_json
 from palette.backends import LocalReference, RemoteChat, ScriptedMock, option_distribution_from_scores
 from palette.errors import BackendFailure, EndpointUnreachable
-from palette.metrics import NliScorerEndpoint, semantic_score
+from palette.metrics import semantic_score
 from palette.reference_model import BOS, SEP, TinyTransformer
 
 from helpers import RawReplyServer, ReplyServer, chat_body, tiny_model
@@ -151,10 +151,9 @@ def test_remote_and_scorer_calls_to_one_host_share_one_connection(sleeps, attemp
     body = json.dumps({"choices": [{"message": {"content": "pong"}}], "score": 0.5}).encode()
     with ReplyServer([(200, body)], keep_alive=True) as server:
         backend = RemoteChat(server.base_url, model="toy")
-        endpoint = NliScorerEndpoint(base_url=server.base_url)
         for k in range(5):
             assert backend.complete(f"q{k}") == "pong"
-            assert semantic_score(endpoint, "gold", f"answer {k}") == 0.5
+            assert semantic_score(server.base_url, "gold", f"answer {k}") == 0.5
     assert len(server.requests_seen) == 10
     assert server.connections == 1
     assert attempts == [None]
@@ -317,7 +316,7 @@ def test_remote_chat_token_that_cannot_go_in_a_header_fails_at_once(monkeypatch,
 @pytest.mark.parametrize("base_url", ["ftp://127.0.0.1:9", "http://:80", "http://127.0.0.1:99999", "not-a-url"])
 def test_scorer_bad_url_fails_at_once(base_url, sleeps, attempts):
     with pytest.raises(EndpointUnreachable) as exc:
-        semantic_score(NliScorerEndpoint(base_url=base_url), "a", "b")
+        semantic_score(base_url, "a", "b")
     assert exc.value.code == "endpoint_unreachable"
     assert "bad URL" in str(exc.value)
     assert sleeps == []

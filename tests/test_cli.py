@@ -456,6 +456,7 @@ MODE_COMMANDS = {
     "synth": ("synth", "run", "--queries", "{items}", "--out", "{out}", "--backend"),
     "merge": ("merge", "--base", "{model}", "--expert", "a={model}", "--expert", "b={model}", "-o", "{out}",
               "--method"),
+    "align": ("align", "--model", "{model}", "--data", "{items}", "-o", "{out}"),
 }
 MOCK, REMOTE = ("--transcript", "{transcript}"), ("--url", "http://127.0.0.1:9")  # the port is never contacted
 LOCAL = ("--model", "{model}", "--no-moerges")
@@ -493,6 +494,11 @@ LOCAL = ("--model", "{model}", "--no-moerges")
     pytest.param("eval", "remote", (), "--url is required with --meta-backend remote", id="eval-remote-without-url"),
     pytest.param("eval", "mock", (), "--transcript is required with --meta-backend mock",
                  id="eval-mock-without-transcript"),
+    pytest.param("eval", "mock", (*MOCK, "--no-draft", "--no-regulate"), "--no-regulate applies only without --no-draft",
+                 id="eval-no-draft-no-regulate"),
+    pytest.param("align", "--true-odds", ("--raw-sums",),
+                 "true odds score the length-normalized probability, so they cannot use raw sums",
+                 id="align-true-odds-raw-sums"),
     pytest.param("synth", "mock", (*MOCK, "--url", "http://nowhere"), "--url applies only to --backend remote",
                  id="synth-mock-url"),
     pytest.param("synth", "mock", (*MOCK, "--model-name", "zz"), "--model-name applies only to --backend remote",
@@ -681,7 +687,7 @@ def test_item_missing_a_key_exits_bad_input(tmp_path, capsys):
 
 def test_item_with_one_option_exits_bad_input(tmp_path, capsys):
     items, out = tmp_path / "items.jsonl", tmp_path / "out"
-    # A row with one option, then rows whose fields have the wrong JSON type.
+    # A row with one option, then rows whose fields have the wrong JSON type, then one with 27 options.
     rows = [
         ('{"question": "q", "options": ["a"], "gold": [1], "country": "NZL"}', "at least 2 options"),
         ('{"question": "q", "options": 5, "gold": [1, 1], "country": "NZL"}', "must be arrays"),
@@ -693,6 +699,12 @@ def test_item_with_one_option_exits_bad_input(tmp_path, capsys):
         ('{"question": 7, "options": ["a", "b"], "gold": [1, 1], "country": "NZL"}',
          "question must be a non-empty string"),
         ('{"question": "q", "options": [1, 2], "gold": [1, 1], "country": "NZL"}', "options must be strings"),
+        ('{"question": "q", "options": ["a", "b"], "gold": [true, false], "country": "NZL"}',
+         "the gold for 'NZL' must be numbers"),
+        ('{"question": "q", "options": ["a", "b"], "gold": ["0.7", "0.3"], "country": "NZL"}',
+         "the gold for 'NZL' must be numbers"),
+        (json.dumps({"question": "q", "options": list("abcdefghijklmnopqrstuvwxyz0"), "gold": [1] * 27,
+                     "country": "NZL"}), "an opinion item has at most 26 options, got 27"),
     ]
     for row, reason in rows:
         items.write_text(f"\n{row}\n")
@@ -701,6 +713,20 @@ def test_item_with_one_option_exits_bad_input(tmp_path, capsys):
         assert err["context"] == {"path": str(items), "line": 2}
         assert err["message"].startswith(f"{items}:2: ")
         assert reason in err["message"]
+
+
+def test_synth_query_id_given_twice_exits_bad_input(tmp_path, capsys):
+    queries, out = tmp_path / "q.jsonl", tmp_path / "out"
+    rows = [{"id": "q0", "query": "what should guests bring to a shared meal?"}, {"id": 1, "query": "who leads?"},
+            {"id": "q0", "query": "how are elders greeted?"}]
+    queries.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    err = _run_reader(READER_COMMANDS[2], queries, out, None, capsys)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(queries), "line": 3}
+    assert err["message"] == f"{queries}:3: query id 'q0' repeats line 1"
+    queries.write_text(json.dumps({"id": 1, "query": "a"}) + "\n\n" + json.dumps({"id": "1", "query": "b"}) + "\n")
+    err = _run_reader(READER_COMMANDS[2], queries, out, None, capsys)
+    assert err["message"] == f"{queries}:3: query id '1' repeats line 1"
 
 
 @pytest.mark.parametrize("query", ["", 7], ids=["empty", "number"])

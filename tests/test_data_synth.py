@@ -24,7 +24,7 @@ from palette.data_synth import (
 )
 from palette.errors import BackendFailure, IncompleteQuery, TemplateError
 from palette import templates
-from palette.templates import load_template, placeholders, render, render_template
+from palette.templates import load_template, render, render_template
 
 HOFSTEDE = ("PDI", "IDV", "MAS", "UAI", "LTO", "IVR")
 
@@ -121,8 +121,8 @@ def test_templates_all_render_without_placeholders():
 
 
 def test_render_missing_placeholder_raises():
-    with pytest.raises(TemplateError):
-        render_template("synth_response", continent="Asia")  # query missing
+    with pytest.raises(TemplateError, match="unfilled placeholder 'query'"):
+        render_template("synth_response", continent="Asia", exemplars="")
 
 
 def test_two_renders_read_the_template_file_once(monkeypatch):
@@ -138,10 +138,6 @@ def test_two_renders_read_the_template_file_once(monkeypatch):
     second = render_template("synth_judge", continent="Asia", query="q", response="r")
     assert first == second
     assert reads == ["palette"]
-
-
-def test_placeholders_parser():
-    assert placeholders("a {x} b {y} {x}") == {"x", "y"}
 
 
 # --- pipeline, resume, pairs ---------------------------------------------------

@@ -107,14 +107,14 @@ def test_init_gate_deterministic(seed42_model, seed42_gate):
 
 
 def test_init_gate_identical_prompts_uniform_routing(seed42_model):
-    gate = init_gate(seed42_model, ["same prompt"] * 5)
+    gate = init_gate(seed42_model, dict.fromkeys(CONTINENTS, "same prompt"))
     w = route_prompt(seed42_model, gate, "anything at all")
     assert np.allclose(list(w), 0.2, atol=1e-9)
 
 
 def test_init_gate_empty_prompt_guard(seed42_model):
     with pytest.raises(EmptyPrompt):
-        init_gate(seed42_model, ["a", "b", "", "d", "e"])
+        init_gate(seed42_model, dict(zip(CONTINENTS, ["a", "b", "", "d", "e"])))
 
 
 def test_init_gate_regression_fixture(seed42_gate):

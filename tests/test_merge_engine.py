@@ -1,10 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from palette.errors import (
     BadDensity,
+    EmptySelectionWarning,
     GateDimensionMismatch,
     SchemaMismatch,
     TooFewExperts,
@@ -277,6 +279,20 @@ def test_moerges_gate_validation():
         moerges_fuse(base, experts, [0.6, 0.6])
 
 
+def test_moerges_fuses_exactly_the_ffn_tensors():
+    names = ["a.ffn.b", "x.y.ffn.z", "a[.ffn.]", "ffn.b", "a.ffn", "a.ffnb.c", "a.ffn.b\n", "a\n.ffn.b"]
+    base = ckpt(**{n: [0.0] for n in names})
+    out = moerges_fuse(base, [ckpt(**{n: [1.0] for n in names})], [1.0])
+    assert [n for n in out.names if out[n].data[0] == 1.0] == sorted(["a.ffn.b", "x.y.ffn.z", "a[.ffn.]"])
+
+
+def test_moerges_without_ffn_tensors_warns_and_copies_the_base():
+    base = ckpt(w=[0.0])
+    with pytest.warns(EmptySelectionWarning, match=re.escape("pattern '*.ffn.*' matched no tensors")):
+        out = moerges_fuse(base, [ckpt(w=[1.0])], [1.0])
+    assert out["w"] == base["w"]
+
+
 def test_moerges_gate_linearity_on_raw_sum():
     rng = np.random.default_rng(7)
     base = _ffn_base(rng)
@@ -357,6 +373,6 @@ def test_brute_force_oracle_equivalence_sampled():
 
         raw = rng.uniform(0.05, 1.0, n_experts)
         gate = [float(g) for g in raw / raw.sum()]
-        got = moerges_fuse(base, experts, gate, "x.ffn.*")
+        got = moerges_fuse(base, experts, gate)
         ffn = {n for n in base.names if n.startswith("x.ffn.")}
         assert max_abs_diff(got, bf_moerges(base_l, experts_l, gate, ffn)) < 1e-6

@@ -14,7 +14,6 @@ from palette.errors import (
     SupportViolation,
 )
 from palette.metrics import (
-    NliScorerEndpoint,
     alignment_score,
     kl,
     normalize_distribution,
@@ -182,64 +181,55 @@ def test_token_overlap_partial():
 
 def test_semantic_score_against_mock_server():
     with MockScorerServer() as server:
-        endpoint = NliScorerEndpoint(base_url=server.base_url)
-        assert semantic_score(endpoint, "identical text", "identical text", backoff=0.0) == 1.0
+        assert semantic_score(server.base_url, "identical text", "identical text", backoff=0.0) == 1.0
 
 
 def test_semantic_score_constant_mock_value():
     with MockScorerServer(score_fn=lambda p, h: 0.8927) as server:
-        endpoint = NliScorerEndpoint(base_url=server.base_url)
-        score = semantic_score(endpoint, "gold answer", "generated answer", backoff=0.0)
+        score = semantic_score(server.base_url, "gold answer", "generated answer", backoff=0.0)
         assert score == pytest.approx(0.8927)
 
 
 def test_semantic_score_sends_bearer_token(monkeypatch):
     monkeypatch.setenv("PALETTE_NLI_TOKEN", "sekrit")
     with MockScorerServer() as server:
-        endpoint = NliScorerEndpoint(base_url=server.base_url)
-        semantic_score(endpoint, "a", "b", backoff=0.0)
+        semantic_score(server.base_url, "a", "b", backoff=0.0)
         assert server.requests_seen[-1]["auth"] == "Bearer sekrit"
         assert server.requests_seen[-1]["body"] == {"premise": "a", "hypothesis": "b"}
 
 
 def test_semantic_score_empty_text():
-    endpoint = NliScorerEndpoint(base_url="http://127.0.0.1:1")
     with pytest.raises(EmptyText):
-        semantic_score(endpoint, "", "x")
+        semantic_score("http://127.0.0.1:1", "", "x")
 
 
 def test_semantic_score_unreachable_after_retries():
-    endpoint = NliScorerEndpoint(base_url="http://127.0.0.1:1", timeout=0.2)
     with pytest.raises(EndpointUnreachable):
-        semantic_score(endpoint, "a", "b", backoff=0.0)
+        semantic_score("http://127.0.0.1:1", "a", "b", timeout=0.2, backoff=0.0)
 
 
 def test_semantic_score_malformed_response():
     with ReplyServer([(200, b'{"not_score": 1}')]) as server:
-        endpoint = NliScorerEndpoint(base_url=server.base_url)
         with pytest.raises(MalformedScorerResponse):
-            semantic_score(endpoint, "a", "b", backoff=0.0)
+            semantic_score(server.base_url, "a", "b", backoff=0.0)
 
 
 def test_semantic_score_out_of_range_score():
     with MockScorerServer(score_fn=lambda p, h: 1.5) as server:
-        endpoint = NliScorerEndpoint(base_url=server.base_url)
         with pytest.raises(MalformedScorerResponse):
-            semantic_score(endpoint, "a", "b", backoff=0.0)
+            semantic_score(server.base_url, "a", "b", backoff=0.0)
 
 
 def test_semantic_score_shares_the_chat_retry_rule(monkeypatch):
     sleeps = []
     monkeypatch.setattr(time, "sleep", sleeps.append)
     with ReplyServer([(503, b"{}"), (200, b'{"score": 0.5}')]) as server:
-        endpoint = NliScorerEndpoint(base_url=server.base_url)
-        assert semantic_score(endpoint, "a", "b") == 0.5
+        assert semantic_score(server.base_url, "a", "b") == 0.5
     assert len(server.requests_seen) == 2
     assert sleeps == [0.25]
     with ReplyServer([(404, b"{}")]) as server:
-        endpoint = NliScorerEndpoint(base_url=server.base_url)
         with pytest.raises(EndpointUnreachable) as exc:
-            semantic_score(endpoint, "a", "b")
+            semantic_score(server.base_url, "a", "b")
     assert exc.value.context == {"url": server.base_url + "/score", "status": 404}
     assert len(server.requests_seen) == 1
     assert sleeps == [0.25]

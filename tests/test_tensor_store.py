@@ -12,7 +12,6 @@ import pytest
 from palette.common import atomic_write_bytes
 from palette.errors import (
     DuplicateName,
-    EmptySelectionWarning,
     IoFailure,
     MalformedHeader,
     ShapeMismatch,
@@ -23,7 +22,6 @@ from palette.tensor_store import (
     TensorSpec,
     load_checkpoint,
     save_checkpoint,
-    select_ffn,
 )
 
 from helpers import ckpt, random_checkpoint
@@ -156,29 +154,6 @@ def test_duplicate_name_at_construction():
 def test_iteration_is_lexicographic():
     c = ckpt(zeta=[1.0], alpha=[2.0], mid=[3.0])
     assert c.names == ("alpha", "mid", "zeta")
-
-
-def test_select_ffn_matches():
-    c = ckpt(**{"layer0.ffn.w": [1.0], "layer0.attn.w": [1.0], "layer1.ffn.w": [1.0]})
-    sub = select_ffn(c, "*.ffn.*")
-    assert tuple(sub) == ("layer0.ffn.w", "layer1.ffn.w")
-
-
-def test_select_ffn_universal_glob():
-    c = ckpt(b=[1.0], a=[1.0])
-    assert tuple(select_ffn(c, "*")) == ("a", "b")
-
-
-def test_select_ffn_empty_warns():
-    c = ckpt(w=[1.0])
-    with pytest.warns(EmptySelectionWarning):
-        sub = select_ffn(c, "nomatch*")
-    assert len(sub) == 0
-
-
-def test_select_ffn_brackets_are_literal():
-    c = ckpt(**{"a[0]": [1.0], "a0": [2.0]})
-    assert tuple(select_ffn(c, "a[?]")) == ("a[0]",)
 
 
 def test_metadata_survives_round_trip(tmp_path):
