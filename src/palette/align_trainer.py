@@ -9,10 +9,10 @@ Loss per record:
     contrastive = sum_k -log sigmoid(ratio_k)
     total       = sft + lambda * contrastive
 
-`score` is the length-normalized sequence log-probability by default
-(``length_normalize=False`` uses raw sums), or the log-odds of the
-length-normalized probability with ``true_odds=True``; TrainConfig refuses
-the two together.
+`score` is one of SCORES: the mean token log-probability (``"mean"``, the
+default), the summed log-probability (``"sum"``), or the log-odds of the
+mean's probability (``"odds"``). Every loss comes from the traced pass that
+training backpropagates through.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .tensor_store import Checkpoint
 
 N_REJECTED = 4
 MOMENTUM = 0.9  # SGD velocity decay
+SCORES = ("mean", "sum", "odds")
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,7 @@ class TrainConfig:
     epochs: int = 2
     batch_size: int = 8
     seed: int = 42
-    true_odds: bool = False
-    length_normalize: bool = True
+    score: str = "mean"
 
     def __post_init__(self):
         if not 0 <= self.lam < math.inf:  # also NaN
@@ -93,8 +93,10 @@ class TrainConfig:
             raise ValueError(f"learning rate must be >= 0 and finite, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.true_odds and not self.length_normalize:
-            raise ValueError("true odds score the length-normalized probability, so they cannot use raw sums")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.score not in SCORES:
+            raise ValueError(f"score must be one of {SCORES}, got {self.score!r}")
 
 
 @dataclass(frozen=True)
@@ -131,15 +133,17 @@ def _softplus(x: float) -> float:
     return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
 
 
-def _score_and_slope(lp_sum: float, n_tokens: int, true_odds: bool, length_normalize: bool):
+def _score_and_slope(lp_sum: float, n_tokens: int, score: str):
     """Sequence score used inside the contrastive ratio and d(score)/d(lp_sum)."""
     mean = lp_sum / n_tokens
-    if true_odds:
+    if score == "mean":
+        return mean, 1.0 / n_tokens
+    if score == "sum":
+        return lp_sum, 1.0
+    if score == "odds":
         p = math.exp(mean)
         return mean - math.log1p(-p), 1.0 / (1.0 - p) / n_tokens
-    if length_normalize:
-        return mean, 1.0 / n_tokens
-    return lp_sum, 1.0
+    raise ValueError(f"score must be one of {SCORES}, got {score!r}")
 
 
 def _as_model(params) -> TinyTransformer:
@@ -157,27 +161,24 @@ def _encode_record(record: PreferenceRecord, max_seq: int, index: int | None = N
     return pairs[0][0], [cont for _, cont in pairs]
 
 
-def _loss_internal(
-    model: TinyTransformer,
+def loss_and_grads(
+    params,
     record: PreferenceRecord,
-    lam: float,
-    true_odds: bool,
-    length_normalize: bool,
-    with_traces: bool,
-):
+    lam: float = 0.1,
+    *,
+    score: str = "mean",
+) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+    model = _as_model(params)
     prompt, conts = _encode_record(record, model.cfg.max_seq)
-    if with_traces:
-        # One trace of the prompt; each reply's first token is scored from its last row.
-        prefix = model.forward_trace(prompt)
-        traces = [model.forward_trace(c[:-1], prefix) if len(c) > 1 else None for c in conts]
-        logits = [prefix.logits[-1:] if t is None else np.concatenate([prefix.logits[-1:], t.logits]) for t in traces]
-        lps = [_continuation_logprob(rows, c) for rows, c in zip(logits, conts)]
-    else:
-        lps = model.sequence_logprobs(prompt, conts)
+    # One trace of the prompt; each reply's first token is scored from its last row.
+    prefix = model.forward_trace(prompt)
+    traces = [model.forward_trace(c[:-1], prefix) if len(c) > 1 else None for c in conts]
+    logits = [prefix.logits[-1:] if t is None else np.concatenate([prefix.logits[-1:], t.logits]) for t in traces]
+    lps = [_continuation_logprob(rows, c) for rows, c in zip(logits, conts)]
     lens = [len(c) for c in conts]
 
     sft = -lps[0] / lens[0]
-    scored = [_score_and_slope(lp, n, true_odds, length_normalize) for lp, n in zip(lps, lens)]
+    scored = [_score_and_slope(lp, n, score) for lp, n in zip(lps, lens)]
     score_pref, slope_pref = scored[0]
     ratios = [score_pref - score_rej for score_rej, _ in scored[1:]]
     sig = [_sigmoid(r) for r in ratios]
@@ -188,8 +189,6 @@ def _loss_internal(
         total=sft + lam * contrastive,
         per_rejection_ratios=tuple(ratios),
     )
-    if not with_traces:
-        return breakdown, None
 
     # d total / d lp_sum for each of the 5 sequences
     coeff_pref = -1.0 / lens[0] + lam * slope_pref * sum(s - 1.0 for s in sig)
@@ -212,25 +211,10 @@ def orpo_loss(
     record: PreferenceRecord,
     lam: float = 0.1,
     *,
-    true_odds: bool = False,
-    length_normalize: bool = True,
+    score: str = "mean",
 ) -> LossBreakdown:
-    """Loss breakdown for one preference record (no gradients)."""
-    model = _as_model(params)
-    breakdown, _ = _loss_internal(model, record, lam, true_odds, length_normalize, with_traces=False)
-    return breakdown
-
-
-def loss_and_grads(
-    params,
-    record: PreferenceRecord,
-    lam: float = 0.1,
-    *,
-    true_odds: bool = False,
-    length_normalize: bool = True,
-) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    model = _as_model(params)
-    return _loss_internal(model, record, lam, true_odds, length_normalize, with_traces=True)
+    """Loss breakdown for one preference record, from the pass of `loss_and_grads`."""
+    return loss_and_grads(params, record, lam, score=score)[0]
 
 
 def grad_check(
@@ -241,8 +225,7 @@ def grad_check(
     n_samples: int = 60,
     seed: int = 0,
     *,
-    true_odds: bool = False,
-    length_normalize: bool = True,
+    score: str = "mean",
 ) -> float:
     """Max relative error between analytic gradients and central differences
     over randomly sampled parameter coordinates.
@@ -250,7 +233,7 @@ def grad_check(
     if not (1e-5 <= epsilon <= 1e-2):
         raise ValueError(f"epsilon must lie in [1e-5, 1e-2], got {epsilon}")
     model = _as_model(params).clone()
-    _, grads = _loss_internal(model, record, lam, true_odds, length_normalize, with_traces=True)
+    _, grads = loss_and_grads(model, record, lam, score=score)
 
     names = sorted(model.params)
     sizes = np.array([model.params[n].size for n in names])
@@ -258,10 +241,6 @@ def grad_check(
     rng = np.random.default_rng(seed)
     picks = rng.choice(total, size=min(n_samples, total), replace=False)
     offsets = np.cumsum(sizes)
-
-    def loss_at() -> float:
-        lb, _ = _loss_internal(model, record, lam, true_odds, length_normalize, with_traces=False)
-        return lb.total
 
     worst = 0.0
     for flat in sorted(int(p) for p in picks):
@@ -271,9 +250,9 @@ def grad_check(
         arr = model.params[name].reshape(-1)
         orig = arr[local]
         arr[local] = orig + epsilon
-        up = loss_at()
+        up = orpo_loss(model, record, lam, score=score).total
         arr[local] = orig - epsilon
-        down = loss_at()
+        down = orpo_loss(model, record, lam, score=score).total
         arr[local] = orig
         numeric = (up - down) / (2.0 * epsilon)
         analytic = float(grads[name].reshape(-1)[local])
@@ -313,8 +292,8 @@ def train(
                 "batch_size": cfg.batch_size,
                 "seed": cfg.seed,
                 "momentum": MOMENTUM,
-                "true_odds": cfg.true_odds,
-                "length_normalize": cfg.length_normalize,
+                "true_odds": cfg.score == "odds",
+                "length_normalize": cfg.score != "sum",
             }
         ),
     )
@@ -328,9 +307,7 @@ def train(
             batch = perm[start : start + cfg.batch_size]
             acc = {name: np.zeros_like(arr) for name, arr in model.params.items()}
             for idx in batch:
-                lb, grads = loss_and_grads(
-                    model, dataset[int(idx)], cfg.lam, true_odds=cfg.true_odds, length_normalize=cfg.length_normalize
-                )
+                lb, grads = loss_and_grads(model, dataset[int(idx)], cfg.lam, score=cfg.score)
                 sums["total"] += lb.total
                 sums["sft"] += lb.sft
                 sums["contrastive"] += lb.contrastive

@@ -185,7 +185,7 @@ def build_parser() -> _Parser:
     gr.add_argument("--temperature", type=float, default=1.0)
 
     p = sub.add_parser("align", help="preference-train the reference model")
-    p.set_defaults(run=_cmd_align)
+    p.set_defaults(run=_cmd_align, score="mean")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
@@ -193,8 +193,9 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=2)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--true-odds", action="store_true")
-    p.add_argument("--raw-sums", action="store_true", help="unnormalized logprob ratios")
+    scores = p.add_mutually_exclusive_group()  # the contrastive term's sequence score; default: mean
+    scores.add_argument("--true-odds", dest="score", action="store_const", const="odds")
+    scores.add_argument("--raw-sums", dest="score", action="store_const", const="sum", help="unnormalized logprob ratios")
     p.add_argument("--continent", help="train only on records tagged with this continent")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report")
@@ -208,8 +209,9 @@ def build_parser() -> _Parser:
     p.add_argument("--expert", action="append", default=[], metavar="CONTINENT=PATH")
     p.add_argument("--gate", help="gate checkpoint (local backend)")
     p.add_argument("--gate-mode", choices=("per-request", "per-country"), help="default: per-request")
-    p.add_argument("--no-draft", action="store_true")
-    p.add_argument("--no-regulate", action="store_true")
+    ablations = p.add_mutually_exclusive_group()  # with no drafts there is nothing to regulate
+    ablations.add_argument("--no-draft", action="store_true")
+    ablations.add_argument("--no-regulate", action="store_true")
     p.add_argument("--no-moerges", action="store_true")
     p.add_argument("-o", "--output", required=True)
 
@@ -300,8 +302,7 @@ def _cmd_align(args) -> int:
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
-        true_odds=args.true_odds,
-        length_normalize=not args.raw_sums,
+        score=args.score,
     )
     params = load_checkpoint(args.model)
     dataset = align_trainer.load_records_jsonl(args.data)
@@ -325,10 +326,19 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    items = agent_pipeline.load_opinion_items(args.items, args.country)
     _check_mode(args, "eval")
-    if args.no_draft and args.no_regulate:  # with no drafts there is nothing to regulate
-        raise _UsageError("--no-regulate applies only without --no-draft")
+    if not args.country:
+        raise _UsageError("--country must be non-empty")
+    if args.meta_backend == "local":
+        paths = _expert_paths(args.expert)
+        unknown = sorted(set(paths) - set(CONTINENTS))
+        if unknown:
+            raise _UsageError(f"--expert labels must be continents {CONTINENTS}, got {unknown}")
+        if args.no_moerges and (args.gate is not None or args.gate_mode is not None):
+            raise _UsageError("--gate and --gate-mode apply only without --no-moerges")
+        if not args.no_moerges and (not args.gate or len(paths) != len(CONTINENTS)):
+            raise _UsageError("local eval needs --gate and all five --expert CONTINENT=PATH, or --no-moerges")
+    items = agent_pipeline.load_opinion_items(args.items, args.country)
     if args.meta_backend == "mock":
         spec = _load_json(args.transcript)
         if not isinstance(spec, dict):
@@ -347,14 +357,6 @@ def _cmd_eval(args) -> int:
         }
         meta = RemoteChat(args.url, args.model_name, label="meta")
     else:
-        paths = _expert_paths(args.expert)
-        unknown = sorted(set(paths) - set(CONTINENTS))
-        if unknown:
-            raise _UsageError(f"--expert labels must be continents {CONTINENTS}, got {unknown}")
-        if args.no_moerges and (args.gate is not None or args.gate_mode is not None):
-            raise _UsageError("--gate and --gate-mode apply only without --no-moerges")
-        if not args.no_moerges and (not args.gate or len(paths) != len(CONTINENTS)):
-            raise _UsageError("local eval needs --gate and all five --expert CONTINENT=PATH, or --no-moerges")
         base = load_checkpoint(args.model)
         experts = {c: load_checkpoint(path) for c, path in paths.items()}
         agents = {
@@ -383,6 +385,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_synth(args) -> int:
     if args.synth_command == "run":
+        _check_mode(args, "synth run")
         queries, lines = [], {}
         for index, row in iter_jsonl(args.queries, required=("id", "query")):
             if not isinstance(row["query"], str) or not row["query"]:
@@ -392,7 +395,6 @@ def _cmd_synth(args) -> int:
                 raise bad_line(args.queries, index, f"query id {qid!r} repeats line {lines[qid]}")
             lines[qid] = index + 1
             queries.append(row)
-        _check_mode(args, "synth run")
         if args.backend == "mock":
             backend = _mock_from_spec(_load_json(args.transcript), "synth", args.transcript)
         else:

@@ -325,11 +325,23 @@ def _extract(row: Mapping[str, object], index: int, path) -> dict[str, str] | No
     return {"id": qid, "query": query}
 
 
+def _unique_ids(rows, path) -> list[dict[str, str]]:
+    """The rows `_extract` keeps from ``(index, 0-based line, row)`` triples; bad_input where an id repeats."""
+    kept, lines = [], {}
+    for index, line, row in rows:
+        if r := _extract(row, index, path):
+            if r["id"] in lines:
+                raise bad_line(path, line, f"query id {r['id']!r} repeats line {lines[r['id']]}")
+            lines[r["id"]] = line + 1
+            kept.append(r)
+    return kept
+
+
 def import_prism(path) -> list[dict[str, str]]:
-    """Convert a question CSV or JSONL export into {"id","query"} rows."""
+    """Convert a question CSV or JSONL export into {"id","query"} rows with unique ids."""
     path = Path(path)
     if path.suffix.lower() != ".csv":
-        return [r for i, row in iter_jsonl(path) if (r := _extract(row, i, path))]
+        return _unique_ids(((i, i, row) for i, row in iter_jsonl(path)), path)
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -340,7 +352,8 @@ def import_prism(path) -> list[dict[str, str]]:
         raise bad_line(path, data.count(b"\n", 0, exc.start), "not valid UTF-8") from exc
     rows = csv.DictReader(io.StringIO(text, newline=""))
     try:
-        return [r for i, row in enumerate(rows) if (r := _extract(row, i, path))]
+        # line_num is the 1-based line a row ends on once it is read.
+        return _unique_ids(((i, rows.line_num - 1, row) for i, row in enumerate(rows)), path)
     except csv.Error as exc:
         # line_num counts the lines read in full, so it is the failing line's index.
         raise bad_line(path, rows.line_num, str(exc)) from exc

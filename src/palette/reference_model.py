@@ -82,6 +82,8 @@ class ModelConfig:
             raise BadConfig(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_seq < 2:
             raise BadConfig("max_seq must be >= 2")
+        if self.seed < 0:
+            raise BadConfig(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

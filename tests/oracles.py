@@ -302,7 +302,7 @@ def logprob_trace(model, prompt, continuation):
     return _continuation_logprob(rows, continuation), trace
 
 
-def per_sequence_loss(model, record, lam, true_odds, length_normalize, with_traces):
+def per_sequence_loss(model, record, lam, score, with_traces):
     """The preference loss and its gradients, one whole sequence at a time."""
     max_seq = model.cfg.max_seq
     seqs = [(record.query, record.preferred)] + [(record.query, r) for r in record.rejected]
@@ -317,7 +317,7 @@ def per_sequence_loss(model, record, lam, true_odds, length_normalize, with_trac
         conts.append(cont)
 
     sft = -lps[0] / lens[0]
-    scored = [_score_and_slope(lp, n, true_odds, length_normalize) for lp, n in zip(lps, lens)]
+    scored = [_score_and_slope(lp, n, score) for lp, n in zip(lps, lens)]
     score_pref, slope_pref = scored[0]
     ratios = [score_pref - score_rej for score_rej, _ in scored[1:]]
     sig = [_sigmoid(r) for r in ratios]

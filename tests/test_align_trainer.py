@@ -131,8 +131,8 @@ def test_grad_check_sft_only():
 
 def test_grad_check_variants():
     params = tiny_model()
-    assert grad_check(params, GRAD_CHECK_RECORD, 0.1, 1e-4, 30, 3, true_odds=True) < 1e-3
-    assert grad_check(params, GRAD_CHECK_RECORD, 0.1, 1e-4, 30, 4, length_normalize=False) < 1e-3
+    assert grad_check(params, GRAD_CHECK_RECORD, 0.1, 1e-4, 30, 3, score="odds") < 1e-3
+    assert grad_check(params, GRAD_CHECK_RECORD, 0.1, 1e-4, 30, 4, score="sum") < 1e-3
 
 
 def test_grad_check_epsilon_guard():
@@ -152,14 +152,14 @@ def test_zero_head_gradients_finite():
 def test_true_odds_mode_differs():
     params = tiny_model()
     plain = orpo_loss(params, GRAD_CHECK_RECORD, 0.1)
-    odds = orpo_loss(params, GRAD_CHECK_RECORD, 0.1, true_odds=True)
+    odds = orpo_loss(params, GRAD_CHECK_RECORD, 0.1, score="odds")
     assert plain.contrastive != odds.contrastive
 
 
 def test_raw_sum_mode_differs():
     params = tiny_model()
     plain = orpo_loss(params, GRAD_CHECK_RECORD, 0.1)
-    raw = orpo_loss(params, GRAD_CHECK_RECORD, 0.1, length_normalize=False)
+    raw = orpo_loss(params, GRAD_CHECK_RECORD, 0.1, score="sum")
     assert plain.per_rejection_ratios != raw.per_rejection_ratios
 
 
@@ -212,9 +212,19 @@ def test_train_is_bit_deterministic():
 
 def test_train_report_fingerprint_is_pinned():
     # The fingerprint records the MOMENTUM constant beside the TrainConfig
-    # fields; align report bytes rest on this value.
-    _, report = train(tiny_model(), [GRAD_CHECK_RECORD], TrainConfig())
-    assert report.config_fingerprint == "7bd6d8882fe8869d"
+    # fields, and each score as the two flags it once was; align report
+    # bytes rest on these values.
+    pinned = {"mean": "7bd6d8882fe8869d", "odds": "974088d95d3aa91b", "sum": "a4ff8c2ab5d03ecd"}
+    for score, want in pinned.items():
+        _, report = train(tiny_model(), [GRAD_CHECK_RECORD], TrainConfig(score=score))
+        assert report.config_fingerprint == want, score
+
+
+def test_unknown_score_is_refused():
+    with pytest.raises(ValueError, match="score must be one of"):
+        TrainConfig(score="bogus")
+    with pytest.raises(ValueError, match="score must be one of"):
+        loss_and_grads(tiny_model(), GRAD_CHECK_RECORD, 0.1, score="bogus")
 
 
 def test_mean_margin_matches_direct_computation():
@@ -254,22 +264,17 @@ SHARED_PROMPT_RECORDS = toy_preference_dataset(n_queries=2) + [
     GRAD_CHECK_RECORD,
     PreferenceRecord(query="tea or coffee?", preferred="", rejected=("tea", "coffee, strong", "", "a long answer here")),
 ]
-SCORE_MODES = [
-    {"true_odds": False, "length_normalize": True},
-    {"true_odds": True, "length_normalize": True},
-    {"true_odds": False, "length_normalize": False},
-]
 
 
-@pytest.mark.parametrize("mode", SCORE_MODES, ids=["default", "true_odds", "raw_sums"])
-def test_shared_prompt_loss_and_grads_match_the_per_sequence_oracle(mode):
+@pytest.mark.parametrize("score", ["mean", "odds", "sum"], ids=["default", "true_odds", "raw_sums"])
+def test_shared_prompt_loss_and_grads_match_the_per_sequence_oracle(score):
     model = TinyTransformer.from_checkpoint(tiny_model())
     for record in SHARED_PROMPT_RECORDS:
-        lb, grads = loss_and_grads(model, record, 0.1, **mode)
-        want, want_grads = per_sequence_loss(model, record, 0.1, **mode, with_traces=True)
+        lb, grads = loss_and_grads(model, record, 0.1, score=score)
+        want, want_grads = per_sequence_loss(model, record, 0.1, score, with_traces=True)
         for name, g in want_grads.items():
             assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
-        for got in (lb, orpo_loss(model, record, 0.1, **mode)):
+        for got in (lb, orpo_loss(model, record, 0.1, score=score)):
             for key in ("sft", "contrastive", "total"):
                 assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=0.0)
             assert got.per_rejection_ratios == pytest.approx(want.per_rejection_ratios, rel=0.0, abs=1e-12)

@@ -220,8 +220,7 @@ def test_align_runs_and_writes_report(tmp_path, model_path, capsys):
     assert out.exists()
 
 
-@pytest.mark.parametrize("flag, field", [("--true-odds", {"true_odds": True}),
-                                         ("--raw-sums", {"length_normalize": False})])
+@pytest.mark.parametrize("flag, field", [("--true-odds", {"score": "odds"}), ("--raw-sums", {"score": "sum"})])
 def test_align_flag_sets_its_train_config_field(tmp_path, model_path, flag, field):
     dataset = toy_preference_dataset(n_queries=1)
     data, report = tmp_path / "train.jsonl", tmp_path / "report.json"
@@ -404,6 +403,8 @@ def test_transcript_that_is_not_an_object_is_bad_input(tmp_path, capsys, command
     (("align", "--lr", "inf"), "learning rate must be >= 0 and finite, got inf"),
     (("align", "--lambda", "nan"), "lambda must be >= 0 and finite, got nan"),
     (("align", "--lambda", "inf"), "lambda must be >= 0 and finite, got inf"),
+    (("align", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("eval", "--country", ""), "--country must be non-empty"),
     (("synth", "--max-rounds", "0"), "max_rounds must be >= 1"),
     (("merge", "--gate", "0.5,x"), "--gate must be comma-separated numbers, got '0.5,x'"),
     (("route", "--temperature", "0"), "--temperature must be > 0, got 0.0"),
@@ -423,7 +424,8 @@ def test_transcript_that_is_not_an_object_is_bad_input(tmp_path, capsys, command
     (("metrics", "kl", "--p", "[0.5,0.5]", "--q", "[0.5,Infinity]"), "q contains non-finite entries"),
     (("metrics", "salign", "--gen", "[Infinity,0]", "--gold", "[0.5,0.5]"), "p_gen contains non-finite entries"),
     (("metrics", "salign", "--gen", "[0.5,0.5]", "--gold", "[0.5,NaN]"), "p_gold contains non-finite entries"),
-], ids=["epochs", "batch-size", "lr", "lambda", "lr-nan", "lr-inf", "lambda-nan", "lambda-inf", "max-rounds",
+], ids=["epochs", "batch-size", "lr", "lambda", "lr-nan", "lr-inf", "lambda-nan", "lambda-inf", "seed",
+        "country-empty", "max-rounds",
         "gate", "temperature-zero", "temperature-negative", "temperature-nan", "kl-one-entry", "kl-sum", "salign-not-json", "pearson-object", "pearson-bool",
         "pearson-x-nan", "pearson-x-infinity", "pearson-y-nan", "pearson-y-infinity",
         "kl-p-nan", "kl-q-infinity", "salign-gen-infinity", "salign-gold-nan"])
@@ -440,6 +442,8 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, model_path, capsys, arg
         "align": ("align", "--model", str(model_path), "--data", str(data), "-o", str(out)),
         "synth": ("synth", "run", "--queries", str(queries), "--backend", "mock",
                   "--transcript", str(transcript), "--out", str(out)),
+        "eval": ("eval", "--items", str(tmp_path / "missing.jsonl"), "--meta-backend", "mock",
+                 "--transcript", str(transcript), "-o", str(out)),
         "merge": ("merge", "--method", "moerges", "--base", str(model_path), "--expert", f"a={model_path}",
                   "--expert", f"b={model_path}", "-o", str(out)),
         "route": ("gate", "route", "--model", str(model_path), "--gate", str(gate), "--prompt", "hi"),
@@ -457,6 +461,9 @@ MODE_COMMANDS = {
     "merge": ("merge", "--base", "{model}", "--expert", "a={model}", "--expert", "b={model}", "-o", "{out}",
               "--method"),
     "align": ("align", "--model", "{model}", "--data", "{items}", "-o", "{out}"),
+    # eval and synth run with an input file that is not there: the usage error comes before any read
+    "eval unread": ("eval", "--country", "NZL", "--items", "{missing}", "-o", "{out}", "--meta-backend"),
+    "synth unread": ("synth", "run", "--queries", "{missing}", "--out", "{out}", "--backend"),
 }
 MOCK, REMOTE = ("--transcript", "{transcript}"), ("--url", "http://127.0.0.1:9")  # the port is never contacted
 LOCAL = ("--model", "{model}", "--no-moerges")
@@ -494,11 +501,22 @@ LOCAL = ("--model", "{model}", "--no-moerges")
     pytest.param("eval", "remote", (), "--url is required with --meta-backend remote", id="eval-remote-without-url"),
     pytest.param("eval", "mock", (), "--transcript is required with --meta-backend mock",
                  id="eval-mock-without-transcript"),
-    pytest.param("eval", "mock", (*MOCK, "--no-draft", "--no-regulate"), "--no-regulate applies only without --no-draft",
-                 id="eval-no-draft-no-regulate"),
-    pytest.param("align", "--true-odds", ("--raw-sums",),
-                 "true odds score the length-normalized probability, so they cannot use raw sums",
+    pytest.param("eval", "mock", (*MOCK, "--no-draft", "--no-regulate"),
+                 "argument --no-regulate: not allowed with argument --no-draft", id="eval-no-draft-no-regulate"),
+    pytest.param("align", "--true-odds", ("--raw-sums",), "argument --raw-sums: not allowed with argument --true-odds",
                  id="align-true-odds-raw-sums"),
+    pytest.param("eval unread", "mock", (*MOCK, *REMOTE), "--url applies only to --meta-backend remote",
+                 id="eval-mock-url-unread-items"),
+    pytest.param("eval unread", "local", (*LOCAL, "--expert", "Moon={missing}"), "--expert labels must be continents",
+                 id="eval-expert-label-unread-items"),
+    pytest.param("eval unread", "local", (*LOCAL, "--gate", "{missing}"),
+                 "--gate and --gate-mode apply only without --no-moerges", id="eval-no-moerges-gate-unread-items"),
+    pytest.param("eval unread", "local", ("--model", "{model}", "--gate", "{missing}"),
+                 "local eval needs --gate and all five --expert", id="eval-gate-without-experts-unread-items"),
+    pytest.param("synth unread", "mock", (*MOCK, *REMOTE), "--url applies only to --backend remote",
+                 id="synth-mock-url-unread-queries"),
+    pytest.param("synth unread", "mock", (), "--transcript is required with --backend mock",
+                 id="synth-mock-without-transcript-unread-queries"),
     pytest.param("synth", "mock", (*MOCK, "--url", "http://nowhere"), "--url applies only to --backend remote",
                  id="synth-mock-url"),
     pytest.param("synth", "mock", (*MOCK, "--model-name", "zz"), "--model-name applies only to --backend remote",
@@ -632,9 +650,10 @@ def test_float_output_uses_nine_significant_digits(tmp_path, capsys):
 
 
 READER_COMMANDS = [
-    ("eval", "--country", "NZL", "--meta-backend", "mock", "--items", "{bad}", "-o", "{out}"),
+    ("eval", "--country", "NZL", "--meta-backend", "mock", "--transcript", "{transcript}", "--items", "{bad}",
+     "-o", "{out}"),
     ("align", "--model", "{model}", "--data", "{bad}", "-o", "{out}"),
-    ("synth", "run", "--queries", "{bad}", "--backend", "mock", "--out", "{out}"),
+    ("synth", "run", "--queries", "{bad}", "--backend", "mock", "--transcript", "{transcript}", "--out", "{out}"),
     ("synth", "pairs", "--records", "{bad}", "-o", "{out}"),
     ("synth", "import-prism", "--input", "{bad}", "-o", "{out}"),
 ]
@@ -645,7 +664,9 @@ INPUT_IDS = READER_IDS + ["synth import-prism csv"]
 
 
 def _run_reader(command, bad, out, model, capsys):
-    argv = [a.format(bad=bad, out=out, model=model) for a in command]
+    transcript = out.parent / "reader_transcript.json"  # valid, so that the run fails on `bad` alone
+    transcript.write_text(json.dumps({"default": "[Approved]"}))
+    argv = [a.format(bad=bad, out=out, model=model, transcript=transcript) for a in command]
     assert run_cli(*argv) == 2
     assert not out.exists()
     return json.loads(capsys.readouterr().err)
@@ -810,13 +831,13 @@ def test_cli_imports_without_requests():
     _python("-c", "import palette.cli, sys; assert 'requests' not in sys.modules")
 
 
-# Default-size model, four experts' merges and a local eval, written into argv[1].
+# Default-size model, four experts' merges, a local eval and training with each score, written into argv[1].
 WALKTHROUGH = """
 import sys
 from palette.cli import main
 from palette.common import CONTINENTS
 
-out, items = sys.argv[1:]
+out, items, data = sys.argv[1:]
 def run(*argv):
     assert main(list(argv)) == 0, argv
 run("model", "init", "-o", f"{out}/base.st")
@@ -830,6 +851,9 @@ for method, extra in [("task", ()), ("ties", ("--density", "0.5")), ("stock", ()
 run("gate", "init", "--model", f"{out}/base.st", "-o", f"{out}/gate.st")
 run("eval", "--country", "NZL", "--items", items, "--meta-backend", "local", "--model", f"{out}/base.st",
     *experts, "--gate", f"{out}/gate.st", "-o", f"{out}/report.json")
+for score, flags in [("mean", ()), ("odds", ("--true-odds",)), ("sum", ("--raw-sums",))]:
+    run("align", "--model", f"{out}/base.st", "--data", data, "--epochs", "1", *flags,
+        "-o", f"{out}/align-{score}.st", "--report", f"{out}/align-{score}.json")
 """
 
 
@@ -837,14 +861,17 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     items = tmp_path / "qa.jsonl"
     items.write_text("".join(json.dumps({"question": f"is rule {i} fair?", "options": ["yes", "no", "unsure"],
                                          "gold": [0.5, 0.3, 0.2], "country": "NZL"}) + "\n" for i in range(2)))
+    data = tmp_path / "train.jsonl"
+    save_records_jsonl(toy_preference_dataset(n_queries=1), data)
     digests = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         out.mkdir()
-        _python("-c", WALKTHROUGH, str(out), str(items), OPENBLAS_NUM_THREADS=threads)
+        _python("-c", WALKTHROUGH, str(out), str(items), str(data), OPENBLAS_NUM_THREADS=threads)
         digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()})
     assert sorted(digests[0]) == sorted(["base.st", *(f"{c}.st" for c in CONTINENTS), "task.st", "ties.st",
-                                         "stock.st", "moerges.st", "gate.st", "report.json"])
+                                         "stock.st", "moerges.st", "gate.st", "report.json",
+                                         *(f"align-{s}.{x}" for s in ("mean", "odds", "sum") for x in ("st", "json"))])
     assert digests[0] == digests[1]
 
 
@@ -1014,6 +1041,20 @@ def test_import_prism_query_that_is_not_a_string_exits_bad_input(tmp_path, capsy
     assert err["code"] == "bad_input"
     assert err["context"] == {"path": str(src), "line": 2}
     assert err["message"] == f"{src}:2: the query field must be a string, got list"
+
+
+@pytest.mark.parametrize("name, text, line, qid, first", [
+    ("prism.csv", "question_id,question\n7,a?\n8,b?\n7,c?\n", 4, "7", 2),
+    ("prism.jsonl", '{"question": "a?"}\n{"id": "q00000", "question": "b?"}\n', 2, "q00000", 1),
+], ids=["csv", "jsonl-default-id"])
+def test_import_prism_repeated_query_id_exits_bad_input(tmp_path, capsys, name, text, line, qid, first):
+    # The JSONL row without an id takes the default id of its line, q00000.
+    src, out = tmp_path / name, tmp_path / "queries.jsonl"
+    src.write_text(text)
+    err = _run_reader(READER_COMMANDS[-1], src, out, None, capsys)
+    assert err["code"] == "bad_input"
+    assert err["context"] == {"path": str(src), "line": line}
+    assert err["message"] == f"{src}:{line}: query id {qid!r} repeats line {first}"
 
 
 @pytest.mark.parametrize("gold, reason", [([0.5, -0.5], "negative entries"), ([0, 0], "no positive mass"),

@@ -26,8 +26,11 @@ def test_jsonl_write_append_iter_round_trip(tmp_path):
 
 
 def _synth_run_queries(path):
+    transcript = path.parent / "transcript.json"  # valid, so that the run fails on `path` alone
+    transcript.write_text(json.dumps({"default": "[Approved]"}))
     args = cli.build_parser().parse_args(
-        ["synth", "run", "--queries", str(path), "--backend", "mock", "--out", str(path.parent / "out")]
+        ["synth", "run", "--queries", str(path), "--backend", "mock", "--transcript", str(transcript),
+         "--out", str(path.parent / "out")]
     )
     cli._cmd_synth(args)
 

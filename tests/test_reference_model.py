@@ -34,6 +34,8 @@ def test_config_validation():
         ModelConfig(n_layers=0).validate()
     with pytest.raises(BadConfig):
         ModelConfig(vocab_size=100).validate()
+    with pytest.raises(BadConfig, match="seed must be >= 0, got -1"):
+        ModelConfig(seed=-1).validate()
     ModelConfig().validate()
 
 
