@@ -17,13 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .common import CONTINENTS, bad_line, dumps_canonical, fingerprint, iter_jsonl
-from .errors import (
-    AllZero,
-    BackendFailure,
-    EmptyDataset,
-    NegativeEntry,
-    UnparseableDistribution,
-)
+from .errors import BackendFailure, PaletteError
 from .backends import LocalReference, option_distribution_from_scores
 from .gate_router import GateMatrix, GateWeights, route_prompt
 from .merge_engine import FFN_PATTERN, moerges_fuse
@@ -103,7 +97,9 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
                 country=country,
                 qid=str(row.get("id", f"q{lineno:04d}")),
             )
-        except (TypeError, ValueError, NegativeEntry, AllZero) as exc:
+        except (TypeError, ValueError, PaletteError) as exc:
+            if isinstance(exc, PaletteError) and exc.code not in ("negative_entry", "all_zero"):
+                raise
             raise bad_line(path, lineno, str(exc)) from exc
         items.append(item)
     return items
@@ -181,7 +177,7 @@ def final_decision(
 
     Local backends score the option texts by sequence log-probability and
     softmax them; text backends must reply with a JSON probability array and
-    are re-prompted up to three times before UnparseableDistribution.
+    are re-prompted up to three times before unparseable_distribution.
     """
     options = "\n".join(f"{OPTION_LETTERS[i]}. {opt}" for i, opt in enumerate(item.options))
     prompt = render_template("final", country=country, query=item.question, options=options, drafts=regulated)
@@ -196,7 +192,7 @@ def final_decision(
             raw = _parse_probability_array(reply, len(item.options))
             if raw is not None:
                 if sum(raw) <= 0.0:
-                    raise AllZero("model emitted an all-zero distribution")
+                    raise PaletteError("all_zero", "model emitted an all-zero distribution")
                 p_gen = normalize_distribution(raw)
                 break
             attempt_prompt = (
@@ -204,7 +200,8 @@ def final_decision(
                 + f"\n\nReturn only a JSON array of {len(item.options)} non-negative probabilities."
             )
         if p_gen is None:
-            raise UnparseableDistribution(
+            raise PaletteError(
+                "unparseable_distribution",
                 f"no parseable distribution after {PARSE_ATTEMPTS} attempts", qid=item.qid
             )
     answer = OPTION_LETTERS[int(np.argmax(p_gen))]
@@ -356,7 +353,7 @@ def evaluate_country(
     """Run every item through the pipeline and score against its gold
     distribution; the report is deterministic for deterministic backends."""
     if not items:
-        raise EmptyDataset(f"no opinion items supplied for {country}")
+        raise PaletteError("empty_dataset", f"no opinion items supplied for {country}")
     for item in items:
         if item.country != country:
             raise ValueError(f"item {item.qid!r} belongs to {item.country!r}, not {country!r}")

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .common import bad_line, fingerprint, iter_jsonl, write_jsonl
-from .errors import EmptyDataset, WrongRejectionCount
+from .errors import PaletteError
 from .reference_model import TinyTransformer, _continuation_dlogits, _continuation_logprob, encode_pair
 from .tensor_store import Checkpoint
 
@@ -43,7 +43,8 @@ class PreferenceRecord:
     def __post_init__(self):
         object.__setattr__(self, "rejected", tuple(self.rejected))
         if len(self.rejected) != N_REJECTED:
-            raise WrongRejectionCount(
+            raise PaletteError(
+                "wrong_rejection_count",
                 f"expected {N_REJECTED} rejected responses, got {len(self.rejected)}"
             )
 
@@ -68,7 +69,9 @@ def load_records_jsonl(path) -> list[PreferenceRecord]:
     for index, row in iter_jsonl(path, required=("query", "preferred", "rejected")):
         try:
             records.append(PreferenceRecord.from_dict(row))
-        except (TypeError, WrongRejectionCount) as exc:
+        except (TypeError, PaletteError) as exc:
+            if isinstance(exc, PaletteError) and exc.code != "wrong_rejection_count":
+                raise
             raise bad_line(path, index, str(exc)) from exc
     return records
 
@@ -277,7 +280,7 @@ def train(
 ) -> tuple[Checkpoint, TrainReport]:
     """Momentum SGD over the preference loss; bit-reproducible per seed."""
     if not dataset:
-        raise EmptyDataset("training dataset is empty")
+        raise PaletteError("empty_dataset", "training dataset is empty")
 
     model = _as_model(params).clone()
     velocity = {name: np.zeros_like(arr) for name, arr in model.params.items()}

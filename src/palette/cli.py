@@ -1,6 +1,6 @@
 """`palette` command-line interface.
 
-Exit codes: 0 success, 1 usage error (usage text on stderr), 2 runtime
+Exit codes: 0 success, 1 usage error (the subcommand's usage on stderr), 2 runtime
 failure (structured JSON {code, message, context} on stderr). Output files
 are written atomically and all float output uses 9 significant digits.
 """
@@ -12,8 +12,9 @@ import json
 import sys
 
 from . import __version__
-from .common import CONTINENTS, atomic_write_text, bad_line, dumps_canonical, iter_jsonl, round9, unreadable, write_jsonl
-from .errors import BadDensity, BadInput, EmptyDataset, GateDimensionMismatch, PaletteError, SchemaMismatch, TooLong
+from .common import (CONTINENTS, atomic_write_text, bad_file, bad_line, dumps_canonical, iter_jsonl, round9,
+                     unreadable, write_jsonl)
+from .errors import PaletteError, TooLong
 from . import agent_pipeline, align_trainer, data_synth, gate_router, merge_engine, metrics
 from .backends import LocalReference, RemoteChat, ScriptedMock
 from .reference_model import ModelConfig, init_model
@@ -21,12 +22,18 @@ from .tensor_store import load_checkpoint, save_checkpoint
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message: str, usage: str | None = None):
+        super().__init__(message)
+        self.usage = usage  # the refusing parser's usage; None: that of the subcommand parsed
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.set_defaults(usage=self.format_usage)  # a subcommand's default overrides its parent's
+
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self.format_usage())
 
 
 def _expert_paths(pairs: list[str]) -> dict[str, str]:
@@ -38,7 +45,7 @@ def _expert_paths(pairs: list[str]) -> dict[str, str]:
             raise _UsageError(f"--expert must look like LABEL=PATH, got {pair!r}")
     labels = [label for label, _, _ in split]
     if len(set(labels)) != len(labels):
-        raise SchemaMismatch(f"expert labels must be unique, got {labels}")
+        raise PaletteError("schema_mismatch", f"expert labels must be unique, got {labels}")
     return {label: path for label, _, path in split}
 
 
@@ -90,10 +97,10 @@ _MOCK_FIELDS = {
 def _mock_from_spec(spec, label: str, path) -> ScriptedMock:
     """The mock one transcript entry describes; bad_input naming ``path`` where the entry is malformed."""
     if not isinstance(spec, dict):
-        raise BadInput(f"{path}: transcript entry {label!r} must be a JSON object", path=str(path))
+        raise bad_file(path, f"transcript entry {label!r} must be a JSON object")
     for key, (kind, ok) in _MOCK_FIELDS.items():
         if spec.get(key) is not None and not ok(spec[key]):
-            raise BadInput(f"{path}: {key!r} of transcript entry {label!r} must be {kind}", path=str(path))
+            raise bad_file(path, f"{key!r} of transcript entry {label!r} must be {kind}")
     return ScriptedMock(
         default=spec.get("default"),
         exact=spec.get("exact"),
@@ -110,7 +117,7 @@ def _load_json(path):
     except OSError as exc:
         raise unreadable(path, exc) from exc
     except ValueError as exc:  # also bytes that are not UTF-8
-        raise BadInput(f"{path}: not valid JSON: {exc}", path=str(path)) from exc
+        raise bad_file(path, f"not valid JSON: {exc}") from exc
 
 
 def _checked(make, **kwargs):
@@ -126,10 +133,10 @@ def _load_prompts(path) -> dict[str, str]:
     if isinstance(prompts, list) and len(prompts) == len(CONTINENTS):
         prompts = dict(zip(CONTINENTS, prompts))
     if not isinstance(prompts, dict):
-        raise BadInput(f"{path}: expected {{continent: prompt}} or {len(CONTINENTS)} prompts", path=str(path))
+        raise bad_file(path, f"expected {{continent: prompt}} or {len(CONTINENTS)} prompts")
     for c in CONTINENTS:
         if not isinstance(prompts.get(c), str):
-            raise BadInput(f"{path}: the prompt for {c} is missing or not a string", path=str(path), continent=c)
+            raise bad_file(path, f"the prompt for {c} is missing or not a string", continent=c)
     return prompts
 
 
@@ -260,13 +267,13 @@ def _cmd_merge(args) -> int:
         merged = merge_engine.task_arithmetic(base, experts, args.coeff or [1.0] * len(experts))
     elif args.method == "ties":
         if args.density is None:
-            raise BadDensity("ties merge requires a density in (0, 1]")
+            raise PaletteError("bad_density", "ties merge requires a density in (0, 1]")
         merged = merge_engine.ties_merge(base, experts, args.density, 1.0 if args.scale is None else args.scale)
     elif args.method == "stock":
         merged = merge_engine.model_stock(base, experts)
     else:
         if args.gate is None:
-            raise GateDimensionMismatch("moerges merge requires a gate vector")
+            raise PaletteError("gate_dimension_mismatch", "moerges merge requires a gate vector")
         try:
             gate = [float(x) for x in args.gate.split(",")]
         except ValueError:
@@ -308,7 +315,7 @@ def _cmd_align(args) -> int:
     dataset = align_trainer.load_records_jsonl(args.data)
     kept = [i for i, r in enumerate(dataset) if not args.continent or r.continent == args.continent]
     if args.continent and not kept:
-        raise EmptyDataset(f"no record in {args.data} has continent {args.continent!r}",
+        raise PaletteError("empty_dataset", f"no record in {args.data} has continent {args.continent!r}",
                            path=str(args.data), continent=args.continent)
     try:
         trained, report = align_trainer.train(params, [dataset[i] for i in kept], cfg)
@@ -342,10 +349,10 @@ def _cmd_eval(args) -> int:
     if args.meta_backend == "mock":
         spec = _load_json(args.transcript)
         if not isinstance(spec, dict):
-            raise BadInput(f"{args.transcript}: a transcript must be a JSON object", path=str(args.transcript))
+            raise bad_file(args.transcript, "a transcript must be a JSON object")
         entries = spec.get("agents", {})
         if not isinstance(entries, dict) or not all(isinstance(e, dict) for e in entries.values()):
-            raise BadInput(f"{args.transcript}: 'agents' must be an object of objects", path=str(args.transcript))
+            raise bad_file(args.transcript, "'agents' must be an object of objects")
         agents = {
             c: _mock_from_spec(entries.get(c, {"default": f"resp-{c}"}), c, args.transcript)
             for c in CONTINENTS
@@ -439,13 +446,14 @@ def _cmd_metrics(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
         return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        print(exc.usage or args.usage(), end="", file=sys.stderr)
         return 1
     except Exception as exc:  # no stack traces on the CLI surface
         if isinstance(exc, PaletteError):

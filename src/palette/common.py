@@ -9,7 +9,6 @@ import json
 import logging
 import math
 import os
-import tempfile
 import threading
 import time
 import urllib.request
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit, urlunsplit
 
-from .errors import BadInput, EndpointUnreachable, IoFailure
+from .errors import EndpointUnreachable, PaletteError
 
 # Fixed continental order used everywhere a 5-way label axis appears.
 CONTINENTS = ("Africa", "America", "Asia", "Europe", "Oceania")
@@ -60,12 +59,15 @@ def fingerprint(obj) -> str:
 
 def atomic_write_bytes(path, chunks: Sequence) -> None:
     """Write the buffers in `chunks`, in order, via temp file + rename so
-    failures never leave partial output. Any OSError, from creating the temp
-    file to the rename, removes the temp file and raises IoFailure naming ``path``."""
+    failures never leave partial output. The file gets the mode ``open(path, "w")``
+    would give a new file: 0o666 less the umask. Any OSError, from creating the
+    temp file to the rename, removes the temp file and raises io_failure naming ``path``."""
     path = Path(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        name = path.parent / f"{path.name}.{os.urandom(4).hex()}.tmp"
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mkstemp would make it 0o600
+        tmp = name
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
@@ -88,19 +90,24 @@ def _jsonl_line(row) -> str:
     return json.dumps(row, sort_keys=True) + "\n"
 
 
-def bad_line(path, index: int, message: str, **context) -> BadInput:
-    """BadInput for the 0-based line ``index`` of ``path``, named ``file:line`` (1-based)."""
-    return BadInput(f"{path}:{index + 1}: {message}", path=str(path), line=index + 1, **context)
+def bad_line(path, index: int, message: str, **context) -> PaletteError:
+    """bad_input for the 0-based line ``index`` of ``path``, named ``file:line`` (1-based)."""
+    return PaletteError("bad_input", f"{path}:{index + 1}: {message}", path=str(path), line=index + 1, **context)
 
 
-def unreadable(path, exc: OSError) -> IoFailure:
-    """IoFailure for a file that cannot be opened or read, naming ``path``."""
-    return IoFailure(f"cannot read {path}: {exc}", path=str(path))
+def bad_file(path, message: str, **context) -> PaletteError:
+    """bad_input for the whole file ``path``, named at the start of the message."""
+    return PaletteError("bad_input", f"{path}: {message}", path=str(path), **context)
 
 
-def unwritable(path, exc: OSError) -> IoFailure:
-    """IoFailure for a file or directory that cannot be created or written, naming ``path``."""
-    return IoFailure(f"cannot write {path}: {exc}", path=str(path))
+def unreadable(path, exc: OSError) -> PaletteError:
+    """io_failure for a file that cannot be opened or read, naming ``path``."""
+    return PaletteError("io_failure", f"cannot read {path}: {exc}", path=str(path))
+
+
+def unwritable(path, exc: OSError) -> PaletteError:
+    """io_failure for a file or directory that cannot be created or written, naming ``path``."""
+    return PaletteError("io_failure", f"cannot write {path}: {exc}", path=str(path))
 
 
 def iter_jsonl(path, required: Sequence[str] = ()):
@@ -109,8 +116,8 @@ def iter_jsonl(path, required: Sequence[str] = ()):
     ``index`` is the 0-based position of the line in the file, blank lines
     included (what ``enumerate`` over the file gives). A line that is not
     valid UTF-8, does not parse, is not a JSON object or lacks one of the
-    ``required`` keys raises BadInput naming the file and the 1-based line.
-    A file that cannot be opened raises IoFailure naming the path.
+    ``required`` keys raises bad_input naming the file and the 1-based line.
+    A file that cannot be opened raises io_failure naming the path.
     """
     try:
         # surrogateescape defers a decoding error to the line that holds it.
@@ -146,7 +153,7 @@ def write_jsonl(path, rows) -> None:
 
 def append_jsonl(path, row) -> None:
     """Append one row and its newline to a JSONL file in one write. Any
-    OSError, or a write cut short, raises IoFailure naming ``path``."""
+    OSError, or a write cut short, raises io_failure naming ``path``."""
     data = _jsonl_line(row).encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 from .align_trainer import PreferenceRecord
 from .common import CONTINENTS, append_jsonl, bad_line, drop_torn_tail, iter_jsonl, unreadable, unwritable
-from .errors import BackendFailure, IncompleteQuery
+from .errors import BackendFailure, PaletteError
 from .templates import render_template
 
 logger = logging.getLogger(__name__)
@@ -270,7 +270,7 @@ def build_preference_pairs(
         by_continent = records[qid]
         missing = [c for c in CONTINENTS if c not in by_continent]
         if missing:
-            raise IncompleteQuery(f"query {qid!r} is missing continents {missing}")
+            raise PaletteError("incomplete_query", f"query {qid!r} is missing continents {missing}")
         for continent in CONTINENTS:
             rec = by_continent[continent]
             rejected = tuple(

@@ -1,160 +1,61 @@
-"""Exception hierarchy shared by all palette modules.
+"""The error shared by all palette modules.
 
-Every error carries a machine-readable ``code`` (used by the CLI's
-structured error output) and an optional ``context`` dict.
+Every error carries a machine-readable ``code`` from ``CODES`` (used by the
+CLI's structured error output) and an optional ``context`` dict. A subclass
+exists only where some caller catches the error by type; it fixes its code.
 """
 
 from __future__ import annotations
 
+CODES = (
+    "bad_input", "io_failure",  # common
+    "malformed_header", "shape_mismatch", "duplicate_name",  # tensor_store
+    "schema_mismatch", "bad_density", "too_few_experts", "gate_dimension_mismatch", "unnormalized_gate",  # merge_engine
+    "bad_config", "too_long", "empty_continuation",  # reference_model
+    "empty_prompt", "dimension_mismatch", "non_finite_input",  # gate_router
+    "wrong_rejection_count", "empty_dataset",  # align_trainer
+    "length_mismatch", "support_violation", "all_zero", "negative_entry",  # metrics
+    "endpoint_unreachable", "malformed_scorer_response", "empty_text",
+    "backend_failure", "unparseable_distribution", "incomplete_query", "template_error",  # pipelines
+)
+
 
 class PaletteError(Exception):
-    """Base class for all palette failures."""
+    """A palette failure with its ``code``; a code not in ``CODES`` raises ValueError."""
 
-    code = "error"
-
-    def __init__(self, message: str, **context):
+    def __init__(self, code: str, message: str, **context):
+        if code not in CODES:
+            raise ValueError(f"unknown error code {code!r}")
         super().__init__(message)
+        self.code = code
         self.context = context
 
 
-# --- common ---------------------------------------------------------------
-
-class BadInput(PaletteError):
-    """A data file line that cannot be read as the expected JSON object; context
-    names path and line."""
-
-    code = "bad_input"
-
-
-# --- tensor_store ---------------------------------------------------------
-
 class MalformedHeader(PaletteError):
-    code = "malformed_header"
-
-
-class ShapeMismatch(PaletteError):
-    code = "shape_mismatch"
+    def __init__(self, message: str, **context):
+        super().__init__("malformed_header", message, **context)
 
 
 class DuplicateName(PaletteError):
-    code = "duplicate_name"
+    def __init__(self, message: str, **context):
+        super().__init__("duplicate_name", message, **context)
 
 
-class IoFailure(PaletteError):
-    code = "io_failure"
+class TooLong(PaletteError):
+    def __init__(self, message: str, **context):
+        super().__init__("too_long", message, **context)
+
+
+class EndpointUnreachable(PaletteError):
+    def __init__(self, message: str, **context):
+        super().__init__("endpoint_unreachable", message, **context)
+
+
+class BackendFailure(PaletteError):
+    def __init__(self, message: str, label: str = "", **context):
+        super().__init__("backend_failure", message, label=label, **context)
+        self.label = label
 
 
 class EmptySelectionWarning(UserWarning):
     """moerges_fuse found no tensor matching `merge_engine.FFN_PATTERN`, so it fused nothing."""
-
-
-# --- merge_engine ---------------------------------------------------------
-
-class SchemaMismatch(PaletteError):
-    code = "schema_mismatch"
-
-
-class BadDensity(PaletteError):
-    code = "bad_density"
-
-
-class TooFewExperts(PaletteError):
-    code = "too_few_experts"
-
-
-class GateDimensionMismatch(PaletteError):
-    code = "gate_dimension_mismatch"
-
-
-class UnnormalizedGate(PaletteError):
-    code = "unnormalized_gate"
-
-
-# --- reference_model ------------------------------------------------------
-
-class BadConfig(PaletteError):
-    code = "bad_config"
-
-
-class TooLong(PaletteError):
-    code = "too_long"
-
-
-class EmptyContinuation(PaletteError):
-    code = "empty_continuation"
-
-
-# --- gate_router ----------------------------------------------------------
-
-class EmptyPrompt(PaletteError):
-    code = "empty_prompt"
-
-
-class DimensionMismatch(PaletteError):
-    code = "dimension_mismatch"
-
-
-class NonFiniteInput(PaletteError):
-    code = "non_finite_input"
-
-
-# --- align_trainer --------------------------------------------------------
-
-class WrongRejectionCount(PaletteError):
-    code = "wrong_rejection_count"
-
-
-class EmptyDataset(PaletteError):
-    code = "empty_dataset"
-
-
-# --- metrics --------------------------------------------------------------
-
-class LengthMismatch(PaletteError):
-    code = "length_mismatch"
-
-
-class SupportViolation(PaletteError):
-    code = "support_violation"
-
-
-class AllZero(PaletteError):
-    code = "all_zero"
-
-
-class NegativeEntry(PaletteError):
-    code = "negative_entry"
-
-
-class EndpointUnreachable(PaletteError):
-    code = "endpoint_unreachable"
-
-
-class MalformedScorerResponse(PaletteError):
-    code = "malformed_scorer_response"
-
-
-class EmptyText(PaletteError):
-    code = "empty_text"
-
-
-# --- agent_pipeline / data_synth ------------------------------------------
-
-class BackendFailure(PaletteError):
-    code = "backend_failure"
-
-    def __init__(self, message: str, label: str = "", **context):
-        super().__init__(message, label=label, **context)
-        self.label = label
-
-
-class UnparseableDistribution(PaletteError):
-    code = "unparseable_distribution"
-
-
-class IncompleteQuery(PaletteError):
-    code = "incomplete_query"
-
-
-class TemplateError(PaletteError):
-    code = "template_error"

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .common import CONTINENTS
-from .errors import DimensionMismatch, EmptyPrompt, NonFiniteInput
+from .errors import PaletteError
 from .tensor_store import Checkpoint, TensorSpec, load_checkpoint, save_checkpoint
 from .reference_model import BOS, EOS, TinyTransformer
 
@@ -35,15 +35,16 @@ class GateMatrix:
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2 or self.matrix.shape[1] != len(CONTINENTS):
-            raise DimensionMismatch(
+            raise PaletteError(
+                "dimension_mismatch",
                 f"gate matrix shape {self.matrix.shape} does not give one column "
                 f"per continent ({len(CONTINENTS)})"
             )
         if not np.all(np.isfinite(self.matrix)):
-            raise NonFiniteInput("gate matrix contains non-finite entries")
+            raise PaletteError("non_finite_input", "gate matrix contains non-finite entries")
         norms = np.linalg.norm(self.matrix, axis=0)
         if np.any(np.abs(norms - 1.0) > _COLUMN_NORM_TOL):
-            raise DimensionMismatch("gate matrix must have unit-norm columns")
+            raise PaletteError("dimension_mismatch", "gate matrix must have unit-norm columns")
 
     @property
     def d_model(self) -> int:
@@ -58,9 +59,9 @@ class GateWeights:
 
     def __post_init__(self):
         if len(self.values) != len(CONTINENTS):
-            raise DimensionMismatch(f"expected {len(CONTINENTS)} weights, got {len(self.values)}")
+            raise PaletteError("dimension_mismatch", f"expected {len(CONTINENTS)} weights, got {len(self.values)}")
         if abs(sum(self.values) - 1.0) > 1e-6:
-            raise DimensionMismatch(f"gate weights sum to {sum(self.values)}, expected 1")
+            raise PaletteError("dimension_mismatch", f"gate weights sum to {sum(self.values)}, expected 1")
 
     def __iter__(self):
         return iter(self.values)
@@ -78,7 +79,7 @@ def softmax_weights(logits: Sequence[float], temperature: float = 1.0) -> np.nda
         raise ValueError(f"temperature must be positive, got {temperature}")
     z = np.asarray(logits, dtype=np.float64) / temperature
     if not np.all(np.isfinite(z)):
-        raise NonFiniteInput("softmax input contains non-finite entries")
+        raise PaletteError("non_finite_input", "softmax input contains non-finite entries")
     e = np.exp(z - z.max())
     return e / e.sum()
 
@@ -95,14 +96,14 @@ def init_gate(model: Checkpoint, system_prompts: Mapping[str, str] | None = None
         system_prompts = DEFAULT_SYSTEM_PROMPTS
     missing = [c for c in CONTINENTS if c not in system_prompts]
     if missing:
-        raise EmptyPrompt(f"missing system prompts for {missing}")
+        raise PaletteError("empty_prompt", f"missing system prompts for {missing}")
 
     tt = TinyTransformer.from_checkpoint(model)
     columns = []
     for continent in CONTINENTS:
         prompt = system_prompts[continent]
         if not prompt:
-            raise EmptyPrompt(f"empty system prompt for {continent}")
+            raise PaletteError("empty_prompt", f"empty system prompt for {continent}")
         hidden = tt.mean_hidden(_head_tokens(tt, prompt))
         columns.append(hidden / np.linalg.norm(hidden))
     return GateMatrix(matrix=np.stack(columns, axis=1))
@@ -112,11 +113,12 @@ def route(hidden: Sequence[float], gate: GateMatrix, temperature: float = 1.0) -
     """softmax(hidden . W_g): the expert weighting for one prompt encoding."""
     vec = np.asarray(hidden, dtype=np.float64)
     if vec.ndim != 1 or vec.shape[0] != gate.d_model:
-        raise DimensionMismatch(
+        raise PaletteError(
+            "dimension_mismatch",
             f"hidden vector has shape {vec.shape}, gate expects ({gate.d_model},)"
         )
     if not np.all(np.isfinite(vec)):
-        raise NonFiniteInput("hidden vector contains non-finite entries")
+        raise PaletteError("non_finite_input", "hidden vector contains non-finite entries")
     weights = softmax_weights(vec @ gate.matrix, temperature)
     return GateWeights(values=tuple(float(w) for w in weights))
 
@@ -143,7 +145,7 @@ def save_gate(gate: GateMatrix, path) -> None:
 def load_gate(path) -> GateMatrix:
     ckpt = load_checkpoint(path)
     if "W_g" not in ckpt:
-        raise DimensionMismatch("gate checkpoint must contain a tensor named 'W_g'")
+        raise PaletteError("dimension_mismatch", "gate checkpoint must contain a tensor named 'W_g'")
     raw = ckpt.metadata.get("labels")
     try:
         labels = list(CONTINENTS) if raw is None else json.loads(raw)
@@ -151,11 +153,13 @@ def load_gate(path) -> GateMatrix:
         labels = raw
     if labels != list(CONTINENTS):
         # Experts take the gate's columns by position, so any other order misroutes.
-        raise DimensionMismatch(
+        raise PaletteError(
+            "dimension_mismatch",
             f"gate labels must be {list(CONTINENTS)} in this order, got {labels}", path=str(path)
         )
     if ckpt.metadata.get("normalized", "true") != "true":
-        raise DimensionMismatch(f"{path} holds an unnormalized gate; gate columns must be unit-norm", path=str(path))
+        raise PaletteError("dimension_mismatch", f"{path} holds an unnormalized gate; gate columns must be unit-norm",
+                           path=str(path))
     matrix = ckpt["W_g"].array().astype(np.float64)
     # f32 storage wobbles the unit norms; restore them exactly.
     return GateMatrix(matrix=matrix / np.linalg.norm(matrix, axis=0, keepdims=True))

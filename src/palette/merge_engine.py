@@ -16,14 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .common import round9
-from .errors import (
-    BadDensity,
-    EmptySelectionWarning,
-    GateDimensionMismatch,
-    SchemaMismatch,
-    TooFewExperts,
-    UnnormalizedGate,
-)
+from .errors import EmptySelectionWarning, PaletteError
 from .tensor_store import Checkpoint, TensorSpec
 
 GATE_SUM_TOL = 1e-6
@@ -33,18 +26,20 @@ _FFN_RE = re.compile(FFN_PATTERN.replace(".", r"\.").replace("*", ".*"))  # each
 
 def _check_experts(base: Checkpoint, experts: Sequence[Checkpoint]) -> None:
     if not experts:
-        raise SchemaMismatch("at least one expert checkpoint is required")
+        raise PaletteError("schema_mismatch", "at least one expert checkpoint is required")
     for i, expert in enumerate(experts):
         what = f"base vs expert[{i}]"
         if base.names != expert.names:
-            raise SchemaMismatch(
+            raise PaletteError(
+                "schema_mismatch",
                 f"{what} have different tensor names",
                 only_first=sorted(set(base.names) - set(expert.names)),
                 only_second=sorted(set(expert.names) - set(base.names)),
             )
         for name, spec in base.items():
             if spec.shape != expert[name].shape:
-                raise SchemaMismatch(f"{what}: tensor {name!r} shapes differ: {spec.shape} vs {expert[name].shape}")
+                raise PaletteError("schema_mismatch",
+                                   f"{what}: tensor {name!r} shapes differ: {spec.shape} vs {expert[name].shape}")
 
 
 def _out(base: Checkpoint, arrays: dict[str, np.ndarray], metadata: dict[str, str]) -> Checkpoint:
@@ -61,10 +56,10 @@ def task_arithmetic(
     """base + sum_k coeffs[k] * (expert_k - base), element-wise."""
     _check_experts(base, experts)
     if len(coeffs) != len(experts):
-        raise SchemaMismatch(f"{len(coeffs)} coefficients for {len(experts)} experts")
+        raise PaletteError("schema_mismatch", f"{len(coeffs)} coefficients for {len(experts)} experts")
     coeffs = [float(c) for c in coeffs]
     if not all(math.isfinite(c) for c in coeffs):
-        raise SchemaMismatch("coefficients must be finite")
+        raise PaletteError("schema_mismatch", "coefficients must be finite")
 
     arrays = {}
     buf = np.empty(max((spec.data.size for spec in base.specs()), default=0))
@@ -118,9 +113,9 @@ def ties_merge(
     """
     _check_experts(base, experts)
     if not (0.0 < density <= 1.0):
-        raise BadDensity(f"density must be in (0, 1], got {density}")
+        raise PaletteError("bad_density", f"density must be in (0, 1], got {density}")
     if not math.isfinite(scale):
-        raise SchemaMismatch("scale must be finite")
+        raise PaletteError("schema_mismatch", "scale must be finite")
 
     arrays = {}
     buf = np.empty(len(experts) * max((spec.data.size for spec in base.specs()), default=0))
@@ -153,7 +148,7 @@ def model_stock(base: Checkpoint, experts: Sequence[Checkpoint]) -> Checkpoint:
     _check_experts(base, experts)
     k = len(experts)
     if k < 2:
-        raise TooFewExperts(f"model stock needs >= 2 experts, got {k}")
+        raise PaletteError("too_few_experts", f"model stock needs >= 2 experts, got {k}")
 
     arrays = {}
     for name, spec in base.items():
@@ -179,12 +174,12 @@ def model_stock(base: Checkpoint, experts: Sequence[Checkpoint]) -> Checkpoint:
 def _validate_gate(gate: Sequence[float], n_experts: int) -> list[float]:
     weights = [float(g) for g in gate]
     if len(weights) != n_experts:
-        raise GateDimensionMismatch(f"gate has {len(weights)} entries for {n_experts} experts")
+        raise PaletteError("gate_dimension_mismatch", f"gate has {len(weights)} entries for {n_experts} experts")
     if not all(math.isfinite(w) for w in weights):
-        raise UnnormalizedGate("gate entries must be finite")
+        raise PaletteError("unnormalized_gate", "gate entries must be finite")
     total = sum(weights)
     if abs(total - 1.0) > GATE_SUM_TOL:
-        raise UnnormalizedGate(f"gate sums to {total!r}, expected 1 within {GATE_SUM_TOL}")
+        raise PaletteError("unnormalized_gate", f"gate sums to {total!r}, expected 1 within {GATE_SUM_TOL}")
     return weights
 
 

@@ -12,14 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .common import post_json
-from .errors import (
-    AllZero,
-    EmptyText,
-    LengthMismatch,
-    MalformedScorerResponse,
-    NegativeEntry,
-    SupportViolation,
-)
+from .errors import PaletteError
 
 DISTRIBUTION_SUM_TOL = 1e-9
 
@@ -31,7 +24,7 @@ def check_distribution(p: Sequence[float], name: str = "distribution") -> np.nda
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     if np.any(arr < 0):
-        raise NegativeEntry(f"{name} contains negative entries")
+        raise PaletteError("negative_entry", f"{name} contains negative entries")
     if abs(float(arr.sum()) - 1.0) > DISTRIBUTION_SUM_TOL:
         raise ValueError(f"{name} sums to {float(arr.sum())!r}, expected 1")
     return arr
@@ -42,11 +35,11 @@ def normalize_distribution(raw: Sequence[float]) -> list[float]:
     finite (an entry is, or the sum overflows) raises ValueError."""
     arr = np.asarray(raw, dtype=np.float64) + 0.0
     if np.any(arr < 0):
-        raise NegativeEntry("raw vector contains negative entries")
+        raise PaletteError("negative_entry", "raw vector contains negative entries")
     with np.errstate(over="ignore"):
         total = float(arr.sum())
     if total <= 0.0:
-        raise AllZero("raw vector has no positive mass")
+        raise PaletteError("all_zero", "raw vector has no positive mass")
     if not math.isfinite(total):
         raise ValueError(f"raw vector sums to {total!r}, not a finite number")
     return [float(x) for x in arr / total]
@@ -57,10 +50,10 @@ def kl(p: Sequence[float], q: Sequence[float]) -> float:
     p = check_distribution(p, "p")
     q = check_distribution(q, "q")
     if p.shape != q.shape:
-        raise LengthMismatch(f"p has {p.size} entries, q has {q.size}")
+        raise PaletteError("length_mismatch", f"p has {p.size} entries, q has {q.size}")
     support = p > 0
     if np.any(support & (q == 0)):
-        raise SupportViolation("p has mass where q is zero")
+        raise PaletteError("support_violation", "p has mass where q is zero")
     return float(np.sum(p[support] * np.log2(p[support] / q[support])))
 
 
@@ -69,7 +62,7 @@ def alignment_score(p_gen: Sequence[float], p_gold: Sequence[float]) -> float:
     p = check_distribution(p_gen, "p_gen")
     q = check_distribution(p_gold, "p_gold")
     if p.shape != q.shape:
-        raise LengthMismatch(f"p_gen has {p.size} entries, p_gold has {q.size}")
+        raise PaletteError("length_mismatch", f"p_gen has {p.size} entries, p_gold has {q.size}")
     m = (p + q) / 2.0
     return 1.0 - 0.5 * kl(p, m) - 0.5 * kl(q, m)
 
@@ -80,9 +73,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
-        raise LengthMismatch(f"x has shape {xa.shape}, y has shape {ya.shape}")
+        raise PaletteError("length_mismatch", f"x has shape {xa.shape}, y has shape {ya.shape}")
     if xa.size < 2:
-        raise LengthMismatch("need at least 2 points")
+        raise PaletteError("length_mismatch", "need at least 2 points")
     for name, arr in (("x", xa), ("y", ya)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite entries")
@@ -107,7 +100,7 @@ def semantic_score(base_url: str, r_gold: str, r_llm: str, *, timeout: float = 1
     probability; sends a bearer token from PALETTE_NLI_TOKEN if set, and
     retries connection errors and 5xx replies (`common.post_json`)."""
     if not r_gold or not r_llm:
-        raise EmptyText("both texts must be non-empty")
+        raise PaletteError("empty_text", "both texts must be non-empty")
     url = base_url.rstrip("/") + "/score"
     body = post_json(
         url, {"premise": r_gold, "hypothesis": r_llm},
@@ -116,7 +109,7 @@ def semantic_score(base_url: str, r_gold: str, r_llm: str, *, timeout: float = 1
     try:
         score = json.loads(body)["score"]
     except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedScorerResponse(f"bad scorer response: {exc}", url=url) from exc
+        raise PaletteError("malformed_scorer_response", f"bad scorer response: {exc}", url=url) from exc
     if not isinstance(score, (int, float)) or isinstance(score, bool) or not (0.0 <= score <= 1.0):
-        raise MalformedScorerResponse(f"score {score!r} is not a float in [0, 1]", url=url)
+        raise PaletteError("malformed_scorer_response", f"score {score!r} is not a float in [0, 1]", url=url)
     return float(score)

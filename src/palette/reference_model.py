@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadConfig, EmptyContinuation, ShapeMismatch, TooLong
+from .errors import PaletteError, TooLong
 from .tensor_store import Checkpoint, TensorSpec
 
 BOS, EOS, PAD, SEP = 256, 257, 258, 259
@@ -75,15 +75,15 @@ class ModelConfig:
 
     def validate(self) -> None:
         if min(self.vocab_size, self.d_model, self.n_layers, self.n_heads, self.max_seq) < 1:
-            raise BadConfig("all model dimensions must be >= 1")
+            raise PaletteError("bad_config", "all model dimensions must be >= 1")
         if self.vocab_size < 256 + N_SPECIAL:
-            raise BadConfig(f"vocab_size must cover 256 bytes + {N_SPECIAL} specials")
+            raise PaletteError("bad_config", f"vocab_size must cover 256 bytes + {N_SPECIAL} specials")
         if self.d_model % self.n_heads != 0:
-            raise BadConfig(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+            raise PaletteError("bad_config", f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_seq < 2:
-            raise BadConfig("max_seq must be >= 2")
+            raise PaletteError("bad_config", "max_seq must be >= 2")
         if self.seed < 0:
-            raise BadConfig(f"seed must be >= 0, got {self.seed}")
+            raise PaletteError("bad_config", f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -93,7 +93,7 @@ class ModelConfig:
         try:
             cfg = cls(**json.loads(text))
         except (TypeError, ValueError) as exc:
-            raise BadConfig(f"bad config metadata: {exc}") from exc
+            raise PaletteError("bad_config", f"bad config metadata: {exc}") from exc
         cfg.validate()
         return cfg
 
@@ -347,13 +347,14 @@ class TinyTransformer:
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "TinyTransformer":
         if "config" not in ckpt.metadata:
-            raise BadConfig("checkpoint has no 'config' metadata entry")
+            raise PaletteError("bad_config", "checkpoint has no 'config' metadata entry")
         cfg = ModelConfig.from_json(ckpt.metadata["config"])
         expected = dict(param_template(cfg))
         if set(ckpt.names) != set(expected):
             missing = sorted(set(expected) - set(ckpt.names))
             extra = sorted(set(ckpt.names) - set(expected))
-            raise ShapeMismatch(
+            raise PaletteError(
+                "shape_mismatch",
                 "checkpoint does not match the model naming convention",
                 missing=missing,
                 extra=extra,
@@ -362,7 +363,7 @@ class TinyTransformer:
         for name, shape in expected.items():
             spec = ckpt[name]
             if spec.shape != shape:
-                raise ShapeMismatch(f"tensor {name!r} has shape {spec.shape}, expected {shape}")
+                raise PaletteError("shape_mismatch", f"tensor {name!r} has shape {spec.shape}, expected {shape}")
             params[name] = spec.array().astype(np.float64)
         return cls(cfg, params)
 
@@ -385,7 +386,7 @@ class TinyTransformer:
 
     def _check_pair(self, prompt: Sequence[int], continuation: Sequence[int]) -> tuple[list[int], list[int]]:
         if len(continuation) == 0:
-            raise EmptyContinuation("continuation must be non-empty")
+            raise PaletteError("empty_continuation", "continuation must be non-empty")
         if len(prompt) == 0:
             raise ValueError("prompt must be non-empty")
         full = self._check_tokens(list(prompt) + list(continuation))

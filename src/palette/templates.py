@@ -11,7 +11,7 @@ import functools
 from importlib import resources
 from typing import Mapping
 
-from .errors import TemplateError
+from .errors import PaletteError
 
 
 @functools.cache
@@ -19,16 +19,16 @@ def load_template(name: str) -> str:
     try:
         return (resources.files("palette") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
     except FileNotFoundError as exc:
-        raise TemplateError(f"no template named {name!r}") from exc
+        raise PaletteError("template_error", f"no template named {name!r}") from exc
 
 
 def render(template: str, fields: Mapping[str, object]) -> str:
     try:
         return template.format(**fields)
     except KeyError as exc:
-        raise TemplateError(f"unfilled placeholder {exc}") from exc
+        raise PaletteError("template_error", f"unfilled placeholder {exc}") from exc
     except (AttributeError, IndexError, ValueError) as exc:
-        raise TemplateError(f"malformed template: {exc}") from exc
+        raise PaletteError("template_error", f"malformed template: {exc}") from exc
 
 
 def render_template(name: str, **fields) -> str:

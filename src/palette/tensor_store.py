@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import atomic_write_bytes, unreadable
-from .errors import DuplicateName, MalformedHeader, ShapeMismatch
+from .errors import DuplicateName, MalformedHeader, PaletteError
 
 F32_BYTES = 4
 
@@ -50,11 +50,12 @@ class TensorSpec:
 
     def validate(self) -> None:
         if not self.name:
-            raise ShapeMismatch("tensor name must be non-empty")
+            raise PaletteError("shape_mismatch", "tensor name must be non-empty")
         if any(s <= 0 for s in self.shape):
-            raise ShapeMismatch(f"non-positive dimension in shape {self.shape} of {self.name!r}")
+            raise PaletteError("shape_mismatch", f"non-positive dimension in shape {self.shape} of {self.name!r}")
         if math.prod(self.shape) != self.data.size:
-            raise ShapeMismatch(
+            raise PaletteError(
+                "shape_mismatch",
                 f"tensor {self.name!r}: shape {self.shape} implies {math.prod(self.shape)} "
                 f"elements but data has {self.data.size}"
             )
@@ -148,7 +149,18 @@ def _reject_duplicate_keys(pairs):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse a checkpoint file, validating the header and all offsets."""
+    """Parse a checkpoint file, validating the header and all offsets. A
+    refusal names ``path`` in its context and at the start of its message."""
+    try:
+        return _read_checkpoint(path)
+    except PaletteError as exc:
+        if "path" not in exc.context:  # io_failure names it already
+            exc.args = (f"{path}: {exc}",)
+            exc.context["path"] = str(path)
+        raise
+
+
+def _read_checkpoint(path) -> Checkpoint:
     try:
         with open(path, "rb") as fh:
             size = fh.seek(0, os.SEEK_END)
@@ -215,7 +227,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise MalformedHeader(f"tensor {name!r}: offsets extend past the data buffer")
         expected = math.prod(shape) * F32_BYTES
         if end - begin != expected:
-            raise ShapeMismatch(
+            raise PaletteError(
+                "shape_mismatch",
                 f"tensor {name!r}: offsets span {end - begin} bytes but shape {shape} needs {expected}"
             )
         data = buffer[begin:end].view("<f4")

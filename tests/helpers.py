@@ -1,4 +1,4 @@
-"""Shared test helpers: checkpoint builders, toy datasets, fixture records,
+"""Shared test helpers: an error-code check, checkpoint builders, toy datasets, fixture records,
 loopback HTTP servers with scripted replies and an entailment scorer on one."""
 
 from __future__ import annotations
@@ -11,11 +11,21 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
+import pytest
 
 from palette.align_trainer import PreferenceRecord
 from palette.common import CONTINENTS, round9
+from palette.errors import PaletteError
 from palette.reference_model import ModelConfig, init_model
 from palette.tensor_store import Checkpoint, TensorSpec
+
+
+@contextlib.contextmanager
+def raises_code(code: str, match: str | None = None):
+    """``pytest.raises(PaletteError, match=match)`` that also asserts the error's exact ``code``."""
+    with pytest.raises(PaletteError, match=match) as info:
+        yield info
+    assert info.value.code == code, f"code {info.value.code!r}: {info.value}"
 
 
 def ckpt(metadata=None, **tensors) -> Checkpoint:

@@ -20,14 +20,14 @@ from palette.agent_pipeline import (
 )
 from palette.backends import LocalReference, RemoteChat, ScriptedMock
 from palette.common import CONTINENTS, fingerprint
-from palette.errors import BackendFailure, EmptyDataset, UnparseableDistribution
+from palette.errors import BackendFailure
 from palette.gate_router import init_gate, route, route_prompt
 from palette.metrics import alignment_score, normalize_distribution
 from palette.reference_model import TinyTransformer, forward, init_model, tokenize
 from palette.templates import render_template
 from palette.tensor_store import Checkpoint
 
-from helpers import ReplyServer, tiny_config, tiny_model
+from helpers import ReplyServer, raises_code, tiny_config, tiny_model
 
 NZL_QUESTION = (
     "Most people consider both freedom and equality to be important, but if you had "
@@ -206,7 +206,7 @@ def test_final_decision_parses_table_distribution():
 
 def test_final_decision_reprompts_then_fails():
     meta = ScriptedMock(default="no numbers here")
-    with pytest.raises(UnparseableDistribution):
+    with raises_code("unparseable_distribution"):
         final_decision(meta, "ctx", nzl_item(), "NZL")
     assert len(meta.calls) == 3
 
@@ -285,7 +285,7 @@ def test_evaluate_country_mean_is_mean_of_scores():
 
 def test_evaluate_country_empty_items():
     config = PipelineConfig(agents={}, meta=ScriptedMock(default="x"))
-    with pytest.raises(EmptyDataset):
+    with raises_code("empty_dataset"):
         evaluate_country(config, [], "X")
 
 

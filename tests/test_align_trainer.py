@@ -16,10 +16,10 @@ from palette.align_trainer import (
     save_records_jsonl,
     train,
 )
-from palette.errors import BadInput, EmptyDataset, TooLong, WrongRejectionCount
+from palette.errors import TooLong
 from palette.reference_model import ModelConfig, TinyTransformer, encode_pair, init_model
 
-from helpers import FIXTURE_RECORDS, GRAD_CHECK_RECORD, tiny_model, toy_preference_dataset
+from helpers import FIXTURE_RECORDS, GRAD_CHECK_RECORD, raises_code, tiny_model, toy_preference_dataset
 from oracles import per_sequence_loss, per_sequence_margin
 
 # Frozen from the first verified run on the seed-42 default model and
@@ -37,7 +37,7 @@ def seed42_model():
 
 
 def test_record_requires_four_rejections():
-    with pytest.raises(WrongRejectionCount):
+    with raises_code("wrong_rejection_count"):
         PreferenceRecord(query="q", preferred="p", rejected=("a", "b"))
 
 
@@ -53,7 +53,7 @@ def test_wrong_typed_record_is_bad_input_naming_the_line(tmp_path, field, value,
     good = {"query": "q", "preferred": "p", "rejected": ["a", "b", "c", "d"], "continent": "Asia"}
     path = tmp_path / "records.jsonl"
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
-    with pytest.raises(BadInput) as exc:
+    with raises_code("bad_input") as exc:
         load_records_jsonl(path)
     assert str(exc.value) == f"{path}:2: {message}"
     assert exc.value.context == {"path": str(path), "line": 2}
@@ -187,7 +187,7 @@ def test_train_zero_lr_is_identity():
 
 
 def test_train_empty_dataset():
-    with pytest.raises(EmptyDataset):
+    with raises_code("empty_dataset"):
         train(tiny_model(), [], TrainConfig())
 
 

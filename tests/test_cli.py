@@ -69,6 +69,19 @@ def test_runtime_failure_is_structured_json(tmp_path, capsys):
     assert "message" in err and "context" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("align", "--model", "m.st", "--data", "d.jsonl", "-o", "o.st", "--true-odds", "--raw-sums"),
+    ("align", "--model", "m.st", "--data", "d.jsonl", "-o", "o.st", "--bogus"),
+    ("eval", "--country", "", "--items", "i.jsonl", "--meta-backend", "mock", "--transcript", "t.json", "-o", "o"),
+    ("merge", "--method", "stock", "--base", "b.st", "--expert", "a=b.st", "--density", "0.5", "-o", "o.st"),
+    ("gate", "route", "--model", "m.st", "--gate", "g.st", "--prompt", "hi", "--temperature", "0"),
+], ids=["argparse", "unrecognized", "post-parse", "check-mode", "nested"])
+def test_usage_error_shows_the_usage_of_the_refusing_subcommand(capsys, argv):
+    assert run_cli(*argv) == 1  # each refusal comes before any file is read
+    command = " ".join(argv[:2] if argv[0] == "gate" else argv[:1])
+    assert capsys.readouterr().err.splitlines()[1].startswith(f"usage: palette {command} [-h] ")
+
+
 def test_no_partial_output_on_failure(tmp_path, capsys, model_path):
     out = tmp_path / "out.st"
     rc = run_cli(
@@ -78,6 +91,18 @@ def test_no_partial_output_on_failure(tmp_path, capsys, model_path):
     )
     assert rc == 2
     assert not out.exists()
+
+
+def test_merge_names_the_expert_that_fails_to_load(tmp_path, model_path, capsys):
+    cut = tmp_path / "cut.st"
+    cut.write_bytes(model_path.read_bytes()[:20])
+    rc = run_cli("merge", "--method", "stock", "--base", str(model_path), "--expert", f"Africa={model_path}",
+                 "--expert", f"Asia={cut}", "-o", str(tmp_path / "out.st"))
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "malformed_header"
+    assert err["context"] == {"path": str(cut)}
+    assert err["message"].startswith(f"{cut}: declared header length ")
 
 
 def test_model_init_and_merge_round_trip(tmp_path, capsys):
@@ -829,6 +854,27 @@ def _python(*argv, **env):
 
 def test_cli_imports_without_requests():
     _python("-c", "import palette.cli, sys; assert 'requests' not in sys.modules")
+
+
+# Under the umask in argv[1], an atomic output, new or replacing a 0o644 file, gets the mode of a new open(path, "w").
+UMASK_CHECK = """
+import os, stat, sys
+from palette.common import atomic_write_text
+os.umask(int(sys.argv[1], 8))
+out = sys.argv[2]
+open(out + "/plain", "w").close()
+open(out + "/old", "w").close()
+os.chmod(out + "/old", 0o644)
+for name in ("new", "old"):
+    atomic_write_text(f"{out}/{name}", "x")
+modes = {name: stat.S_IMODE(os.stat(f"{out}/{name}").st_mode) for name in ("plain", "new", "old")}
+assert modes["new"] == modes["old"] == modes["plain"] == 0o666 & ~int(sys.argv[1], 8), modes
+"""
+
+
+@pytest.mark.parametrize("umask", ["022", "077"])
+def test_atomic_outputs_get_the_mode_of_a_new_file(tmp_path, umask):
+    _python("-c", UMASK_CHECK, umask, str(tmp_path))
 
 
 # Default-size model, four experts' merges, a local eval and training with each score, written into argv[1].

@@ -7,7 +7,8 @@ from palette.agent_pipeline import load_opinion_items
 from palette.align_trainer import load_records_jsonl
 from palette.common import append_jsonl, iter_jsonl, write_jsonl
 from palette.data_synth import StepStore, import_prism, load_synth_records
-from palette.errors import BadInput, IoFailure
+
+from helpers import raises_code
 
 
 def test_jsonl_write_append_iter_round_trip(tmp_path):
@@ -54,7 +55,7 @@ READERS = {
 def test_readers_name_file_and_line_of_a_bad_line(tmp_path, reader, bad):
     path = tmp_path / "data.jsonl"
     path.write_bytes(b"\n" + bad + b"\n")  # the blank line counts
-    with pytest.raises(BadInput) as exc:
+    with raises_code("bad_input") as exc:
         READERS[reader](path)
     assert exc.value.code == "bad_input"
     assert exc.value.context == {"path": str(path), "line": 2}
@@ -79,7 +80,7 @@ def test_readers_name_file_line_and_key_of_a_row_missing_a_key(tmp_path, reader)
     row, key = ROWS_MISSING_A_KEY[reader]
     path = tmp_path / "data.jsonl"
     path.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
-    with pytest.raises(BadInput) as exc:
+    with raises_code("bad_input") as exc:
         READERS[reader](path)
     assert exc.value.context == {"path": str(path), "line": 2, "key": key}
     assert str(exc.value) == f"{path}:2: missing key {key!r}"
@@ -88,7 +89,7 @@ def test_readers_name_file_line_and_key_of_a_row_missing_a_key(tmp_path, reader)
 def test_opinion_item_without_gold_names_file_and_line(tmp_path):
     path = tmp_path / "items.jsonl"
     path.write_text('\n{"question": "q", "options": ["a", "b"], "country": "NZL"}\n')
-    with pytest.raises(BadInput) as exc:
+    with raises_code("bad_input") as exc:
         load_opinion_items(path, "NZL")
     assert exc.value.context == {"path": str(path), "line": 2}
     assert str(exc.value) == f"{path}:2: no gold distribution for 'NZL'"
@@ -97,7 +98,7 @@ def test_opinion_item_without_gold_names_file_and_line(tmp_path):
 @pytest.mark.parametrize("reader", sorted(set(READERS) - {"StepStore"}))  # no store yet is empty
 def test_readers_raise_io_failure_for_a_missing_file(tmp_path, reader):
     path = tmp_path / "missing.jsonl"
-    with pytest.raises(IoFailure) as exc:
+    with raises_code("io_failure") as exc:
         READERS[reader](path)
     assert exc.value.code == "io_failure"
     assert exc.value.context == {"path": str(path)}

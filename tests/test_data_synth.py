@@ -22,9 +22,11 @@ from palette.data_synth import (
     run_synthesis,
     self_judge_refine,
 )
-from palette.errors import BackendFailure, IncompleteQuery, TemplateError
+from palette.errors import BackendFailure
 from palette import templates
 from palette.templates import load_template, render, render_template
+
+from helpers import raises_code
 
 HOFSTEDE = ("PDI", "IDV", "MAS", "UAI", "LTO", "IVR")
 
@@ -121,7 +123,7 @@ def test_templates_all_render_without_placeholders():
 
 
 def test_render_missing_placeholder_raises():
-    with pytest.raises(TemplateError, match="unfilled placeholder 'query'"):
+    with raises_code("template_error", match="unfilled placeholder 'query'"):
         render_template("synth_response", continent="Asia", exemplars="")
 
 
@@ -313,7 +315,7 @@ def test_build_preference_pairs_single_query():
 def test_build_preference_pairs_missing_continent():
     records = _toy_records()
     del records["Oceania"]
-    with pytest.raises(IncompleteQuery):
+    with raises_code("incomplete_query"):
         build_preference_pairs({"q0": records})
 
 

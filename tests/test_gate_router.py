@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from palette.common import CONTINENTS, dumps_canonical
-from palette.errors import DimensionMismatch, EmptyPrompt, NonFiniteInput
 from palette.gate_router import (
     DEFAULT_SYSTEM_PROMPTS,
     GateMatrix,
@@ -19,6 +18,8 @@ from palette.gate_router import (
 )
 from palette.reference_model import ModelConfig, init_model
 from palette.tensor_store import Checkpoint, TensorSpec, load_checkpoint, save_checkpoint
+
+from helpers import raises_code
 
 # Frozen once from the seed-42 default model with the default system prompts.
 SEED42_WG_ROW0 = [
@@ -93,11 +94,11 @@ def test_route_strictly_inside_simplex(seed42_gate):
 
 
 def test_route_guards(seed42_gate):
-    with pytest.raises(DimensionMismatch):
+    with raises_code("dimension_mismatch"):
         route(np.zeros(3), seed42_gate)
     bad = np.zeros(seed42_gate.d_model)
     bad[0] = np.nan
-    with pytest.raises(NonFiniteInput):
+    with raises_code("non_finite_input"):
         route(bad, seed42_gate)
 
 
@@ -113,7 +114,7 @@ def test_init_gate_identical_prompts_uniform_routing(seed42_model):
 
 
 def test_init_gate_empty_prompt_guard(seed42_model):
-    with pytest.raises(EmptyPrompt):
+    with raises_code("empty_prompt"):
         init_gate(seed42_model, dict(zip(CONTINENTS, ["a", "b", "", "d", "e"])))
 
 
@@ -175,7 +176,7 @@ def test_load_gate_requires_the_continents_in_order(tmp_path, seed42_gate):
         ),
         flipped,
     )
-    with pytest.raises(DimensionMismatch) as err:
+    with raises_code("dimension_mismatch") as err:
         load_gate(flipped)
     assert str(reversed_labels) in str(err.value)
     assert err.value.context["path"] == str(flipped)
@@ -186,7 +187,7 @@ def test_load_gate_refuses_a_gate_marked_unnormalized(tmp_path, seed42_gate):
     path = tmp_path / "raw.st"
     metadata = {"labels": json.dumps(list(CONTINENTS)), "normalized": "false"}
     save_checkpoint(Checkpoint([TensorSpec.from_array("W_g", 3.0 * seed42_gate.matrix)], metadata), path)
-    with pytest.raises(DimensionMismatch) as err:
+    with raises_code("dimension_mismatch") as err:
         load_gate(path)
     assert str(path) in str(err.value)
     assert err.value.context["path"] == str(path)
@@ -198,14 +199,14 @@ def test_gate_weights_validation_and_format():
     assert dumps_canonical(w.as_dict(), indent=None) == (
         '{"Africa": 0.2, "America": 0.2, "Asia": 0.2, "Europe": 0.2, "Oceania": 0.2}'
     )
-    with pytest.raises(DimensionMismatch):
+    with raises_code("dimension_mismatch"):
         GateWeights(values=(0.5, 0.5, 0.5, 0.5, 0.5))
 
 
 def test_gate_matrix_validation():
-    with pytest.raises(DimensionMismatch):
+    with raises_code("dimension_mismatch"):
         GateMatrix(matrix=np.zeros((4, 3)))
-    with pytest.raises(NonFiniteInput):
+    with raises_code("non_finite_input"):
         GateMatrix(matrix=np.full((4, 5), np.nan))
-    with pytest.raises(DimensionMismatch):
+    with raises_code("dimension_mismatch"):
         GateMatrix(matrix=np.ones((4, 5)))  # columns not unit norm

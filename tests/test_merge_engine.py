@@ -4,14 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from palette.errors import (
-    BadDensity,
-    EmptySelectionWarning,
-    GateDimensionMismatch,
-    SchemaMismatch,
-    TooFewExperts,
-    UnnormalizedGate,
-)
+from palette.errors import EmptySelectionWarning
 from palette import merge_engine
 from palette.merge_engine import (
     _trim_top_magnitude,
@@ -22,7 +15,7 @@ from palette.merge_engine import (
     ties_merge,
 )
 
-from helpers import ckpt, like, random_checkpoint
+from helpers import ckpt, like, raises_code, random_checkpoint
 from oracles import (
     as_lists,
     bf_model_stock,
@@ -60,7 +53,7 @@ def test_task_arithmetic_zero_coeffs():
 
 def test_task_arithmetic_coeff_count_guard():
     base = ckpt(w=[0.0])
-    with pytest.raises(SchemaMismatch):
+    with raises_code("schema_mismatch"):
         task_arithmetic(base, [ckpt(w=[1.0])], [1.0, 2.0])
 
 
@@ -85,14 +78,14 @@ def test_ties_sign_exclusion_hand_example():
 def test_ties_density_guard():
     base = ckpt(w=[0.0])
     for density in (0.0, -0.5, 1.5):
-        with pytest.raises(BadDensity):
+        with raises_code("bad_density"):
             ties_merge(base, [ckpt(w=[1.0])], density=density)
 
 
 def test_ties_scale_guard():
     base = ckpt(w=[0.0])
     for scale in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(SchemaMismatch, match="scale must be finite"):
+        with raises_code("schema_mismatch", match="scale must be finite"):
             ties_merge(base, [ckpt(w=[1.0])], density=0.5, scale=scale)
 
 
@@ -225,7 +218,7 @@ def test_model_stock_opposite_taus_returns_base():
 
 def test_model_stock_needs_two_experts():
     base = ckpt(w=[0.0])
-    with pytest.raises(TooFewExperts):
+    with raises_code("too_few_experts"):
         model_stock(base, [ckpt(w=[1.0])])
 
 
@@ -273,9 +266,9 @@ def test_moerges_records_gate_metadata():
 def test_moerges_gate_validation():
     base = ckpt(**{"l.ffn.w": [0.0]})
     experts = [ckpt(**{"l.ffn.w": [1.0]})] * 2
-    with pytest.raises(GateDimensionMismatch):
+    with raises_code("gate_dimension_mismatch"):
         moerges_fuse(base, experts, [1.0])
-    with pytest.raises(UnnormalizedGate):
+    with raises_code("unnormalized_gate"):
         moerges_fuse(base, experts, [0.6, 0.6])
 
 
@@ -311,13 +304,13 @@ def test_moerges_gate_linearity_on_raw_sum():
 def test_schema_mismatch_raises_for_all_methods():
     base = ckpt(w=[0.0], v=[0.0])
     bad = ckpt(w=[0.0])
-    with pytest.raises(SchemaMismatch):
+    with raises_code("schema_mismatch"):
         task_arithmetic(base, [bad], [1.0])
-    with pytest.raises(SchemaMismatch):
+    with raises_code("schema_mismatch"):
         ties_merge(base, [bad], 1.0)
-    with pytest.raises(SchemaMismatch):
+    with raises_code("schema_mismatch"):
         model_stock(base, [bad, bad])
-    with pytest.raises(SchemaMismatch):
+    with raises_code("schema_mismatch"):
         moerges_fuse(base, [bad], [1.0])
 
 

@@ -4,15 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from palette.errors import (
-    AllZero,
-    EmptyText,
-    EndpointUnreachable,
-    LengthMismatch,
-    MalformedScorerResponse,
-    NegativeEntry,
-    SupportViolation,
-)
+from palette.errors import EndpointUnreachable
 from palette.metrics import (
     alignment_score,
     kl,
@@ -21,7 +13,7 @@ from palette.metrics import (
     semantic_score,
 )
 
-from helpers import MockScorerServer, ReplyServer, token_overlap_score
+from helpers import MockScorerServer, ReplyServer, raises_code, token_overlap_score
 
 # Sample Pearson for ([1,2,3],[2,4,7]) is 15/sqrt(228); acceptance check C6b
 # pins the same value.
@@ -37,12 +29,12 @@ def test_kl_one_hot_vs_uniform_is_one_bit():
 
 
 def test_kl_support_violation():
-    with pytest.raises(SupportViolation):
+    with raises_code("support_violation"):
         kl([0.5, 0.5], [1.0, 0.0])
 
 
 def test_kl_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with raises_code("length_mismatch"):
         kl([0.5, 0.5], [0.2, 0.3, 0.5])
 
 
@@ -143,9 +135,9 @@ def test_pearson_degenerate_returns_none():
 
 
 def test_pearson_guards():
-    with pytest.raises(LengthMismatch):
+    with raises_code("length_mismatch"):
         pearson([1.0], [1.0])
-    with pytest.raises(LengthMismatch):
+    with raises_code("length_mismatch"):
         pearson([1.0, 2.0], [1.0, 2.0, 3.0])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="x contains non-finite entries"):
@@ -165,9 +157,9 @@ def test_normalize_already_normalized_survey_gold():
 
 
 def test_normalize_guards():
-    with pytest.raises(AllZero):
+    with raises_code("all_zero"):
         normalize_distribution([0.0, 0.0])
-    with pytest.raises(NegativeEntry):
+    with raises_code("negative_entry"):
         normalize_distribution([0.5, -0.1])
 
 
@@ -199,7 +191,7 @@ def test_semantic_score_sends_bearer_token(monkeypatch):
 
 
 def test_semantic_score_empty_text():
-    with pytest.raises(EmptyText):
+    with raises_code("empty_text"):
         semantic_score("http://127.0.0.1:1", "", "x")
 
 
@@ -210,13 +202,13 @@ def test_semantic_score_unreachable_after_retries():
 
 def test_semantic_score_malformed_response():
     with ReplyServer([(200, b'{"not_score": 1}')]) as server:
-        with pytest.raises(MalformedScorerResponse):
+        with raises_code("malformed_scorer_response"):
             semantic_score(server.base_url, "a", "b", backoff=0.0)
 
 
 def test_semantic_score_out_of_range_score():
     with MockScorerServer(score_fn=lambda p, h: 1.5) as server:
-        with pytest.raises(MalformedScorerResponse):
+        with raises_code("malformed_scorer_response"):
             semantic_score(server.base_url, "a", "b", backoff=0.0)
 
 

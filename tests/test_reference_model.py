@@ -6,7 +6,7 @@ import pytest
 from palette.align_trainer import PreferenceRecord, loss_and_grads, mean_margin
 from palette.backends import LocalReference
 from palette.common import CONTINENTS
-from palette.errors import BadConfig, EmptyContinuation, TooLong
+from palette.errors import TooLong
 from palette.gate_router import init_gate, route_prompt
 from palette import reference_model
 from palette.reference_model import (
@@ -23,18 +23,18 @@ from palette.reference_model import (
 from palette.templates import render_template
 from palette.tensor_store import load_checkpoint, save_checkpoint
 
-from helpers import FIXTURE_RECORDS, tiny_config, tiny_model
+from helpers import FIXTURE_RECORDS, raises_code, tiny_config, tiny_model
 from oracles import bf_forward_trace, bf_greedy_decode, bf_logprob_dlogits, logprob_trace
 
 
 def test_config_validation():
-    with pytest.raises(BadConfig):
+    with raises_code("bad_config"):
         ModelConfig(d_model=63, n_heads=4).validate()
-    with pytest.raises(BadConfig):
+    with raises_code("bad_config"):
         ModelConfig(n_layers=0).validate()
-    with pytest.raises(BadConfig):
+    with raises_code("bad_config"):
         ModelConfig(vocab_size=100).validate()
-    with pytest.raises(BadConfig, match="seed must be >= 0, got -1"):
+    with raises_code("bad_config", match="seed must be >= 0, got -1"):
         ModelConfig(seed=-1).validate()
     ModelConfig().validate()
 
@@ -130,7 +130,7 @@ def test_sequence_logprob_chain_rule():
 
 
 def test_sequence_logprob_empty_continuation():
-    with pytest.raises(EmptyContinuation):
+    with raises_code("empty_continuation"):
         TinyTransformer.from_checkpoint(tiny_model()).sequence_logprob([BOS], [])
 
 
@@ -470,5 +470,5 @@ def test_shared_prompt_scores_match_whole_sequences(seed):
             assert abs(score - want) <= 1e-12 * abs(want)
     with pytest.raises(TooLong):
         model.sequence_logprobs(prompt, [[5], [5, 6]])
-    with pytest.raises(EmptyContinuation):
+    with raises_code("empty_continuation"):
         model.sequence_logprobs(prompt, [[]])

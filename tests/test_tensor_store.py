@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from palette.common import atomic_write_bytes
-from palette.errors import (
-    DuplicateName,
-    IoFailure,
-    MalformedHeader,
-    ShapeMismatch,
-)
+from palette.errors import DuplicateName, MalformedHeader
 from palette.reference_model import ModelConfig, init_model
 from palette.tensor_store import (
     Checkpoint,
@@ -24,7 +19,7 @@ from palette.tensor_store import (
     save_checkpoint,
 )
 
-from helpers import ckpt, random_checkpoint
+from helpers import ckpt, raises_code, random_checkpoint
 
 
 def test_single_tensor_round_trip(tmp_path):
@@ -68,7 +63,7 @@ def test_save_rejects_shape_data_mismatch(tmp_path):
     spec = TensorSpec.from_array("w", np.zeros(4))
     spec.shape = (3, 3)  # corrupt after construction
     path = tmp_path / "bad.st"
-    with pytest.raises(ShapeMismatch):
+    with raises_code("shape_mismatch"):
         save_checkpoint(Checkpoint([spec]), path)
     assert not path.exists()
 
@@ -81,8 +76,10 @@ def _write_raw(path, header: dict, buffer: bytes):
 def test_load_rejects_short_file(tmp_path):
     path = tmp_path / "short.st"
     path.write_bytes(b"\x01\x02")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(MalformedHeader) as exc:
         load_checkpoint(path)
+    assert str(exc.value) == f"{path}: file too short for length prefix (2 bytes)"
+    assert exc.value.context == {"path": str(path)}
 
 
 def test_load_rejects_oversized_length_prefix(tmp_path):
@@ -120,8 +117,9 @@ def test_load_rejects_duplicate_names(tmp_path):
     entry = '{"dtype":"F32","shape":[1],"data_offsets":[0,4]}'
     blob = ('{"w":' + entry + ',"w":' + entry + "}").encode()
     path.write_bytes(struct.pack("<Q", len(blob)) + blob + np.zeros(1, dtype="<f4").tobytes())
-    with pytest.raises(DuplicateName):
+    with pytest.raises(DuplicateName, match=f"^{re.escape(str(path))}: duplicate tensor name 'w' in header$") as exc:
         load_checkpoint(path)
+    assert exc.value.context == {"path": str(path)}
 
 
 def test_load_rejects_unsupported_dtype(tmp_path):
@@ -142,8 +140,9 @@ def test_load_rejects_offsets_vs_shape_mismatch(tmp_path):
         {"w": {"dtype": "F32", "shape": [3], "data_offsets": [0, 8]}},
         np.zeros(2, dtype="<f4").tobytes(),
     )
-    with pytest.raises(ShapeMismatch):
+    with raises_code("shape_mismatch", match=f"^{re.escape(str(path))}: tensor 'w': offsets span 8 bytes") as exc:
         load_checkpoint(path)
+    assert exc.value.context == {"path": str(path)}
 
 
 def test_duplicate_name_at_construction():
@@ -232,7 +231,7 @@ def test_load_from_a_pipe_is_an_io_failure(tmp_path):
     try:
         os.write(w, path.read_bytes())
         os.close(w)
-        with pytest.raises(IoFailure, match=f"/dev/fd/{r}"):
+        with raises_code("io_failure", match=f"/dev/fd/{r}"):
             load_checkpoint(f"/dev/fd/{r}")
     finally:
         os.close(r)
@@ -263,11 +262,11 @@ def test_a_failed_chunk_write_keeps_the_old_file(tmp_path, monkeypatch):
     target = tmp_path / "m.st"
     target.write_bytes(b"old bytes")
     monkeypatch.setattr(os, "fdopen", lambda fd, mode: _SecondWriteFails(io.FileIO(fd, "w")))
-    with pytest.raises(IoFailure, match=re.escape(str(target))) as failure:
+    with raises_code("io_failure", match=re.escape(str(target))) as failure:
         atomic_write_bytes(target, [b"new", b"bytes"])
     assert failure.value.context == {"path": str(target)}
     assert target.read_bytes() == b"old bytes"
-    with pytest.raises(IoFailure, match=re.escape(str(target))):
+    with raises_code("io_failure", match=re.escape(str(target))):
         save_checkpoint(ckpt(w=[1.0, 2.0]), target)
     assert target.read_bytes() == b"old bytes"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.st"]
