@@ -220,21 +220,14 @@ def routing_text(country: str, query: str | None) -> str:
 def fuse_meta(
     base: Checkpoint,
     experts: Mapping[str, Checkpoint],
-    gate_matrix: GateMatrix | None,
+    gate_matrix: GateMatrix,
     country: str,
     query: str | None = None,
-    *,
-    gate_override: Sequence[float] | None = None,
 ) -> tuple[Checkpoint, GateWeights]:
     """Route the country preamble, plus ``query`` unless it is None, through the
     gate and fuse the experts' feed-forward tensors onto the base. Returns
     (fused params, gate used)."""
-    if gate_override is not None:
-        weights = GateWeights(values=tuple(float(g) for g in gate_override))
-    else:
-        if gate_matrix is None:
-            raise ValueError("either gate_matrix or gate_override is required")
-        weights = route_prompt(base, gate_matrix, routing_text(country, query))
+    weights = route_prompt(base, gate_matrix, routing_text(country, query))
     fused = moerges_fuse(base, [experts[c] for c in CONTINENTS], list(weights))
     return fused, weights
 
@@ -340,11 +333,6 @@ def run_item(config: PipelineConfig, item: OpinionItem, country: str) -> tuple[s
     if not (config.no_draft or config.no_regulate):
         context = self_regulate(meta, context, country, item.question)
     return final_decision(meta, context, item, country)
-
-
-def prompting_baseline(meta, item: OpinionItem, country: str):
-    """Direct country-context prompting: the final stage with empty context."""
-    return final_decision(meta, "", item, country)
 
 
 def evaluate_country(

@@ -261,23 +261,25 @@ def _cmd_model(args) -> int:
 
 def _cmd_merge(args) -> int:
     _check_mode(args, "merge")
-    base = load_checkpoint(args.base)
-    experts = [load_checkpoint(path) for path in _expert_paths(args.expert).values()]
-    if args.method == "task":
-        merged = merge_engine.task_arithmetic(base, experts, args.coeff or [1.0] * len(experts))
-    elif args.method == "ties":
-        if args.density is None:
-            raise PaletteError("bad_density", "ties merge requires a density in (0, 1]")
-        merged = merge_engine.ties_merge(base, experts, args.density, 1.0 if args.scale is None else args.scale)
-    elif args.method == "stock":
-        merged = merge_engine.model_stock(base, experts)
-    else:
+    paths = _expert_paths(args.expert)
+    if args.method == "ties" and args.density is None:
+        raise PaletteError("bad_density", "ties merge requires a density in (0, 1]")
+    if args.method == "moerges":
         if args.gate is None:
             raise PaletteError("gate_dimension_mismatch", "moerges merge requires a gate vector")
         try:
             gate = [float(x) for x in args.gate.split(",")]
         except ValueError:
             raise _UsageError(f"--gate must be comma-separated numbers, got {args.gate!r}") from None
+    base = load_checkpoint(args.base)  # only once every flag is checked
+    experts = [load_checkpoint(path) for path in paths.values()]
+    if args.method == "task":
+        merged = merge_engine.task_arithmetic(base, experts, args.coeff or [1.0] * len(experts))
+    elif args.method == "ties":
+        merged = merge_engine.ties_merge(base, experts, args.density, 1.0 if args.scale is None else args.scale)
+    elif args.method == "stock":
+        merged = merge_engine.model_stock(base, experts)
+    else:
         merged = merge_engine.moerges_fuse(base, experts, gate)
     save_checkpoint(merged, args.output)
     print(f"wrote merged checkpoint to {args.output}")
@@ -393,6 +395,7 @@ def _cmd_eval(args) -> int:
 def _cmd_synth(args) -> int:
     if args.synth_command == "run":
         _check_mode(args, "synth run")
+        cfg = _checked(data_synth.SynthConfig, backend=None, max_rounds=args.max_rounds)  # before any read
         queries, lines = [], {}
         for index, row in iter_jsonl(args.queries, required=("id", "query")):
             if not isinstance(row["query"], str) or not row["query"]:
@@ -403,10 +406,9 @@ def _cmd_synth(args) -> int:
             lines[qid] = index + 1
             queries.append(row)
         if args.backend == "mock":
-            backend = _mock_from_spec(_load_json(args.transcript), "synth", args.transcript)
+            cfg.backend = _mock_from_spec(_load_json(args.transcript), "synth", args.transcript)
         else:
-            backend = RemoteChat(args.url, args.model_name, label="synth")
-        cfg = _checked(data_synth.SynthConfig, backend=backend, max_rounds=args.max_rounds)
+            cfg.backend = RemoteChat(args.url, args.model_name, label="synth")
         records = data_synth.run_synthesis(cfg, queries, args.out)
         approved = sum(1 for r in records if r.approved)
         print(f"synthesized {len(records)} records ({approved} approved) into {args.out}")

@@ -294,20 +294,6 @@ def group_records(records: Sequence[SynthRecord]) -> dict[str, dict[str, SynthRe
     return grouped
 
 
-def pair_counts(n_queries: int) -> dict[str, int]:
-    """Dataset arithmetic without generating anything: record, rejection,
-    and QA-pair counts implied by n source queries."""
-    if n_queries < 0:
-        raise ValueError("n_queries must be >= 0")
-    return {
-        "queries": n_queries,
-        "preference_records": 5 * n_queries,
-        "rejections_per_record": 4,
-        "rejection_pairs_per_continent": 4 * n_queries,
-        "qa_pairs_total": 5 * n_queries,
-    }
-
-
 # --- question import -------------------------------------------------------------
 
 _QUERY_FIELDS = ("question", "query", "utterance", "user_prompt", "opening_prompt")

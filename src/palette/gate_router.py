@@ -12,7 +12,7 @@ import numpy as np
 
 from .common import CONTINENTS
 from .errors import PaletteError
-from .tensor_store import Checkpoint, TensorSpec, load_checkpoint, save_checkpoint
+from .tensor_store import Checkpoint, TensorSpec, load_checkpoint, naming_file, save_checkpoint
 from .reference_model import BOS, EOS, TinyTransformer
 
 DEFAULT_SYSTEM_PROMPTS: dict[str, str] = {
@@ -68,9 +68,6 @@ class GateWeights:
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(CONTINENTS, self.values))
-
-    def argmax_label(self) -> str:
-        return CONTINENTS[int(np.argmax(self.values))]
 
 
 def softmax_weights(logits: Sequence[float], temperature: float = 1.0) -> np.ndarray:
@@ -144,23 +141,23 @@ def save_gate(gate: GateMatrix, path) -> None:
 
 def load_gate(path) -> GateMatrix:
     ckpt = load_checkpoint(path)
-    if "W_g" not in ckpt:
-        raise PaletteError("dimension_mismatch", "gate checkpoint must contain a tensor named 'W_g'")
-    raw = ckpt.metadata.get("labels")
-    try:
-        labels = list(CONTINENTS) if raw is None else json.loads(raw)
-    except ValueError:
-        labels = raw
-    if labels != list(CONTINENTS):
-        # Experts take the gate's columns by position, so any other order misroutes.
-        raise PaletteError(
-            "dimension_mismatch",
-            f"gate labels must be {list(CONTINENTS)} in this order, got {labels}", path=str(path)
-        )
-    if ckpt.metadata.get("normalized", "true") != "true":
-        raise PaletteError("dimension_mismatch", f"{path} holds an unnormalized gate; gate columns must be unit-norm",
-                           path=str(path))
-    matrix = ckpt["W_g"].array().astype(np.float64)
-    # f32 storage wobbles the unit norms; restore them exactly.
-    return GateMatrix(matrix=matrix / np.linalg.norm(matrix, axis=0, keepdims=True))
+    with naming_file(path):
+        if "W_g" not in ckpt:
+            raise PaletteError("dimension_mismatch", "gate checkpoint must contain a tensor named 'W_g'")
+        raw = ckpt.metadata.get("labels")
+        try:
+            labels = list(CONTINENTS) if raw is None else json.loads(raw)
+        except ValueError:
+            labels = raw
+        if labels != list(CONTINENTS):
+            # Experts take the gate's columns by position, so any other order misroutes.
+            raise PaletteError(
+                "dimension_mismatch", f"gate labels must be {list(CONTINENTS)} in this order, got {labels}"
+            )
+        if ckpt.metadata.get("normalized", "true") != "true":
+            raise PaletteError("dimension_mismatch", f"{path} holds an unnormalized gate; gate columns must be unit-norm",
+                               path=str(path))
+        matrix = ckpt["W_g"].array().astype(np.float64)
+        # f32 storage wobbles the unit norms; restore them exactly.
+        return GateMatrix(matrix=matrix / np.linalg.norm(matrix, axis=0, keepdims=True))
 

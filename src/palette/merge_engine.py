@@ -17,7 +17,7 @@ import numpy as np
 
 from .common import round9
 from .errors import EmptySelectionWarning, PaletteError
-from .tensor_store import Checkpoint, TensorSpec
+from .tensor_store import Checkpoint, TensorSpec, naming_file
 
 GATE_SUM_TOL = 1e-6
 FFN_PATTERN = "*.ffn.*"  # the tensors moerges_fuse fuses; eval's config_fingerprint hashes this glob
@@ -29,17 +29,18 @@ def _check_experts(base: Checkpoint, experts: Sequence[Checkpoint]) -> None:
         raise PaletteError("schema_mismatch", "at least one expert checkpoint is required")
     for i, expert in enumerate(experts):
         what = f"base vs expert[{i}]"
-        if base.names != expert.names:
-            raise PaletteError(
-                "schema_mismatch",
-                f"{what} have different tensor names",
-                only_first=sorted(set(base.names) - set(expert.names)),
-                only_second=sorted(set(expert.names) - set(base.names)),
-            )
-        for name, spec in base.items():
-            if spec.shape != expert[name].shape:
-                raise PaletteError("schema_mismatch",
-                                   f"{what}: tensor {name!r} shapes differ: {spec.shape} vs {expert[name].shape}")
+        with naming_file(expert.path):
+            if base.names != expert.names:
+                raise PaletteError(
+                    "schema_mismatch",
+                    f"{what} have different tensor names",
+                    only_first=sorted(set(base.names) - set(expert.names)),
+                    only_second=sorted(set(expert.names) - set(base.names)),
+                )
+            for name, spec in base.items():
+                if spec.shape != expert[name].shape:
+                    raise PaletteError("schema_mismatch",
+                                       f"{what}: tensor {name!r} shapes differ: {spec.shape} vs {expert[name].shape}")
 
 
 def _out(base: Checkpoint, arrays: dict[str, np.ndarray], metadata: dict[str, str]) -> Checkpoint:
@@ -183,18 +184,6 @@ def _validate_gate(gate: Sequence[float], n_experts: int) -> list[float]:
     return weights
 
 
-def gate_weighted_sum(
-    experts: Sequence[Checkpoint], weights: Sequence[float], names: Sequence[str]
-) -> dict[str, np.ndarray]:
-    """Raw per-tensor weighted sum over experts (no gate validation)."""
-    return {
-        name: sum(
-            float(w) * e[name].data.astype(np.float64) for w, e in zip(weights, experts)
-        )
-        for name in names
-    }
-
-
 def moerges_fuse(base: Checkpoint, experts: Sequence[Checkpoint], gate: Sequence[float]) -> Checkpoint:
     """Compose frozen shared tensors from the base with a gate-weighted sum
     of the experts' feed-forward tensors.
@@ -208,7 +197,12 @@ def moerges_fuse(base: Checkpoint, experts: Sequence[Checkpoint], gate: Sequence
     ffn = [name for name in base.names if _FFN_RE.fullmatch(name)]
     if not ffn:
         warnings.warn(f"pattern {FFN_PATTERN!r} matched no tensors", EmptySelectionWarning, stacklevel=2)
-    arrays = gate_weighted_sum(experts, weights, ffn)
+    arrays = {
+        name: sum(
+            float(w) * e[name].data.astype(np.float64) for w, e in zip(weights, experts)
+        )
+        for name in ffn
+    }
     arrays.update({name: spec.data.copy() for name, spec in base.items() if name not in arrays})
     metadata = dict(base.metadata)
     metadata["gate"] = ",".join(f"{round9(w):.9g}" for w in weights)

@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PaletteError, TooLong
-from .tensor_store import Checkpoint, TensorSpec
+from .tensor_store import Checkpoint, TensorSpec, naming_file
 
 BOS, EOS, PAD, SEP = 256, 257, 258, 259
 N_SPECIAL = 4
@@ -346,26 +346,27 @@ class TinyTransformer:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "TinyTransformer":
-        if "config" not in ckpt.metadata:
-            raise PaletteError("bad_config", "checkpoint has no 'config' metadata entry")
-        cfg = ModelConfig.from_json(ckpt.metadata["config"])
-        expected = dict(param_template(cfg))
-        if set(ckpt.names) != set(expected):
-            missing = sorted(set(expected) - set(ckpt.names))
-            extra = sorted(set(ckpt.names) - set(expected))
-            raise PaletteError(
-                "shape_mismatch",
-                "checkpoint does not match the model naming convention",
-                missing=missing,
-                extra=extra,
-            )
-        params = {}
-        for name, shape in expected.items():
-            spec = ckpt[name]
-            if spec.shape != shape:
-                raise PaletteError("shape_mismatch", f"tensor {name!r} has shape {spec.shape}, expected {shape}")
-            params[name] = spec.array().astype(np.float64)
-        return cls(cfg, params)
+        with naming_file(ckpt.path):  # a checkpoint of another kind names its file
+            if "config" not in ckpt.metadata:
+                raise PaletteError("bad_config", "checkpoint has no 'config' metadata entry")
+            cfg = ModelConfig.from_json(ckpt.metadata["config"])
+            expected = dict(param_template(cfg))
+            if set(ckpt.names) != set(expected):
+                missing = sorted(set(expected) - set(ckpt.names))
+                extra = sorted(set(ckpt.names) - set(expected))
+                raise PaletteError(
+                    "shape_mismatch",
+                    "checkpoint does not match the model naming convention",
+                    missing=missing,
+                    extra=extra,
+                )
+            params = {}
+            for name, shape in expected.items():
+                spec = ckpt[name]
+                if spec.shape != shape:
+                    raise PaletteError("shape_mismatch", f"tensor {name!r} has shape {spec.shape}, expected {shape}")
+                params[name] = spec.array().astype(np.float64)
+            return cls(cfg, params)
 
     def to_checkpoint(self) -> Checkpoint:
         specs = [TensorSpec.from_array(name, arr.astype(np.float32)) for name, arr in self.params.items()]

@@ -20,6 +20,7 @@ import math
 import os
 import struct
 from collections.abc import Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +76,11 @@ class TensorSpec:
 
 
 class Checkpoint(Mapping):
-    """An immutable-by-convention map of tensors, iterated lexicographically."""
+    """An immutable-by-convention map of tensors, iterated lexicographically.
+    ``path`` is the file it was loaded from (None if it was not loaded)."""
 
-    def __init__(self, tensors: Iterable[TensorSpec] = (), metadata: Mapping[str, str] | None = None):
+    def __init__(self, tensors: Iterable[TensorSpec] = (), metadata: Mapping[str, str] | None = None,
+                 path: str | None = None):
         by_name: dict[str, TensorSpec] = {}
         for spec in tensors:
             if spec.name in by_name:
@@ -85,6 +88,7 @@ class Checkpoint(Mapping):
             by_name[spec.name] = spec
         self._tensors = {name: by_name[name] for name in sorted(by_name)}
         self.metadata: dict[str, str] = {str(k): str(v) for k, v in (metadata or {}).items()}
+        self.path = path
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -101,11 +105,6 @@ class Checkpoint(Mapping):
 
     def specs(self):
         return self._tensors.values()
-
-    def with_metadata(self, **entries: str) -> "Checkpoint":
-        md = dict(self.metadata)
-        md.update({k: str(v) for k, v in entries.items()})
-        return Checkpoint(self.specs(), md)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Checkpoint):
@@ -148,16 +147,24 @@ def _reject_duplicate_keys(pairs):
     return out
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Parse a checkpoint file, validating the header and all offsets. A
-    refusal names ``path`` in its context and at the start of its message."""
+@contextmanager
+def naming_file(path):
+    """Name ``path`` at the start of the message and in the context of a PaletteError
+    raised in the block, unless ``path`` is None or the error names a path already."""
     try:
-        return _read_checkpoint(path)
+        yield
     except PaletteError as exc:
-        if "path" not in exc.context:  # io_failure names it already
+        if path is not None and "path" not in exc.context:
             exc.args = (f"{path}: {exc}",)
             exc.context["path"] = str(path)
         raise
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Parse a checkpoint file, validating the header and all offsets. A
+    refusal names ``path`` in its context and at the start of its message."""
+    with naming_file(path):
+        return _read_checkpoint(path)
 
 
 def _read_checkpoint(path) -> Checkpoint:
@@ -179,8 +186,6 @@ def _read_checkpoint(path) -> Checkpoint:
 
     try:
         header = json.loads(header_raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys)
-    except DuplicateName:
-        raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedHeader(f"header is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
@@ -237,4 +242,4 @@ def _read_checkpoint(path) -> Checkpoint:
         specs.append(TensorSpec(name=name, shape=tuple(shape), data=data))
         prev_end = end
 
-    return Checkpoint(specs, metadata)
+    return Checkpoint(specs, metadata, str(path))

@@ -105,6 +105,52 @@ def test_merge_names_the_expert_that_fails_to_load(tmp_path, model_path, capsys)
     assert err["message"].startswith(f"{cut}: declared header length ")
 
 
+WRONG_KIND = {  # a model where a gate belongs or a gate where a model belongs: (argv, the file named, code, message)
+    "align --model": (("align", "--model", "{gate}", "--data", "{pairs}", "-o", "{out}"),
+                      "gate", "bad_config", "checkpoint has no 'config' metadata entry"),
+    "gate init --model": (("gate", "init", "--model", "{gate}", "-o", "{out}"),
+                          "gate", "bad_config", "checkpoint has no 'config' metadata entry"),
+    "eval --expert": (("eval", "--country", "NZL", "--items", "{items}", "--meta-backend", "local", "--model", "{model}",
+                       "--expert", "Africa={gate}", "--no-moerges", "-o", "{out}"),
+                      "gate", "bad_config", "checkpoint has no 'config' metadata entry"),
+    "gate route --gate": (("gate", "route", "--model", "{model}", "--gate", "{model}", "--prompt", "hi"),
+                          "model", "dimension_mismatch", "gate checkpoint must contain a tensor named 'W_g'"),
+    "merge --expert": (("merge", "--method", "stock", "--base", "{model}", "--expert", "Africa={model}",
+                        "--expert", "Asia={gate}", "-o", "{out}"),
+                       "gate", "schema_mismatch", "base vs expert[1] have different tensor names"),
+}
+
+
+@pytest.mark.parametrize("argv, named, code, message", WRONG_KIND.values(), ids=WRONG_KIND.keys())
+def test_a_checkpoint_of_the_wrong_kind_names_its_file(tmp_path, model_path, capsys, argv, named, code, message):
+    files = {"model": model_path, "gate": tmp_path / "gate.st", "pairs": tmp_path / "pairs.jsonl",
+             "items": tmp_path / "qa.jsonl", "out": tmp_path / "out"}
+    save_gate(init_gate(load_checkpoint(model_path)), files["gate"])
+    save_records_jsonl(toy_preference_dataset(n_queries=1), files["pairs"])
+    files["items"].write_text(json.dumps({"question": "q", "options": ["a", "b"], "gold": [0.7, 0.3],
+                                          "country": "NZL"}) + "\n")
+    assert run_cli(*(arg.format(**files) for arg in argv)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["code"], err["message"]) == (code, f"{files[named]}: {message}")
+    assert err["context"]["path"] == str(files[named])
+    assert not files["out"].exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("synth", "run", "--queries", "{missing}", "--backend", "mock", "--transcript", "{missing}", "--out", "{out}",
+      "--max-rounds", "0"), "max_rounds must be >= 1"),
+    (("merge", "--method", "moerges", "--gate", "0.5,x", "--base", "{missing}", "--expert", "a={missing}",
+      "-o", "{out}"), "--gate must be comma-separated numbers, got '0.5,x'"),
+    (("merge", "--method", "task", "--base", "{missing}", "--expert", "a", "-o", "{out}"),
+     "--expert must look like LABEL=PATH, got 'a'"),
+], ids=["synth-max-rounds", "moerges-gate-not-numbers", "merge-expert-form"])
+def test_flags_are_checked_before_any_file_is_read(tmp_path, capsys, argv, message):
+    files = {"missing": tmp_path / "missing", "out": tmp_path / "out"}
+    assert run_cli(*(arg.format(**files) for arg in argv)) == 1
+    assert capsys.readouterr().err.splitlines()[0] == f"usage error: {message}"
+    assert not files["out"].exists()
+
+
 def test_model_init_and_merge_round_trip(tmp_path, capsys):
     base = tmp_path / "base.st"
     assert run_cli("model", "init", "--d-model", "16", "--n-layers", "1",
@@ -155,10 +201,10 @@ def test_merge_dispatch_and_label_guard(tmp_path, model_path, capsys):
     ("ties", "bad_density", "ties merge requires a density in (0, 1]"),
     ("moerges", "gate_dimension_mismatch", "moerges merge requires a gate vector"),
 ], ids=["ties", "moerges"])
-def test_merge_without_its_parameter_names_it(tmp_path, model_path, capsys, method, code, message):
-    out = tmp_path / "out.st"
-    assert run_cli("merge", "--method", method, "--base", str(model_path),
-                   "--expert", f"a={model_path}", "--expert", f"b={model_path}", "-o", str(out)) == 2
+def test_merge_without_its_parameter_names_it(tmp_path, capsys, method, code, message):
+    out, missing = tmp_path / "out.st", tmp_path / "missing.st"  # refused before any checkpoint is read
+    assert run_cli("merge", "--method", method, "--base", str(missing),
+                   "--expert", f"a={missing}", "--expert", f"b={missing}", "-o", str(out)) == 2
     err = json.loads(capsys.readouterr().err)
     assert (err["code"], err["message"], err["context"]) == (code, message, {})
     assert not out.exists()

@@ -18,7 +18,6 @@ from palette.data_synth import (
     group_records,
     import_prism,
     load_synth_records,
-    pair_counts,
     run_synthesis,
     self_judge_refine,
 )
@@ -317,19 +316,6 @@ def test_build_preference_pairs_missing_continent():
     del records["Oceania"]
     with raises_code("incomplete_query"):
         build_preference_pairs({"q0": records})
-
-
-def test_pair_counts_at_reference_scale():
-    counts = pair_counts(7805)
-    assert counts["rejection_pairs_per_continent"] == 31220
-    assert counts["qa_pairs_total"] == 39025
-    assert counts["preference_records"] == 39025
-    assert counts["rejections_per_record"] == 4
-
-
-def test_pair_counts_small():
-    assert pair_counts(1)["preference_records"] == 5
-    assert pair_counts(0)["qa_pairs_total"] == 0
 
 
 def test_group_records():

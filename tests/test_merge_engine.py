@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from palette.errors import EmptySelectionWarning
+from palette.tensor_store import Checkpoint
 from palette import merge_engine
 from palette.merge_engine import (
     _trim_top_magnitude,
-    gate_weighted_sum,
     model_stock,
     moerges_fuse,
     task_arithmetic,
@@ -48,7 +48,7 @@ def test_task_arithmetic_zero_coeffs():
     rng = np.random.default_rng(1)
     base = random_checkpoint(rng)
     out = task_arithmetic(base, [like(base, rng), like(base, rng)], [0.0, 0.0])
-    assert out == base.with_metadata(**base.metadata)
+    assert out == Checkpoint(base.specs(), base.metadata)
 
 
 def test_task_arithmetic_coeff_count_guard():
@@ -291,12 +291,12 @@ def test_moerges_gate_linearity_on_raw_sum():
     base = _ffn_base(rng)
     experts = [like(base, rng) for _ in range(3)]
     names = [n for n in base.names if ".ffn." in n]
-    g1, g2 = [0.1, 0.2, 0.3], [0.05, 0.15, 0.25]
-    s1 = gate_weighted_sum(experts, g1, names)
-    s2 = gate_weighted_sum(experts, g2, names)
-    s12 = gate_weighted_sum(experts, [a + b for a, b in zip(g1, g2)], names)
+    g1, g2 = [0.1, 0.3, 0.6], [0.5, 0.25, 0.25]
+    s1 = moerges_fuse(base, experts, g1)
+    s2 = moerges_fuse(base, experts, g2)
+    s12 = moerges_fuse(base, experts, [0.25 * a + 0.75 * b for a, b in zip(g1, g2)])
     for name in names:
-        assert np.allclose(s1[name] + s2[name], s12[name], atol=1e-9)
+        assert np.allclose(0.25 * s1[name].data + 0.75 * s2[name].data, s12[name].data, atol=1e-6)
 
 
 # --- shared properties -----------------------------------------------------------

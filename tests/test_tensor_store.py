@@ -37,7 +37,7 @@ def test_round_trip_100_random_checkpoints(tmp_path):
     for i in range(100):
         c = random_checkpoint(rng, n_tensors=int(rng.integers(1, 6)))
         if rng.random() < 0.5:
-            c = c.with_metadata(run=str(i), note="x" * int(rng.integers(1, 9)))
+            c = Checkpoint(c.specs(), {**c.metadata, "run": str(i), "note": "x" * int(rng.integers(1, 9))})
         path = tmp_path / f"ck{i}.st"
         save_checkpoint(c, path)
         assert load_checkpoint(path) == c
@@ -45,7 +45,7 @@ def test_round_trip_100_random_checkpoints(tmp_path):
 
 def test_save_is_byte_deterministic(tmp_path):
     rng = np.random.default_rng(7)
-    c = random_checkpoint(rng).with_metadata(tag="a")
+    c = Checkpoint(random_checkpoint(rng).specs(), {"tag": "a"})
     p1, p2 = tmp_path / "a.st", tmp_path / "b.st"
     save_checkpoint(c, p1)
     save_checkpoint(c, p2)
@@ -156,7 +156,7 @@ def test_iteration_is_lexicographic():
 
 
 def test_metadata_survives_round_trip(tmp_path):
-    c = ckpt(w=[1.0]).with_metadata(config='{"d":1}', gate="0.2,0.8")
+    c = ckpt({"config": '{"d":1}', "gate": "0.2,0.8"}, w=[1.0])
     path = tmp_path / "md.st"
     save_checkpoint(c, path)
     assert load_checkpoint(path).metadata == {"config": '{"d":1}', "gate": "0.2,0.8"}
@@ -180,7 +180,7 @@ def test_load_and_save_copy_no_tensor(tmp_path):
     residues = set()
     for pad in range(4):
         path = tmp_path / f"m{pad}.st"
-        c = model.with_metadata(note="x" * pad)
+        c = Checkpoint(model.specs(), {**model.metadata, "note": "x" * pad})
         tracemalloc.start()
         try:
             save_checkpoint(c, path)
