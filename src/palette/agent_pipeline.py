@@ -19,7 +19,7 @@ import numpy as np
 from .common import CONTINENTS, bad_line, dumps_canonical, fingerprint, iter_jsonl
 from .errors import BackendFailure, PaletteError
 from .backends import LocalReference, option_distribution_from_scores
-from .gate_router import GateMatrix, GateWeights, route_prompt
+from .gate_router import TEMPERATURE, GateMatrix, route_prompt
 from .merge_engine import FFN_PATTERN, moerges_fuse
 from .metrics import alignment_score, check_distribution, normalize_distribution, pearson
 from .templates import render_template
@@ -223,13 +223,12 @@ def fuse_meta(
     gate_matrix: GateMatrix,
     country: str,
     query: str | None = None,
-) -> tuple[Checkpoint, GateWeights]:
+) -> Checkpoint:
     """Route the country preamble, plus ``query`` unless it is None, through the
-    gate and fuse the experts' feed-forward tensors onto the base. Returns
-    (fused params, gate used)."""
+    gate and fuse the experts' feed-forward tensors onto the base. The fused
+    checkpoint records the gate it used in its ``gate`` metadata."""
     weights = route_prompt(base, gate_matrix, routing_text(country, query))
-    fused = moerges_fuse(base, [experts[c] for c in CONTINENTS], list(weights))
-    return fused, weights
+    return moerges_fuse(base, [experts[c] for c in CONTINENTS], weights)
 
 
 class FusedLocalMeta:
@@ -250,7 +249,6 @@ class FusedLocalMeta:
         *,
         mode: str = "per-request",
         no_fuse: bool = False,
-        max_new_tokens: int = 48,
     ):
         if mode not in ("per-request", "per-country"):
             raise ValueError(f"unknown gate mode {mode!r}")
@@ -259,21 +257,18 @@ class FusedLocalMeta:
         self.gate_matrix = gate_matrix
         self.mode = mode
         self.no_fuse = no_fuse
-        self.max_new_tokens = max_new_tokens
-        self.fusions: list[dict] = []
         self._country_cache: dict[str, LocalReference] = {}
-        self._base_backend = LocalReference(base, max_new_tokens, label="meta-base") if no_fuse else None
+        self._base_backend = LocalReference(base, label="meta-base") if no_fuse else None
 
     def backend_for(self, country: str, query: str) -> LocalReference:
         if self._base_backend is not None:
             return self._base_backend
         if self.mode == "per-country" and country in self._country_cache:
             return self._country_cache[country]
-        fused, weights = fuse_meta(
+        fused = fuse_meta(
             self.base, self.experts, self.gate_matrix, country, query if self.mode == "per-request" else None
         )
-        self.fusions.append({"country": country, "gate": list(weights)})
-        backend = LocalReference(fused, self.max_new_tokens, label="meta-fused")
+        backend = LocalReference(fused, label="meta-fused")
         if self.mode == "per-country":
             self._country_cache[country] = backend
         return backend
@@ -286,7 +281,7 @@ class FusedLocalMeta:
             # The constants fuse_meta routes and fuses with; every eval
             # report's config_fingerprint hashes these two keys.
             "ffn_pattern": FFN_PATTERN,
-            "temperature": 1.0,
+            "temperature": TEMPERATURE,
         }
 
 

@@ -18,6 +18,8 @@ from .errors import BackendFailure, EndpointUnreachable
 from .reference_model import BOS, SEP, TinyTransformer, detokenize
 from .tensor_store import Checkpoint
 
+MAX_NEW_TOKENS = 48  # the most tokens a local backend decodes for one prompt
+
 
 class ScriptedMock:
     """Deterministic canned backend.
@@ -74,10 +76,9 @@ class RemoteChat:
 
     kind = "remote"
 
-    def __init__(self, base_url: str, model: str | None, timeout: float = 60.0, label: str = "remote"):
+    def __init__(self, base_url: str, model: str | None, label: str = "remote"):
         self.base_url = base_url.rstrip("/")
         self.model = "default" if model is None else model
-        self.timeout = timeout
         self.label = label
         self.calls: list[str] = []
 
@@ -88,7 +89,7 @@ class RemoteChat:
         try:
             body = post_json(
                 f"{self.base_url}/v1/chat/completions", payload,
-                auth_env="PALETTE_API_KEY", timeout=self.timeout,
+                auth_env="PALETTE_API_KEY", timeout=60.0,
             )
         except EndpointUnreachable as exc:
             raise BackendFailure(f"chat request failed: {exc}", self.label, **exc.context) from exc
@@ -105,7 +106,7 @@ class RemoteChat:
 
 
 class LocalReference:
-    """Greedy deterministic decoding over the tiny reference model.
+    """Greedy deterministic decoding of up to MAX_NEW_TOKENS tokens over the tiny reference model.
 
     Prompts longer than the context window are truncated to their byte tail
     (the question and options sit at the end of pipeline prompts). In
@@ -115,10 +116,8 @@ class LocalReference:
 
     kind = "local"
 
-    def __init__(self, params: Checkpoint, max_new_tokens: int = 48, label: str = "local"):
-        self.params = params
+    def __init__(self, params: Checkpoint, label: str = "local"):
         self.model = TinyTransformer.from_checkpoint(params)
-        self.max_new_tokens = max_new_tokens
         self.label = label
         self.calls: list[str] = []
 
@@ -130,8 +129,8 @@ class LocalReference:
 
     def complete(self, prompt: str) -> str:
         self.calls.append(prompt)
-        tokens = self._prompt_tokens(prompt, self.max_new_tokens)
-        return detokenize(self.model.greedy_decode(tokens, self.max_new_tokens))
+        tokens = self._prompt_tokens(prompt, MAX_NEW_TOKENS)
+        return detokenize(self.model.greedy_decode(tokens, MAX_NEW_TOKENS))
 
     def score_options(self, prompt: str, options: Sequence[str]) -> list[float]:
         """Length-normalized log-probability of each option continuing the prompt."""

@@ -189,17 +189,17 @@ def build_parser() -> _Parser:
     gr.add_argument("--model", required=True)
     gr.add_argument("--gate", required=True)
     gr.add_argument("--prompt", required=True)
-    gr.add_argument("--temperature", type=float, default=1.0)
+    gr.add_argument("--temperature", type=float, default=gate_router.TEMPERATURE)
 
     p = sub.add_parser("align", help="preference-train the reference model")
-    p.set_defaults(run=_cmd_align, score="mean")
+    p.set_defaults(run=_cmd_align, score=align_trainer.TrainConfig.score)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--lr", type=float, default=5e-5)
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--lambda", dest="lam", type=float, default=align_trainer.TrainConfig.lam)
+    p.add_argument("--lr", type=float, default=align_trainer.TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=align_trainer.TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=align_trainer.TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=align_trainer.TrainConfig.seed)
     scores = p.add_mutually_exclusive_group()  # the contrastive term's sequence score; default: mean
     scores.add_argument("--true-odds", dest="score", action="store_const", const="odds")
     scores.add_argument("--raw-sums", dest="score", action="store_const", const="sum", help="unnormalized logprob ratios")
@@ -228,7 +228,7 @@ def build_parser() -> _Parser:
     sr = ssub.add_parser("run", parents=[backend_flags], help="run the four-step synthesis loop")
     sr.add_argument("--queries", required=True)
     sr.add_argument("--backend", choices=("remote", "mock"), required=True)
-    sr.add_argument("--max-rounds", type=int, default=3)
+    sr.add_argument("--max-rounds", type=int, default=data_synth.DEFAULT_MAX_ROUNDS)
     sr.add_argument("--out", required=True)
     sp = ssub.add_parser("pairs", help="assemble preference pairs from synthesis records")
     sp.add_argument("--records", required=True, help="synthesis out dir or one records_*.jsonl")
@@ -262,25 +262,30 @@ def _cmd_model(args) -> int:
 def _cmd_merge(args) -> int:
     _check_mode(args, "merge")
     paths = _expert_paths(args.expert)
-    if args.method == "ties" and args.density is None:
-        raise PaletteError("bad_density", "ties merge requires a density in (0, 1]")
-    if args.method == "moerges":
+
+    def load():  # base and experts, read only once every flag and value is checked
+        return load_checkpoint(args.base), [load_checkpoint(path) for path in paths.values()]
+    if args.method == "task":
+        coeffs = merge_engine.check_coeffs(args.coeff or [1.0] * len(paths), len(paths))
+        merged = merge_engine.task_arithmetic(*load(), coeffs)
+    elif args.method == "ties":
+        if args.density is None:
+            raise PaletteError("bad_density", "ties merge requires a density in (0, 1]")
+        scale = 1.0 if args.scale is None else args.scale
+        merge_engine.check_ties(args.density, scale)
+        merged = merge_engine.ties_merge(*load(), args.density, scale)
+    elif args.method == "stock":
+        merge_engine.check_stock(len(paths))
+        merged = merge_engine.model_stock(*load())
+    else:
         if args.gate is None:
             raise PaletteError("gate_dimension_mismatch", "moerges merge requires a gate vector")
         try:
             gate = [float(x) for x in args.gate.split(",")]
         except ValueError:
             raise _UsageError(f"--gate must be comma-separated numbers, got {args.gate!r}") from None
-    base = load_checkpoint(args.base)  # only once every flag is checked
-    experts = [load_checkpoint(path) for path in paths.values()]
-    if args.method == "task":
-        merged = merge_engine.task_arithmetic(base, experts, args.coeff or [1.0] * len(experts))
-    elif args.method == "ties":
-        merged = merge_engine.ties_merge(base, experts, args.density, 1.0 if args.scale is None else args.scale)
-    elif args.method == "stock":
-        merged = merge_engine.model_stock(base, experts)
-    else:
-        merged = merge_engine.moerges_fuse(base, experts, gate)
+        gate = merge_engine.check_gate(gate, len(paths))
+        merged = merge_engine.moerges_fuse(*load(), gate)
     save_checkpoint(merged, args.output)
     print(f"wrote merged checkpoint to {args.output}")
     return 0
@@ -297,9 +302,9 @@ def _cmd_gate(args) -> int:
     if not args.temperature > 0:  # also NaN
         raise _UsageError(f"--temperature must be > 0, got {args.temperature}")
     model = load_checkpoint(args.model)
-    gate = gate_router.load_gate(args.gate)
+    gate = gate_router.load_gate(args.gate, model)
     weights = gate_router.route_prompt(model, gate, args.prompt, args.temperature)
-    print(dumps_canonical(weights.as_dict(), indent=None))
+    print(dumps_canonical(dict(zip(CONTINENTS, weights)), indent=None))
     return 0
 
 
@@ -368,12 +373,12 @@ def _cmd_eval(args) -> int:
     else:
         base = load_checkpoint(args.model)
         experts = {c: load_checkpoint(path) for c, path in paths.items()}
+        gate = gate_router.load_gate(args.gate, base) if args.gate else None
         agents = {
             c: LocalReference(experts.get(c, base), label=c) for c in CONTINENTS
         }
         meta = agent_pipeline.FusedLocalMeta(
-            base, experts or {c: base for c in CONTINENTS},
-            gate_router.load_gate(args.gate) if args.gate else None,
+            base, experts or {c: base for c in CONTINENTS}, gate,
             mode=args.gate_mode or "per-request", no_fuse=args.no_moerges,
         )
     config = agent_pipeline.PipelineConfig(

@@ -201,6 +201,7 @@ def drop_torn_tail(path) -> None:
 _idle: dict[tuple, list[http.client.HTTPConnection]] = {}  # by (scheme, host, port, proxy)
 _idle_lock = threading.Lock()
 ATTEMPTS = 3  # tries per post_json call
+BACKOFF = 0.25  # seconds before the first retry, doubled before each later one
 _MAX_LINE, _MAX_HEADERS = 65536, 100  # http.client's limits on a reply's head
 
 
@@ -285,12 +286,12 @@ def _exchange(key, request: bytes, timeout: float, reuse: bool = True):
     return status, data
 
 
-def post_json(url: str, payload, *, auth_env: str, timeout: float, backoff: float = 0.25) -> bytes:
+def post_json(url: str, payload, *, auth_env: str, timeout: float) -> bytes:
     """POST ``payload`` as JSON and return the body of a 200 reply.
 
     Sends a bearer token from ``auth_env`` if set, via the environment's ``http(s)_proxy``
     unless ``no_proxy`` names the host, on a kept-alive connection. Up to ``ATTEMPTS``
-    attempts; connection errors, malformed and 5xx replies are retried after ``backoff *
+    attempts; connection errors, malformed and 5xx replies are retried after ``BACKOFF *
     2**(attempt - 1)`` seconds. Any other status (3xx too), the last failure, a URL not of
     the form ``http(s)://host...``, or a URL or token that is not printable ASCII raises
     EndpointUnreachable (``url``, ``status``).
@@ -316,7 +317,7 @@ def post_json(url: str, payload, *, auth_env: str, timeout: float, backoff: floa
     failure, context = "no attempts made", {}
     for attempt in range(ATTEMPTS):
         if attempt:
-            time.sleep(backoff * 2 ** (attempt - 1))
+            time.sleep(BACKOFF * 2 ** (attempt - 1))
         try:
             status, data = _exchange((*key, proxy), request, timeout)
         except (OSError, http.client.HTTPException) as exc:

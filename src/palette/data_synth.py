@@ -106,8 +106,8 @@ def self_judge_refine(
     query: str,
     response: str,
     continent: str,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    cached: Callable[[str, Callable[[], str]], str] | None = None,
+    max_rounds: int,
+    cached: Callable[[str, Callable[[], str]], str],
 ) -> tuple[str, int, bool]:
     """Judge/revise loop. Returns (final response, rounds used, approved).
 
@@ -117,10 +117,9 @@ def self_judge_refine(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    call = cached or (lambda _key, fn: fn())
     current = response
     for round_no in range(1, max_rounds + 1):
-        verdict = call(
+        verdict = cached(
             f"judge{round_no}",
             lambda: backend.complete(render_template(
                 "synth_judge", continent=continent, query=query, response=current
@@ -137,7 +136,7 @@ def self_judge_refine(
         else:
             explanation = verdict.split(REVISE_MARKER, 1)[1].strip() or verdict
         revised = current
-        current = call(
+        current = cached(
             f"revise{round_no}",
             lambda: aggregate(backend, query, revised, explanation, continent),
         )

@@ -24,6 +24,7 @@ DEFAULT_SYSTEM_PROMPTS: dict[str, str] = {
 }
 
 _COLUMN_NORM_TOL = 1e-6
+TEMPERATURE = 1.0  # the softmax temperature of routing unless a caller gives one
 
 
 @dataclass
@@ -51,26 +52,7 @@ class GateMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class GateWeights:
-    """A 5-way simplex vector, one weight per continent in CONTINENTS order."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(CONTINENTS):
-            raise PaletteError("dimension_mismatch", f"expected {len(CONTINENTS)} weights, got {len(self.values)}")
-        if abs(sum(self.values) - 1.0) > 1e-6:
-            raise PaletteError("dimension_mismatch", f"gate weights sum to {sum(self.values)}, expected 1")
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(CONTINENTS, self.values))
-
-
-def softmax_weights(logits: Sequence[float], temperature: float = 1.0) -> np.ndarray:
+def softmax_weights(logits: Sequence[float], temperature: float = TEMPERATURE) -> np.ndarray:
     """Max-subtracted softmax; shift-invariant and numerically stable."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -106,8 +88,8 @@ def init_gate(model: Checkpoint, system_prompts: Mapping[str, str] | None = None
     return GateMatrix(matrix=np.stack(columns, axis=1))
 
 
-def route(hidden: Sequence[float], gate: GateMatrix, temperature: float = 1.0) -> GateWeights:
-    """softmax(hidden . W_g): the expert weighting for one prompt encoding."""
+def route(hidden: Sequence[float], gate: GateMatrix, temperature: float = TEMPERATURE) -> tuple[float, ...]:
+    """softmax(hidden . W_g): the expert weighting for one prompt encoding, one weight per continent."""
     vec = np.asarray(hidden, dtype=np.float64)
     if vec.ndim != 1 or vec.shape[0] != gate.d_model:
         raise PaletteError(
@@ -117,12 +99,12 @@ def route(hidden: Sequence[float], gate: GateMatrix, temperature: float = 1.0) -
     if not np.all(np.isfinite(vec)):
         raise PaletteError("non_finite_input", "hidden vector contains non-finite entries")
     weights = softmax_weights(vec @ gate.matrix, temperature)
-    return GateWeights(values=tuple(float(w) for w in weights))
+    return tuple(float(w) for w in weights)
 
 
 def route_prompt(
-    model: Checkpoint, gate: GateMatrix, prompt: str, temperature: float = 1.0
-) -> GateWeights:
+    model: Checkpoint, gate: GateMatrix, prompt: str, temperature: float = TEMPERATURE
+) -> tuple[float, ...]:
     """Encode the prompt (mean-pooled hidden) and route it. A prompt too long
     for the context window is cut to its head, which holds the country preamble."""
     tt = TinyTransformer.from_checkpoint(model)
@@ -139,7 +121,7 @@ def save_gate(gate: GateMatrix, path) -> None:
     save_checkpoint(Checkpoint([TensorSpec.from_array("W_g", gate.matrix)], metadata), path)
 
 
-def load_gate(path) -> GateMatrix:
+def load_gate(path, model: Checkpoint) -> GateMatrix:
     ckpt = load_checkpoint(path)
     with naming_file(path):
         if "W_g" not in ckpt:
@@ -159,5 +141,10 @@ def load_gate(path) -> GateMatrix:
                                path=str(path))
         matrix = ckpt["W_g"].array().astype(np.float64)
         # f32 storage wobbles the unit norms; restore them exactly.
-        return GateMatrix(matrix=matrix / np.linalg.norm(matrix, axis=0, keepdims=True))
+        gate = GateMatrix(matrix=matrix / np.linalg.norm(matrix, axis=0, keepdims=True))
+    width = TinyTransformer.from_checkpoint(model).cfg.d_model  # out of naming_file: its errors name the model
+    if gate.d_model != width:
+        raise PaletteError("dimension_mismatch", f"{path}: the gate routes d_model {gate.d_model}, but the model "
+                           f"{model.path} has d_model {width}", path=str(path), model=model.path)
+    return gate
 

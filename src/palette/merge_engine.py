@@ -51,16 +51,45 @@ def _out(base: Checkpoint, arrays: dict[str, np.ndarray], metadata: dict[str, st
     return Checkpoint(specs, metadata)
 
 
+def check_coeffs(coeffs: Sequence[float], n_experts: int) -> list[float]:
+    if len(coeffs) != n_experts:
+        raise PaletteError("schema_mismatch", f"{len(coeffs)} coefficients for {n_experts} experts")
+    coeffs = [float(c) for c in coeffs]
+    if not all(math.isfinite(c) for c in coeffs):
+        raise PaletteError("schema_mismatch", "coefficients must be finite")
+    return coeffs
+
+
+def check_ties(density: float, scale: float) -> None:
+    if not (0.0 < density <= 1.0):
+        raise PaletteError("bad_density", f"density must be in (0, 1], got {density}")
+    if not math.isfinite(scale):
+        raise PaletteError("schema_mismatch", "scale must be finite")
+
+
+def check_stock(n_experts: int) -> None:
+    if n_experts < 2:
+        raise PaletteError("too_few_experts", f"model stock needs >= 2 experts, got {n_experts}")
+
+
+def check_gate(gate: Sequence[float], n_experts: int) -> list[float]:
+    weights = [float(g) for g in gate]
+    if len(weights) != n_experts:
+        raise PaletteError("gate_dimension_mismatch", f"gate has {len(weights)} entries for {n_experts} experts")
+    if not all(math.isfinite(w) for w in weights):
+        raise PaletteError("unnormalized_gate", "gate entries must be finite")
+    total = sum(weights)
+    if abs(total - 1.0) > GATE_SUM_TOL:
+        raise PaletteError("unnormalized_gate", f"gate sums to {total!r}, expected 1 within {GATE_SUM_TOL}")
+    return weights
+
+
 def task_arithmetic(
     base: Checkpoint, experts: Sequence[Checkpoint], coeffs: Sequence[float]
 ) -> Checkpoint:
     """base + sum_k coeffs[k] * (expert_k - base), element-wise."""
     _check_experts(base, experts)
-    if len(coeffs) != len(experts):
-        raise PaletteError("schema_mismatch", f"{len(coeffs)} coefficients for {len(experts)} experts")
-    coeffs = [float(c) for c in coeffs]
-    if not all(math.isfinite(c) for c in coeffs):
-        raise PaletteError("schema_mismatch", "coefficients must be finite")
+    coeffs = check_coeffs(coeffs, len(experts))
 
     arrays = {}
     buf = np.empty(max((spec.data.size for spec in base.specs()), default=0))
@@ -113,10 +142,7 @@ def ties_merge(
     entries matching the elected sign; result = base + scale * merged.
     """
     _check_experts(base, experts)
-    if not (0.0 < density <= 1.0):
-        raise PaletteError("bad_density", f"density must be in (0, 1], got {density}")
-    if not math.isfinite(scale):
-        raise PaletteError("schema_mismatch", "scale must be finite")
+    check_ties(density, scale)
 
     arrays = {}
     buf = np.empty(len(experts) * max((spec.data.size for spec in base.specs()), default=0))
@@ -148,8 +174,7 @@ def model_stock(base: Checkpoint, experts: Sequence[Checkpoint]) -> Checkpoint:
     """
     _check_experts(base, experts)
     k = len(experts)
-    if k < 2:
-        raise PaletteError("too_few_experts", f"model stock needs >= 2 experts, got {k}")
+    check_stock(k)
 
     arrays = {}
     for name, spec in base.items():
@@ -172,18 +197,6 @@ def model_stock(base: Checkpoint, experts: Sequence[Checkpoint]) -> Checkpoint:
     return _out(base, arrays, dict(base.metadata))
 
 
-def _validate_gate(gate: Sequence[float], n_experts: int) -> list[float]:
-    weights = [float(g) for g in gate]
-    if len(weights) != n_experts:
-        raise PaletteError("gate_dimension_mismatch", f"gate has {len(weights)} entries for {n_experts} experts")
-    if not all(math.isfinite(w) for w in weights):
-        raise PaletteError("unnormalized_gate", "gate entries must be finite")
-    total = sum(weights)
-    if abs(total - 1.0) > GATE_SUM_TOL:
-        raise PaletteError("unnormalized_gate", f"gate sums to {total!r}, expected 1 within {GATE_SUM_TOL}")
-    return weights
-
-
 def moerges_fuse(base: Checkpoint, experts: Sequence[Checkpoint], gate: Sequence[float]) -> Checkpoint:
     """Compose frozen shared tensors from the base with a gate-weighted sum
     of the experts' feed-forward tensors.
@@ -193,7 +206,7 @@ def moerges_fuse(base: Checkpoint, experts: Sequence[Checkpoint], gate: Sequence
     (EmptySelectionWarning). The gate is recorded in the output metadata.
     """
     _check_experts(base, experts)
-    weights = _validate_gate(gate, len(experts))
+    weights = check_gate(gate, len(experts))
     ffn = [name for name in base.names if _FFN_RE.fullmatch(name)]
     if not ffn:
         warnings.warn(f"pattern {FFN_PATTERN!r} matched no tensors", EmptySelectionWarning, stacklevel=2)

@@ -95,7 +95,7 @@ def _unit_scaled(arr: np.ndarray) -> np.ndarray:
 
 # --- external entailment scorer ---------------------------------------------
 
-def semantic_score(base_url: str, r_gold: str, r_llm: str, *, timeout: float = 10.0, backoff: float = 0.25) -> float:
+def semantic_score(base_url: str, r_gold: str, r_llm: str) -> float:
     """POST the text pair to {base_url}/score and return the consistency
     probability; sends a bearer token from PALETTE_NLI_TOKEN if set, and
     retries connection errors and 5xx replies (`common.post_json`)."""
@@ -104,7 +104,7 @@ def semantic_score(base_url: str, r_gold: str, r_llm: str, *, timeout: float = 1
     url = base_url.rstrip("/") + "/score"
     body = post_json(
         url, {"premise": r_gold, "hypothesis": r_llm},
-        auth_env="PALETTE_NLI_TOKEN", timeout=timeout, backoff=backoff,
+        auth_env="PALETTE_NLI_TOKEN", timeout=10.0,
     )
     try:
         score = json.loads(body)["score"]

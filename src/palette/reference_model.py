@@ -430,7 +430,7 @@ class TinyTransformer:
             scores.append(_continuation_logprob(np.concatenate([first, rest]) @ self.params["head.out"], cont))
         return scores
 
-    def greedy_decode(self, prompt_tokens: Sequence[int], max_new_tokens: int = 48) -> list[int]:
+    def greedy_decode(self, prompt_tokens: Sequence[int], max_new_tokens: int) -> list[int]:
         """Greedy continuation of the prompt, stopping at EOS, max_seq or max_new_tokens:
         one `_extend` over the prompt fills a K/V cache, then one per new token."""
         tokens = self._check_tokens(prompt_tokens)

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from palette import agent_pipeline
 from palette.agent_pipeline import (
     FusedLocalMeta,
     OpinionItem,
@@ -109,7 +110,7 @@ def test_draft_asks_local_agents_in_order_on_the_calling_thread():
     seen = []
     agents = {
         c: _record_thread(
-            LocalReference(model, max_new_tokens=3, label=c) if i % 2
+            LocalReference(model, label=c) if i % 2
             else ScriptedMock(default=f"resp-{c}", label=c),
             seen,
         )
@@ -120,7 +121,7 @@ def test_draft_asks_local_agents_in_order_on_the_calling_thread():
     assert seen == [(c, threading.get_ident(), threads_before) for c in CONTINENTS]
     assert all(len(agent.calls) == 1 for agent in agents.values())
     replies = [
-        LocalReference(model, max_new_tokens=3).complete(agents[c].calls[0]) if i % 2 else f"resp-{c}"
+        LocalReference(model).complete(agents[c].calls[0]) if i % 2 else f"resp-{c}"
         for i, c in enumerate(CONTINENTS)
     ]
     assert text == tagged(replies)
@@ -362,8 +363,8 @@ def test_fuse_meta_uniform_gate_identical_experts(fusion_setup):
     base, experts, gate = fusion_setup
     same = {c: experts["Asia"] for c in CONTINENTS}
     uniform = GateMatrix(np.tile(gate.matrix[:, :1], (1, len(CONTINENTS))))  # five equal columns
-    fused, weights = fuse_meta(base, same, uniform, "NZL")
-    assert list(weights) == [0.2] * 5
+    fused = fuse_meta(base, same, uniform, "NZL")
+    assert fused.metadata["gate"] == "0.2,0.2,0.2,0.2,0.2"
     for name in base.names:
         if ".ffn." in name:
             assert np.allclose(fused[name].data, experts["Asia"][name].data, atol=1e-7)
@@ -371,12 +372,26 @@ def test_fuse_meta_uniform_gate_identical_experts(fusion_setup):
 
 def test_fuse_meta_routes_through_gate(fusion_setup):
     base, experts, gate = fusion_setup
-    fused, weights = fuse_meta(base, experts, gate, "NZL", "a question")
+    fused = fuse_meta(base, experts, gate, "NZL", "a question")
+    weights = route_prompt(base, gate, routing_text("NZL", "a question"))
     assert abs(sum(weights) - 1.0) < 1e-9
     assert fused.metadata["gate"] == ",".join(f"{w:.9g}" for w in weights)
 
 
-def test_fused_local_meta_per_country_caches(fusion_setup):
+@pytest.fixture
+def fusions(monkeypatch):
+    """The gate of every moerges_fuse call the pipeline makes."""
+    seen, fuse = [], agent_pipeline.moerges_fuse
+
+    def recording_fuse(base, experts, gate):
+        seen.append(gate)
+        return fuse(base, experts, gate)
+
+    monkeypatch.setattr(agent_pipeline, "moerges_fuse", recording_fuse)
+    return seen
+
+
+def test_fused_local_meta_per_country_caches(fusion_setup, fusions):
     base, experts, gate = fusion_setup
     provider = FusedLocalMeta(base, experts, gate, mode="per-country")
     b1 = provider.backend_for("NZL", "first query")
@@ -384,24 +399,24 @@ def test_fused_local_meta_per_country_caches(fusion_setup):
     b3 = provider.backend_for("AUS", "third query")
     assert b1 is b2
     assert b1 is not b3
-    assert len(provider.fusions) == 2
+    assert len(fusions) == 2
 
 
-def test_fused_local_meta_per_request_refuses(fusion_setup):
+def test_fused_local_meta_per_request_refuses(fusion_setup, fusions):
     base, experts, gate = fusion_setup
     provider = FusedLocalMeta(base, experts, gate, mode="per-request")
     b1 = provider.backend_for("NZL", "first query")
     b2 = provider.backend_for("NZL", "second query")
     assert b1 is not b2
-    assert len(provider.fusions) == 2
+    assert len(fusions) == 2
 
 
-def test_fused_local_meta_no_fuse_uses_base(fusion_setup):
+def test_fused_local_meta_no_fuse_uses_base(fusion_setup, fusions):
     base, experts, gate = fusion_setup
     provider = FusedLocalMeta(base, experts, gate, no_fuse=True)
     backend = provider.backend_for("NZL", "q")
-    assert backend.params == base
-    assert provider.fusions == []
+    assert backend.model.to_checkpoint() == base
+    assert fusions == []
     assert provider.backend_for("AUS", "q2") is backend
 
 
@@ -414,15 +429,15 @@ def test_fused_local_meta_fingerprint_is_pinned(fusion_setup):
 
 def test_local_pipeline_end_to_end(fusion_setup):
     base, experts, gate = fusion_setup
-    agents = {c: LocalReference(experts[c], max_new_tokens=4, label=c) for c in CONTINENTS}
-    meta = FusedLocalMeta(base, experts, gate, max_new_tokens=4)
+    agents = {c: LocalReference(experts[c], label=c) for c in CONTINENTS}
+    meta = FusedLocalMeta(base, experts, gate)
     item = OpinionItem(
         question="pick", options=["alpha", "beta"], gold=[0.6, 0.4], country="X", qid="q0"
     )
     config = PipelineConfig(agents=agents, meta=meta)
     r1 = evaluate_country(config, [item], "X").to_json()
-    agents2 = {c: LocalReference(experts[c], max_new_tokens=4, label=c) for c in CONTINENTS}
-    meta2 = FusedLocalMeta(base, experts, gate, max_new_tokens=4)
+    agents2 = {c: LocalReference(experts[c], label=c) for c in CONTINENTS}
+    meta2 = FusedLocalMeta(base, experts, gate)
     r2 = evaluate_country(
         PipelineConfig(agents=agents2, meta=meta2), [item], "X"
     ).to_json()
@@ -437,8 +452,8 @@ def test_evaluate_country_routes_a_question_longer_than_max_seq(fusion_setup, mo
     max_seq = TinyTransformer.from_checkpoint(base).cfg.max_seq
     question = "Which of these matters most when you choose where to live? " * 4
     assert len(question) > max_seq
-    agents = {c: LocalReference(experts[c], max_new_tokens=4, label=c) for c in CONTINENTS}
-    meta = FusedLocalMeta(base, experts, gate, mode=mode, max_new_tokens=4)
+    agents = {c: LocalReference(experts[c], label=c) for c in CONTINENTS}
+    meta = FusedLocalMeta(base, experts, gate, mode=mode)
     item = OpinionItem(question=question, options=["alpha", "beta"], gold=[0.6, 0.4], country="X", qid="q0")
     report = evaluate_country(PipelineConfig(agents=agents, meta=meta), [item], "X")
     assert [q["qid"] for q in report.per_question] == ["q0"]

@@ -3,7 +3,6 @@ import json
 import socket
 import sys
 import threading
-import time
 
 import pytest
 
@@ -22,14 +21,6 @@ class MockChatServer(ReplyServer):
 
     def __init__(self, reply="pong", status=200):
         super().__init__([(status, chat_body(reply))])
-
-
-@pytest.fixture
-def sleeps(monkeypatch):
-    """The seconds of every `time.sleep` call, which returns at once."""
-    seen = []
-    monkeypatch.setattr(time, "sleep", seen.append)
-    return seen
 
 
 @pytest.fixture
@@ -95,7 +86,7 @@ def test_remote_chat_http_error(sleeps):
 
 
 def test_remote_chat_connection_error(sleeps):
-    backend = RemoteChat("http://127.0.0.1:1", model="toy", timeout=0.2)
+    backend = RemoteChat("http://127.0.0.1:1", model="toy")
     with pytest.raises(BackendFailure):
         backend.complete("x")
     assert sleeps == [0.25, 0.5]
@@ -139,7 +130,7 @@ def test_remote_chat_refused_connection_fails_after_three_attempts(sleeps, attem
         sock.bind(("127.0.0.1", 0))  # bound but not listening: connections are refused
         url = f"http://127.0.0.1:{sock.getsockname()[1]}"
         with pytest.raises(BackendFailure) as exc:
-            RemoteChat(url, model="toy", label="Asia", timeout=2.0).complete("x")
+            RemoteChat(url, model="toy", label="Asia").complete("x")
     assert exc.value.label == "Asia"
     assert "status" not in exc.value.context
     assert len(attempts) == 3
@@ -175,7 +166,7 @@ def test_threads_never_share_a_connection_and_hand_each_one_back():
     sys.setswitchinterval(1e-6)
     try:
         with ReplyServer([(200, chat_body("pong"))], keep_alive=True) as server:
-            backend = RemoteChat(server.base_url, model="toy", timeout=10.0)
+            backend = RemoteChat(server.base_url, model="toy")
             replies = []
 
             def work():
@@ -325,31 +316,32 @@ def test_scorer_bad_url_fails_at_once(base_url, sleeps, attempts):
 
 def test_local_reference_deterministic():
     params = tiny_model()
-    b1 = LocalReference(params, max_new_tokens=8)
-    b2 = LocalReference(params, max_new_tokens=8)
+    b1 = LocalReference(params)
+    b2 = LocalReference(params)
     assert b1.complete("a question") == b2.complete("a question")
 
 
 def test_local_reference_truncates_long_prompts():
     params = tiny_model(max_seq=48)
-    backend = LocalReference(params, max_new_tokens=8)
+    backend = LocalReference(params)
     out = backend.complete("x" * 500)
     assert isinstance(out, str)
 
 
-@pytest.mark.parametrize("max_new_tokens, kept", [(28, 2), (29, 1), (30, 0), (31, 0), (40, 0)])
-def test_local_reference_prompt_budget_at_and_below_zero(max_new_tokens, kept):
-    # max_seq 32 leaves 32 - max_new_tokens - 2 prompt bytes: 2, 1, 0, then below 0.
-    backend = LocalReference(tiny_model(max_seq=32), max_new_tokens=max_new_tokens)
+@pytest.mark.parametrize("reserve, kept", [(28, 2), (29, 1), (30, 0), (31, 0), (40, 0)])
+def test_local_reference_prompt_budget_at_and_below_zero(reserve, kept):
+    # max_seq 32 leaves 32 - reserve - 2 prompt bytes: 2, 1, 0, then below 0. Decoding
+    # reserves MAX_NEW_TOKENS = 48, so complete() runs from a budget below 0.
+    backend = LocalReference(tiny_model(max_seq=32))
     prompt = "abcdefghij" * 10
-    tokens = backend._prompt_tokens(prompt, max_new_tokens)
+    tokens = backend._prompt_tokens(prompt, reserve)
     assert tokens == [BOS] + list(prompt.encode()[len(prompt) - kept:]) + [SEP]
     assert isinstance(backend.complete(prompt), str)
 
 
 def test_local_reference_score_options_matches_logprobs():
     params = tiny_model()
-    backend = LocalReference(params, max_new_tokens=8)
+    backend = LocalReference(params)
     model = TinyTransformer.from_checkpoint(params)
     prompt = "pick one"
     options = ["yes", "no", "maybe"]
@@ -372,13 +364,13 @@ def _option_tokens(backend, options):
 
 
 def test_local_reference_scores_options_over_one_cut_prompt():
-    backend = LocalReference(tiny_model(max_seq=48), max_new_tokens=8)
+    backend = LocalReference(tiny_model(max_seq=48))
     conts = _option_tokens(backend, UNEVEN_OPTIONS)
     common = backend._prompt_tokens(LONG_PROMPT, max(map(len, conts)))
     assert len(common) + 24 == 48
     # Cut for its own length, a shorter option would keep more of the prompt.
     assert backend._prompt_tokens(LONG_PROMPT, 1) != common
-    model = TinyTransformer.from_checkpoint(backend.params)
+    model = backend.model
     scores = backend.score_options(LONG_PROMPT, UNEVEN_OPTIONS)
     assert len(scores) == len(UNEVEN_OPTIONS)
     for got, cont in zip(scores, conts):
@@ -386,7 +378,7 @@ def test_local_reference_scores_options_over_one_cut_prompt():
 
 
 def test_local_reference_score_options_passes_over_the_prompt_once(monkeypatch):
-    backend = LocalReference(tiny_model(max_seq=48), max_new_tokens=8)
+    backend = LocalReference(tiny_model(max_seq=48))
     calls = []
     extend = TinyTransformer._extend
 
@@ -402,7 +394,7 @@ def test_local_reference_score_options_passes_over_the_prompt_once(monkeypatch):
 
 
 def test_local_reference_scores_no_options_without_the_model(monkeypatch):
-    backend = LocalReference(tiny_model(), max_new_tokens=8)
+    backend = LocalReference(tiny_model())
 
     def no_extend(self, *args, **kwargs):
         raise AssertionError("no option needs a model pass")

@@ -17,7 +17,7 @@ from palette.common import CONTINENTS
 from palette.tensor_store import load_checkpoint, save_checkpoint
 
 from helpers import ReplyServer, chat_body, tiny_model, toy_preference_dataset
-from palette import agent_pipeline
+from palette import agent_pipeline, gate_router
 from palette.align_trainer import PreferenceRecord, TrainConfig, save_records_jsonl, train
 from palette.gate_router import init_gate, save_gate
 
@@ -210,6 +210,25 @@ def test_merge_without_its_parameter_names_it(tmp_path, capsys, method, code, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, experts, code, message", [
+    (("--method", "ties", "--density", "2"), 1, "bad_density", "density must be in (0, 1], got 2.0"),
+    (("--method", "ties", "--density", "0.5", "--scale", "nan"), 1, "schema_mismatch", "scale must be finite"),
+    (("--method", "task", "--coeff", "0.5", "--coeff", "0.5"), 1, "schema_mismatch", "2 coefficients for 1 experts"),
+    (("--method", "task", "--coeff", "nan"), 1, "schema_mismatch", "coefficients must be finite"),
+    (("--method", "moerges", "--gate", "0.5,0.6"), 1, "gate_dimension_mismatch", "gate has 2 entries for 1 experts"),
+    (("--method", "moerges", "--gate", "0.5,0.6"), 2, "unnormalized_gate", "gate sums to 1.1, expected 1 within 1e-06"),
+    (("--method", "stock",), 1, "too_few_experts", "model stock needs >= 2 experts, got 1"),
+], ids=["ties-density", "ties-scale", "task-coeff-count", "task-coeff-nan", "moerges-gate-count", "moerges-gate-sum",
+        "stock-one-expert"])
+def test_merge_checks_its_values_before_it_reads_a_checkpoint(tmp_path, capsys, flags, experts, code, message):
+    out, missing = tmp_path / "out.st", tmp_path / "missing.st"
+    labels = [f"--expert=e{i}={missing}" for i in range(experts)]
+    assert run_cli("merge", *flags, "--base", str(missing), *labels, "-o", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["code"], err["message"], err["context"]) == (code, message, {})
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf"])
 def test_merge_ties_rejects_a_non_finite_scale(tmp_path, model_path, capsys, scale):
     out = tmp_path / "out.st"
@@ -234,12 +253,44 @@ def test_gate_init_and_route(tmp_path, model_path, capsys):
     assert "unrecognized arguments: --raw" in capsys.readouterr().err
 
 
-def test_gate_init_with_prompts_file(tmp_path, model_path):
+@pytest.mark.parametrize("command", ["gate route", "eval"])
+def test_a_gate_for_a_model_of_another_width_names_both_files(tmp_path, model_path, capsys, monkeypatch, command):
+    wide, gate = tmp_path / "wide.st", tmp_path / "gate.st"
+    save_checkpoint(tiny_model(d_model=32, n_heads=4), wide)
+    save_gate(init_gate(load_checkpoint(wide)), gate)
+    items, out = tmp_path / "qa.jsonl", tmp_path / "out.json"
+    items.write_text(json.dumps({"question": "q", "options": ["a", "b"], "gold": [0.7, 0.3], "country": "NZL"}) + "\n")
+    experts = [f"--expert={c}={model_path}" for c in CONTINENTS]
+    argv = {
+        "gate route": ("gate", "route", "--model", str(model_path), "--gate", str(gate), "--prompt", "hi"),
+        "eval": ("eval", "--country", "NZL", "--items", str(items), "--meta-backend", "local", "--model",
+                 str(model_path), *experts, "--gate", str(gate), "-o", str(out)),
+    }[command]
+    for module in (agent_pipeline, gate_router):
+        monkeypatch.setattr(module, "route_prompt", lambda *a: pytest.fail("routed before the check"))
+    monkeypatch.setattr(agent_pipeline, "draft", lambda *a: pytest.fail("drafted before the check"))
+    assert run_cli(*argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "dimension_mismatch"
+    assert err["message"] == f"{gate}: the gate routes d_model 32, but the model {model_path} has d_model 16"
+    assert err["context"] == {"path": str(gate), "model": str(model_path)}
+    assert not out.exists()
+
+
+def test_gate_init_with_prompts_file(tmp_path, model_path, capsys):
     prompts = {c: f"prompt about {c}" for c in CONTINENTS}
     pfile = tmp_path / "prompts.json"
     pfile.write_text(json.dumps(prompts))
     assert run_cli("gate", "init", "--model", str(model_path),
                    "--prompts", str(pfile), "-o", str(tmp_path / "g.st")) == 0
+    # Five equal columns route every prompt uniformly: gate route prints one weight per continent.
+    pfile.write_text(json.dumps(["one prompt"] * len(CONTINENTS)))
+    assert run_cli("gate", "init", "--model", str(model_path), "--prompts", str(pfile), "-o", str(tmp_path / "u.st")) == 0
+    capsys.readouterr()
+    assert run_cli("gate", "route", "--model", str(model_path), "--gate", str(tmp_path / "u.st"), "--prompt", "hi") == 0
+    assert capsys.readouterr().out == (
+        '{"Africa": 0.2, "America": 0.2, "Asia": 0.2, "Europe": 0.2, "Oceania": 0.2}\n'
+    )
 
 
 def test_gate_init_cuts_long_prompts_to_their_head(tmp_path, model_path):

@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -67,39 +68,45 @@ def test_step3_guards_empty_inputs():
         aggregate(ScriptedMock(default="x"), "q", "", "fb", "Asia")
 
 
-def test_judge_immediate_approval():
+def judge(mock, tmp_path, max_rounds=3):
+    """self_judge_refine of "resp" through a step store, as run_synthesis calls it."""
+    store = StepStore(tmp_path / "steps.jsonl")
+    return self_judge_refine(mock, "q", "resp", "Asia", max_rounds, functools.partial(store.get_or_call, "q", "Asia"))
+
+
+def test_judge_immediate_approval(tmp_path):
     mock = ScriptedMock(default="[Approved]")
-    final, rounds, approved = self_judge_refine(mock, "q", "resp", "Asia", max_rounds=3)
+    final, rounds, approved = judge(mock, tmp_path)
     assert (final, rounds, approved) == ("resp", 1, True)
     assert len(mock.calls) == 1
 
 
-def test_judge_perpetual_revise_caps_at_max_rounds():
+def test_judge_perpetual_revise_caps_at_max_rounds(tmp_path):
     mock = ScriptedMock(default="[Revise] not focused enough")
-    final, rounds, approved = self_judge_refine(mock, "q", "resp", "Asia", max_rounds=3)
+    final, rounds, approved = judge(mock, tmp_path)
     assert rounds == 3 and approved is False
     # 3 judge calls + 3 revision calls
     assert len(mock.calls) == 6
 
 
-def test_judge_revise_then_approve():
+def test_judge_revise_then_approve(tmp_path):
     mock = ScriptedMock(script=["[Revise] tighten the focus", "revised text", "[Approved]"])
-    final, rounds, approved = self_judge_refine(mock, "q", "resp", "Asia", max_rounds=3)
+    final, rounds, approved = judge(mock, tmp_path)
     assert (final, rounds, approved) == ("revised text", 2, True)
     assert len(mock.calls) == 3
 
 
-def test_judge_ambiguous_verdict_counts_as_revise(caplog):
+def test_judge_ambiguous_verdict_counts_as_revise(caplog, tmp_path):
     mock = ScriptedMock(script=["no marker at all", "revised once", "[Approved]"])
     with caplog.at_level("WARNING"):
-        final, rounds, approved = self_judge_refine(mock, "q", "resp", "Asia", max_rounds=3)
+        final, rounds, approved = judge(mock, tmp_path)
     assert (final, rounds, approved) == ("revised once", 2, True)
     assert any("ambiguous" in rec.message for rec in caplog.records)
 
 
-def test_judge_rounds_bounds():
+def test_judge_rounds_bounds(tmp_path):
     with pytest.raises(ValueError):
-        self_judge_refine(ScriptedMock(default="[Approved]"), "q", "r", "Asia", max_rounds=0)
+        judge(ScriptedMock(default="[Approved]"), tmp_path, max_rounds=0)
 
 
 def test_templates_all_render_without_placeholders():

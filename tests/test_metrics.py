@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -171,21 +170,23 @@ def test_token_overlap_partial():
     assert token_overlap_score("a b c d", "a b x y") == pytest.approx(2.0 / 6.0)
 
 
-def test_semantic_score_against_mock_server():
+def test_semantic_score_against_mock_server(sleeps):
     with MockScorerServer() as server:
-        assert semantic_score(server.base_url, "identical text", "identical text", backoff=0.0) == 1.0
+        assert semantic_score(server.base_url, "identical text", "identical text") == 1.0
+    assert sleeps == []
 
 
-def test_semantic_score_constant_mock_value():
+def test_semantic_score_constant_mock_value(sleeps):
     with MockScorerServer(score_fn=lambda p, h: 0.8927) as server:
-        score = semantic_score(server.base_url, "gold answer", "generated answer", backoff=0.0)
+        score = semantic_score(server.base_url, "gold answer", "generated answer")
         assert score == pytest.approx(0.8927)
+    assert sleeps == []
 
 
-def test_semantic_score_sends_bearer_token(monkeypatch):
+def test_semantic_score_sends_bearer_token(monkeypatch, sleeps):
     monkeypatch.setenv("PALETTE_NLI_TOKEN", "sekrit")
     with MockScorerServer() as server:
-        semantic_score(server.base_url, "a", "b", backoff=0.0)
+        semantic_score(server.base_url, "a", "b")
         assert server.requests_seen[-1]["auth"] == "Bearer sekrit"
         assert server.requests_seen[-1]["body"] == {"premise": "a", "hypothesis": "b"}
 
@@ -195,26 +196,27 @@ def test_semantic_score_empty_text():
         semantic_score("http://127.0.0.1:1", "", "x")
 
 
-def test_semantic_score_unreachable_after_retries():
+def test_semantic_score_unreachable_after_retries(sleeps):
     with pytest.raises(EndpointUnreachable):
-        semantic_score("http://127.0.0.1:1", "a", "b", timeout=0.2, backoff=0.0)
+        semantic_score("http://127.0.0.1:1", "a", "b")
+    assert sleeps == [0.25, 0.5]
 
 
-def test_semantic_score_malformed_response():
+def test_semantic_score_malformed_response(sleeps):
     with ReplyServer([(200, b'{"not_score": 1}')]) as server:
         with raises_code("malformed_scorer_response"):
-            semantic_score(server.base_url, "a", "b", backoff=0.0)
+            semantic_score(server.base_url, "a", "b")
+    assert sleeps == []
 
 
-def test_semantic_score_out_of_range_score():
+def test_semantic_score_out_of_range_score(sleeps):
     with MockScorerServer(score_fn=lambda p, h: 1.5) as server:
         with raises_code("malformed_scorer_response"):
-            semantic_score(server.base_url, "a", "b", backoff=0.0)
+            semantic_score(server.base_url, "a", "b")
+    assert sleeps == []
 
 
-def test_semantic_score_shares_the_chat_retry_rule(monkeypatch):
-    sleeps = []
-    monkeypatch.setattr(time, "sleep", sleeps.append)
+def test_semantic_score_shares_the_chat_retry_rule(sleeps):
     with ReplyServer([(503, b"{}"), (200, b'{"score": 0.5}')]) as server:
         assert semantic_score(server.base_url, "a", "b") == 0.5
     assert len(server.requests_seen) == 2
