@@ -29,6 +29,8 @@ logger = logging.getLogger(__name__)
 
 OPTION_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 PARSE_ATTEMPTS = 3
+GATE_MODES = ("per-request", "per-country")
+DEFAULT_GATE_MODE = "per-request"
 
 
 @dataclass
@@ -37,7 +39,7 @@ class OpinionItem:
     options: list[str]
     gold: list[float]
     country: str
-    qid: str = ""
+    qid: str
 
     def __post_init__(self):
         if not isinstance(self.question, str) or not self.question:
@@ -247,10 +249,10 @@ class FusedLocalMeta:
         experts: Mapping[str, Checkpoint],
         gate_matrix: GateMatrix | None,
         *,
-        mode: str = "per-request",
+        mode: str = DEFAULT_GATE_MODE,
         no_fuse: bool = False,
     ):
-        if mode not in ("per-request", "per-country"):
+        if mode not in GATE_MODES:
             raise ValueError(f"unknown gate mode {mode!r}")
         self.base = base
         self.experts = dict(experts)

@@ -174,7 +174,7 @@ def build_parser() -> _Parser:
     p.add_argument("--expert", action="append", required=True, metavar="LABEL=PATH")
     p.add_argument("--coeff", action="append", type=float, default=None)
     p.add_argument("--density", type=float)
-    p.add_argument("--scale", type=float, help="ties scale (default: 1.0)")
+    p.add_argument("--scale", type=float, help=f"ties scale (default: {merge_engine.DEFAULT_SCALE})")
     p.add_argument("--gate", help="comma-separated gate weights, one per expert")
     p.add_argument("-o", "--output", required=True)
 
@@ -215,7 +215,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", help="base model checkpoint (local backend)")
     p.add_argument("--expert", action="append", default=[], metavar="CONTINENT=PATH")
     p.add_argument("--gate", help="gate checkpoint (local backend)")
-    p.add_argument("--gate-mode", choices=("per-request", "per-country"), help="default: per-request")
+    p.add_argument("--gate-mode", choices=agent_pipeline.GATE_MODES, help="default: " + agent_pipeline.DEFAULT_GATE_MODE)
     ablations = p.add_mutually_exclusive_group()  # with no drafts there is nothing to regulate
     ablations.add_argument("--no-draft", action="store_true")
     ablations.add_argument("--no-regulate", action="store_true")
@@ -271,7 +271,7 @@ def _cmd_merge(args) -> int:
     elif args.method == "ties":
         if args.density is None:
             raise PaletteError("bad_density", "ties merge requires a density in (0, 1]")
-        scale = 1.0 if args.scale is None else args.scale
+        scale = merge_engine.DEFAULT_SCALE if args.scale is None else args.scale
         merge_engine.check_ties(args.density, scale)
         merged = merge_engine.ties_merge(*load(), args.density, scale)
     elif args.method == "stock":
@@ -379,7 +379,7 @@ def _cmd_eval(args) -> int:
         }
         meta = agent_pipeline.FusedLocalMeta(
             base, experts or {c: base for c in CONTINENTS}, gate,
-            mode=args.gate_mode or "per-request", no_fuse=args.no_moerges,
+            mode=args.gate_mode or agent_pipeline.DEFAULT_GATE_MODE, no_fuse=args.no_moerges,
         )
     config = agent_pipeline.PipelineConfig(
         agents=agents,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import http.client
 import json
@@ -151,17 +152,16 @@ def write_jsonl(path, rows) -> None:
     atomic_write_text(path, "".join(_jsonl_line(row) for row in rows))
 
 
-def append_jsonl(path, row) -> None:
-    """Append one row and its newline to a JSONL file in one write. Any
+def append_jsonl(fds: dict, path, row) -> None:
+    """Append one row and its newline to a JSONL file in one write, on the O_APPEND descriptor
+    ``fds[path]``, which the first append to ``path`` opens and the caller closes. Any
     OSError, or a write cut short, raises io_failure naming ``path``."""
     data = _jsonl_line(row).encode("utf-8")
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            if (written := os.write(fd, data)) < len(data):
-                raise OSError(f"wrote {written} of {len(data)} bytes")
-        finally:
-            os.close(fd)
+        if (fd := fds.get(path)) is None:
+            fd = fds[path] = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        if (written := os.write(fd, data)) < len(data):
+            raise OSError(f"wrote {written} of {len(data)} bytes")
     except OSError as exc:
         raise unwritable(path, exc) from exc
 
@@ -198,7 +198,7 @@ def drop_torn_tail(path) -> None:
 
 # --- HTTP: one JSON POST with retries, on kept-alive connections ---------------
 
-_idle: dict[tuple, list[http.client.HTTPConnection]] = {}  # by (scheme, host, port, proxy)
+_idle: dict[tuple, list[tuple]] = {}  # (connection, its reader), by (scheme, host, port, proxy)
 _idle_lock = threading.Lock()
 ATTEMPTS = 3  # tries per post_json call
 BACKOFF = 0.25  # seconds before the first retry, doubled before each later one
@@ -251,11 +251,11 @@ def _read_reply(rfile) -> tuple[int, bytes, bool]:
 
 
 def _exchange(key, request: bytes, timeout: float, reuse: bool = True):
-    """Send ``request`` in one write on an idle connection to ``key`` or a new one that
-    http.client opens, and read the whole reply: ``(status, body)``. A reused one that
-    fails with a ConnectionError before any reply byte came is reopened once."""
+    """Send ``request`` in one write on an idle connection to ``key``, with the reader it keeps, or
+    a new one that http.client opens, and read the whole reply: ``(status, body)``. A reused
+    one that fails with a ConnectionError before any reply byte came is reopened once."""
     with _idle_lock:
-        conn = _idle[key].pop() if reuse and _idle.get(key) else None
+        conn, rfile = _idle[key].pop() if reuse and _idle.get(key) else (None, None)
     reused = conn is not None
     if not reused:
         scheme, host, port, proxy = key
@@ -268,22 +268,39 @@ def _exchange(key, request: bytes, timeout: float, reuse: bool = True):
     try:
         if not reused:
             conn.connect()  # with TLS and a proxy's CONNECT tunnel, as the key asks
-        conn.sock.settimeout(timeout)
+            rfile = conn.sock.makefile("rb")
+        if conn.sock.gettimeout() != timeout:
+            conn.sock.settimeout(timeout)
         conn.sock.sendall(request)
-        with conn.sock.makefile("rb") as rfile:
-            replied = rfile.peek(1)
-            status, data, keep_alive = _read_reply(rfile)
+        replied = rfile.peek(1)
+        status, data, keep_alive = _read_reply(rfile)
     except BaseException as exc:
+        if rfile is not None:
+            rfile.close()  # the reader holds the socket's descriptor open until it closes
         conn.close()
         if reused and not replied and isinstance(exc, ConnectionError):
             return _exchange(key, request, timeout, reuse=False)
         raise
-    if not keep_alive:
-        conn.close()
-    else:
+    if keep_alive:
         with _idle_lock:
-            _idle.setdefault(key, []).append(conn)
+            _idle.setdefault(key, []).append((conn, rfile))
+    else:
+        rfile.close()
+        conn.close()
     return status, data
+
+
+@functools.lru_cache(maxsize=64)
+def _split(url: str) -> tuple[tuple, str, str]:
+    """``((scheme, host, port), netloc, request path)`` of an ``http(s)://host...`` URL in printable ASCII."""
+    try:
+        parts = urlsplit(url)
+        key = (parts.scheme, parts.hostname, parts.port)
+    except ValueError:  # a bad port or IPv6 literal
+        key = ("", None, None)
+    if key[0] not in ("http", "https") or not key[1] or not (url.isascii() and url.isprintable()) or " " in url:
+        raise EndpointUnreachable(f"bad URL {url!r}: expected http(s)://host...", url=url)
+    return key, parts.netloc, urlunsplit(("", "", parts.path, parts.query, "")) or "/"
 
 
 def post_json(url: str, payload, *, auth_env: str, timeout: float) -> bytes:
@@ -296,23 +313,17 @@ def post_json(url: str, payload, *, auth_env: str, timeout: float) -> bytes:
     the form ``http(s)://host...``, or a URL or token that is not printable ASCII raises
     EndpointUnreachable (``url``, ``status``).
     """
-    try:
-        parts = urlsplit(url)
-        key = (parts.scheme, parts.hostname, parts.port)
-    except ValueError:  # a bad port or IPv6 literal
-        key = ("", None, None)
-    if key[0] not in ("http", "https") or not key[1] or not (url.isascii() and url.isprintable()) or " " in url:
-        raise EndpointUnreachable(f"bad URL {url!r}: expected http(s)://host...", url=url)
+    key, netloc, path = _split(url)
     token = os.environ.get(auth_env, "")
     if not (token.isascii() and token.isprintable()):
         raise EndpointUnreachable(f"{auth_env} is not printable ASCII, as a header must be", url=url)
-    name = parts.scheme + "_proxy"  # as urllib.request.getproxies() reads it, without a scan of os.environ
+    name = key[0] + "_proxy"  # as urllib.request.getproxies() reads it, without a scan of os.environ
     proxy = os.environ[name] if name in os.environ else os.environ.get(name.upper())
-    proxy = None if not proxy or urllib.request.proxy_bypass(parts.netloc) else proxy
-    target = url if proxy and parts.scheme == "http" else urlunsplit(("", "", parts.path, parts.query, "")) or "/"
+    proxy = None if not proxy or urllib.request.proxy_bypass(netloc) else proxy
+    target = url if proxy and key[0] == "http" else path
     body = json.dumps(payload).encode("utf-8")
     auth = f"Authorization: Bearer {token}\r\n" if token else ""
-    request = (f"POST {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\nAccept-Encoding: identity\r\n"
+    request = (f"POST {target} HTTP/1.1\r\nHost: {netloc.rpartition('@')[2]}\r\nAccept-Encoding: identity\r\n"
                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n{auth}\r\n").encode("ascii") + body
     failure, context = "no attempts made", {}
     for attempt in range(ATTEMPTS):

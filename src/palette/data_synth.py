@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from dataclasses import asdict, dataclass, fields
+import os
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -55,7 +56,7 @@ class SynthRecord:
     approved: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields are flat, so a shallow copy is a whole one
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthRecord":
@@ -151,11 +152,12 @@ class StepStore:
     Keys are (query_id, continent, step). `get_or_call` returns the persisted
     output when present, otherwise invokes the function and appends its output,
     which must be a non-empty string: anything else raises BackendFailure and
-    is not stored, so a rerun asks again.
+    is not stored, so a rerun asks again. It appends on the caller's ``fds``.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, fds: dict):
         self.path = Path(path)
+        self._fds = fds
         self._cache: dict[tuple[str, str, str], str] = {}
         if self.path.exists():
             drop_torn_tail(self.path)
@@ -174,7 +176,7 @@ class StepStore:
                                  query_id=query_id, continent=continent, step=step)
         self._cache[key] = output
         append_jsonl(
-            self.path, {"query_id": query_id, "continent": continent, "step": step, "output": output}
+            self._fds, self.path, {"query_id": query_id, "continent": continent, "step": step, "output": output}
         )
         return output
 
@@ -199,61 +201,65 @@ def run_synthesis(
 ) -> list[SynthRecord]:
     """Run all four steps for every (query, continent) cell, resuming from
     any previously persisted state in `out_dir`. Completed records append to
-    one JSONL per continent."""
+    one JSONL per continent. The run keeps one append descriptor per file."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise unwritable(out_dir, exc) from exc
-    store = StepStore(out_dir / "steps.jsonl")
+    fds: dict = {}  # the append descriptor of each file, by path
+    try:
+        store = StepStore(out_dir / "steps.jsonl", fds)
+        for file in sorted(out_dir.glob("records_*.jsonl")):
+            drop_torn_tail(file)
+        done: dict[tuple[str, str], SynthRecord] = {}
+        for rec in load_synth_records(out_dir):
+            done[(rec.query_id, rec.continent)] = rec
 
-    for file in sorted(out_dir.glob("records_*.jsonl")):
-        drop_torn_tail(file)
-    done: dict[tuple[str, str], SynthRecord] = {}
-    for rec in load_synth_records(out_dir):
-        done[(rec.query_id, rec.continent)] = rec
-
-    records = []
-    for row in queries:
-        qid, query = str(row["id"]), row["query"]
-        for continent in CONTINENTS:
-            if (qid, continent) in done:
-                records.append(done[(qid, continent)])
-                continue
-            base_response = store.get_or_call(
-                qid, continent, "response",
-                lambda: generate_response(cfg.backend, query, continent),
-            )
-            feedback = store.get_or_call(
-                qid, continent, "feedback",
-                lambda: cross_feedback(cfg.backend, base_response, continent),
-            )
-            aggregated = store.get_or_call(
-                qid, continent, "aggregate",
-                lambda: aggregate(cfg.backend, query, base_response, feedback, continent),
-            )
-            final, rounds_used, approved = self_judge_refine(
-                cfg.backend,
-                query,
-                aggregated,
-                continent,
-                cfg.max_rounds,
-                cached=lambda step, fn: store.get_or_call(qid, continent, step, fn),
-            )
-            record = SynthRecord(
-                query_id=qid,
-                query=query,
-                continent=continent,
-                base_response=base_response,
-                feedback=feedback,
-                aggregated=aggregated,
-                final=final,
-                rounds_used=rounds_used,
-                approved=approved,
-            )
-            append_jsonl(out_dir / f"records_{continent}.jsonl", record.to_dict())
-            records.append(record)
-    return records
+        records = []
+        for row in queries:
+            qid, query = str(row["id"]), row["query"]
+            for continent in CONTINENTS:
+                if (qid, continent) in done:
+                    records.append(done[(qid, continent)])
+                    continue
+                base_response = store.get_or_call(
+                    qid, continent, "response",
+                    lambda: generate_response(cfg.backend, query, continent),
+                )
+                feedback = store.get_or_call(
+                    qid, continent, "feedback",
+                    lambda: cross_feedback(cfg.backend, base_response, continent),
+                )
+                aggregated = store.get_or_call(
+                    qid, continent, "aggregate",
+                    lambda: aggregate(cfg.backend, query, base_response, feedback, continent),
+                )
+                final, rounds_used, approved = self_judge_refine(
+                    cfg.backend,
+                    query,
+                    aggregated,
+                    continent,
+                    cfg.max_rounds,
+                    cached=lambda step, fn: store.get_or_call(qid, continent, step, fn),
+                )
+                record = SynthRecord(
+                    query_id=qid,
+                    query=query,
+                    continent=continent,
+                    base_response=base_response,
+                    feedback=feedback,
+                    aggregated=aggregated,
+                    final=final,
+                    rounds_used=rounds_used,
+                    approved=approved,
+                )
+                append_jsonl(fds, out_dir / f"records_{continent}.jsonl", record.to_dict())
+                records.append(record)
+        return records
+    finally:
+        for fd in fds.values():
+            os.close(fd)
 
 
 # --- preference-pair assembly -------------------------------------------------------

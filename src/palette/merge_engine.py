@@ -20,6 +20,7 @@ from .errors import EmptySelectionWarning, PaletteError
 from .tensor_store import Checkpoint, TensorSpec, naming_file
 
 GATE_SUM_TOL = 1e-6
+DEFAULT_SCALE = 1.0  # ties_merge scale: base + scale * merged
 FFN_PATTERN = "*.ffn.*"  # the tensors moerges_fuse fuses; eval's config_fingerprint hashes this glob
 _FFN_RE = re.compile(FFN_PATTERN.replace(".", r"\.").replace("*", ".*"))  # each * stops at a newline
 
@@ -131,7 +132,7 @@ def ties_merge(
     base: Checkpoint,
     experts: Sequence[Checkpoint],
     density: float,
-    scale: float = 1.0,
+    scale: float = DEFAULT_SCALE,
 ) -> Checkpoint:
     """Trim small task-vector entries, elect per-index majority signs, then
     average only the sign-consistent survivors.

@@ -1,10 +1,12 @@
-"""Shared test helpers: an error-code check, checkpoint builders, toy datasets, fixture records,
-loopback HTTP servers with scripted replies and an entailment scorer on one."""
+"""Shared test helpers: an error-code check, append descriptors that close, checkpoint builders,
+toy datasets, fixture records, loopback HTTP servers with scripted replies and an entailment
+scorer on one."""
 
 from __future__ import annotations
 
 import contextlib
 import json
+import os
 import re
 import socket
 import threading
@@ -26,6 +28,17 @@ def raises_code(code: str, match: str | None = None):
     with pytest.raises(PaletteError, match=match) as info:
         yield info
     assert info.value.code == code, f"code {info.value.code!r}: {info.value}"
+
+
+@contextlib.contextmanager
+def appending():
+    """The ``fds`` of `append_jsonl` and `StepStore`, as `run_synthesis` keeps them: closed on exit."""
+    fds = {}
+    try:
+        yield fds
+    finally:
+        for fd in fds.values():
+            os.close(fd)
 
 
 def ckpt(metadata=None, **tensors) -> Checkpoint:

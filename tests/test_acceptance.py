@@ -29,7 +29,7 @@ from palette.metrics import alignment_score, kl, normalize_distribution, pearson
 from palette.reference_model import ModelConfig, forward, init_model
 from palette.tensor_store import Checkpoint, load_checkpoint, save_checkpoint
 
-from helpers import GRAD_CHECK_RECORD, like, random_checkpoint, toy_preference_dataset
+from helpers import GRAD_CHECK_RECORD, appending, like, random_checkpoint, toy_preference_dataset
 from oracles import as_lists, bf_model_stock, bf_moerges, bf_task_arithmetic, bf_ties, max_abs_diff
 
 
@@ -221,17 +221,18 @@ def test_c07_dataset_arithmetic():
 
 @criterion("C8", "judge-loop round caps and duplicate-free resume", 5)
 def test_c08_synthesis_loop_behavior(tmp_path):
-    final, rounds, approved = self_judge_refine(
-        ScriptedMock(default="[Approved]"), "q", "resp", "Asia", max_rounds=3,
-        cached=functools.partial(StepStore(tmp_path / "approve.jsonl").get_or_call, "q", "Asia"),
-    )
-    assert (rounds, approved) == (1, True)
+    with appending() as fds:
+        final, rounds, approved = self_judge_refine(
+            ScriptedMock(default="[Approved]"), "q", "resp", "Asia", max_rounds=3,
+            cached=functools.partial(StepStore(tmp_path / "approve.jsonl", fds).get_or_call, "q", "Asia"),
+        )
+        assert (rounds, approved) == (1, True)
 
-    final, rounds, approved = self_judge_refine(
-        ScriptedMock(default="[Revise] redo it"), "q", "resp", "Asia", max_rounds=3,
-        cached=functools.partial(StepStore(tmp_path / "revise.jsonl").get_or_call, "q", "Asia"),
-    )
-    assert (rounds, approved) == (3, False)
+        final, rounds, approved = self_judge_refine(
+            ScriptedMock(default="[Revise] redo it"), "q", "resp", "Asia", max_rounds=3,
+            cached=functools.partial(StepStore(tmp_path / "revise.jsonl", fds).get_or_call, "q", "Asia"),
+        )
+        assert (rounds, approved) == (3, False)
 
     class Flaky:
         def __init__(self):

@@ -8,13 +8,14 @@ from palette.align_trainer import load_records_jsonl
 from palette.common import append_jsonl, iter_jsonl, write_jsonl
 from palette.data_synth import StepStore, import_prism, load_synth_records
 
-from helpers import raises_code
+from helpers import appending, raises_code
 
 
 def test_jsonl_write_append_iter_round_trip(tmp_path):
     path = tmp_path / "rows.jsonl"
     write_jsonl(path, [{"b": 1, "a": [2.5, "x"]}, {"c": None}])
-    append_jsonl(path, {"z": True, "y": "é"})
+    with appending() as fds:
+        append_jsonl(fds, path, {"z": True, "y": "é"})
     assert path.read_text(encoding="utf-8") == (
         '{"a": [2.5, "x"], "b": 1}\n{"c": null}\n{"y": "\\u00e9", "z": true}\n'
     )
@@ -39,7 +40,7 @@ def _synth_run_queries(path):
 READERS = {
     "load_opinion_items": lambda path: load_opinion_items(path, "NZL"),
     "load_records_jsonl": load_records_jsonl,
-    "StepStore": StepStore,
+    "StepStore": lambda path: StepStore(path, {}),  # reads only, so it opens no descriptor
     "load_synth_records": load_synth_records,
     "import_prism": import_prism,
     "synth_run_queries": _synth_run_queries,

@@ -1,12 +1,13 @@
 import functools
 import json
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from palette.align_trainer import PreferenceRecord
-from palette.backends import ScriptedMock
+from palette.backends import RemoteChat, ScriptedMock
 from palette.common import CONTINENTS, append_jsonl
 from palette.data_synth import (
     StepStore,
@@ -26,7 +27,7 @@ from palette.errors import BackendFailure
 from palette import templates
 from palette.templates import load_template, render, render_template
 
-from helpers import raises_code
+from helpers import ReplyServer, appending, chat_body, raises_code
 
 HOFSTEDE = ("PDI", "IDV", "MAS", "UAI", "LTO", "IVR")
 
@@ -70,8 +71,9 @@ def test_step3_guards_empty_inputs():
 
 def judge(mock, tmp_path, max_rounds=3):
     """self_judge_refine of "resp" through a step store, as run_synthesis calls it."""
-    store = StepStore(tmp_path / "steps.jsonl")
-    return self_judge_refine(mock, "q", "resp", "Asia", max_rounds, functools.partial(store.get_or_call, "q", "Asia"))
+    with appending() as fds:
+        store = StepStore(tmp_path / "steps.jsonl", fds)
+        return self_judge_refine(mock, "q", "resp", "Asia", max_rounds, functools.partial(store.get_or_call, "q", "Asia"))
 
 
 def test_judge_immediate_approval(tmp_path):
@@ -239,10 +241,10 @@ def test_run_synthesis_resumes_over_a_torn_append(tmp_path, monkeypatch, caplog,
 
     appends, cut = [], []
 
-    def crashing_append(path, row):
+    def crashing_append(fds, path, row):
         appends.append(path)
         if len(appends) < crash_at:
-            return append_jsonl(path, row)
+            return append_jsonl(fds, path, row)
         line = json.dumps(row, sort_keys=True) + "\n"
         cut.append(line[: len(line) // 2])
         with open(path, "a", encoding="utf-8") as fh:
@@ -270,25 +272,86 @@ def test_run_synthesis_resumes_over_a_torn_append(tmp_path, monkeypatch, caplog,
         assert (crashed / name).read_bytes() == (whole / name).read_bytes(), name
 
 
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _interrupt_at_append(monkeypatch, n, seen):
+    """Make the n-th append raise KeyboardInterrupt, after noting how many descriptors were open."""
+    appends = []
+
+    def interrupting_append(fds, path, row):
+        appends.append(path)
+        if len(appends) == n:
+            seen.append(_open_descriptors())
+            raise KeyboardInterrupt
+        return append_jsonl(fds, path, row)
+
+    monkeypatch.setattr("palette.data_synth.append_jsonl", interrupting_append)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+@pytest.mark.parametrize("exit", ["completes", "backend_failure", "interrupted_append"])
+def test_run_synthesis_closes_its_append_descriptors_on_every_exit(tmp_path, monkeypatch, exit):
+    # "[Approved]" on every judge call: each cell appends its 4 steps, then its record.
+    backend, seen = ScriptedMock(default="[Approved]"), []
+    if exit == "backend_failure":  # five cells, then the sixth fails at its aggregate step
+        backend = ScriptedMock(script=["[Approved]"] * (5 * 4 + 2))
+    elif exit == "interrupted_append":  # the fourth step of the sixth cell
+        _interrupt_at_append(monkeypatch, 5 * 5 + 4, seen)
+    before = _open_descriptors()
+    if exit == "completes":
+        assert len(run_synthesis(SynthConfig(backend=backend), make_queries(2), tmp_path)) == 10
+    else:
+        with pytest.raises(BackendFailure if exit == "backend_failure" else KeyboardInterrupt):
+            run_synthesis(SynthConfig(backend=backend), make_queries(2), tmp_path)
+    assert _open_descriptors() == before
+    # steps.jsonl and the five records files were open when the append was cut short
+    assert seen == ([before + 6] if exit == "interrupted_append" else [])
+
+
+def test_run_synthesis_over_http_writes_the_bytes_of_a_scripted_run(tmp_path, monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    # Per cell: three steps, a revision in the first judge round and approval in the second.
+    script = [reply for k in range(2 * 5) for reply in (
+        f"response {k}", f"feedback {k}", f"aggregate {k}", f"[Revise] cut {k}", f"revised {k}, caf\u00e9", "[Approved]"
+    )]
+    mock = ScriptedMock(script=script)
+    run_synthesis(SynthConfig(backend=mock), make_queries(2), tmp_path / "mock")
+    with ReplyServer([(200, chat_body(reply)) for reply in script], keep_alive=True) as server:
+        run_synthesis(SynthConfig(backend=RemoteChat(server.base_url, "toy")), make_queries(2), tmp_path / "http")
+    assert server.connections == 1
+    assert [seen["body"]["messages"][0]["content"] for seen in server.requests_seen] == mock.calls
+    names = sorted(f.name for f in (tmp_path / "mock").iterdir())
+    assert names == sorted(["steps.jsonl", *(f"records_{c}.jsonl" for c in CONTINENTS)])
+    assert sorted(f.name for f in (tmp_path / "http").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes(), name
+
+
 def test_step_store_round_trip(tmp_path):
-    store = StepStore(tmp_path / "steps.jsonl")
-    calls = []
-    out1 = store.get_or_call("q1", "Asia", "response", lambda: calls.append(1) or "value")
-    out2 = store.get_or_call("q1", "Asia", "response", lambda: calls.append(1) or "other")
+    with appending() as fds:
+        store = StepStore(tmp_path / "steps.jsonl", fds)
+        calls = []
+        out1 = store.get_or_call("q1", "Asia", "response", lambda: calls.append(1) or "value")
+        out2 = store.get_or_call("q1", "Asia", "response", lambda: calls.append(1) or "other")
     assert out1 == out2 == "value"
     assert calls == [1]
-    reloaded = StepStore(tmp_path / "steps.jsonl")
+    reloaded = StepStore(tmp_path / "steps.jsonl", {})
     assert reloaded.get_or_call("q1", "Asia", "response", lambda: "never") == "value"
 
 
 def test_step_store_asks_again_for_a_stored_output_that_is_empty_or_null(tmp_path):
     path = tmp_path / "steps.jsonl"
-    for step, output in (("response", ""), ("feedback", None)):
-        append_jsonl(path, {"query_id": "q1", "continent": "Asia", "step": step, "output": output})
-    store = StepStore(path)
-    assert store.get_or_call("q1", "Asia", "response", lambda: "fresh") == "fresh"
-    assert store.get_or_call("q1", "Asia", "feedback", lambda: "again") == "again"
-    assert StepStore(path).get_or_call("q1", "Asia", "feedback", lambda: "never") == "again"
+    with appending() as fds:
+        for step, output in (("response", ""), ("feedback", None)):
+            append_jsonl(fds, path, {"query_id": "q1", "continent": "Asia", "step": step, "output": output})
+    with appending() as fds:
+        store = StepStore(path, fds)
+        assert store.get_or_call("q1", "Asia", "response", lambda: "fresh") == "fresh"
+        assert store.get_or_call("q1", "Asia", "feedback", lambda: "again") == "again"
+    assert StepStore(path, {}).get_or_call("q1", "Asia", "feedback", lambda: "never") == "again"
 
 
 def _toy_records(qid="q0"):
