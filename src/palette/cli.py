@@ -420,6 +420,8 @@ def _cmd_synth(args) -> int:
         return 0
     if args.synth_command == "pairs":
         records = data_synth.load_synth_records(args.records)
+        if not records:
+            raise PaletteError("empty_dataset", f"no synthesis record in {args.records}", path=str(args.records))
         pairs = data_synth.build_preference_pairs(data_synth.group_records(records))
         align_trainer.save_records_jsonl(pairs, args.output)
         print(f"wrote {len(pairs)} preference records to {args.output}")

@@ -7,13 +7,15 @@ feedback back in, and step 4 runs a self-judge refine loop capped at
 
 Every backend interaction is persisted append-only and keyed by
 (query id, continent, step), so interrupted runs resume without repeating
-completed calls. A row that a crash left half-appended is dropped on resume
-and computed again.
+completed calls. The steps are ``response``, ``feedback`` and ``aggregate``,
+then ``judge<n>`` and ``revise<n>`` for round n of the loop. A row that a
+crash left half-appended is dropped on resume and computed again.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import os
@@ -68,79 +70,31 @@ class SynthRecord:
         return record
 
 
-# --- individual steps -----------------------------------------------------------
+# --- the self-judge loop ---------------------------------------------------------
 
-def generate_response(backend, query: str, continent: str) -> str:
-    if not query:
-        raise ValueError("query must be non-empty")
-    prompt = render_template("synth_response", continent=continent, query=query, exemplars="")
-    return backend.complete(prompt)
+def self_judge_refine(ask, response: str, max_rounds: int) -> tuple[str, int, bool]:
+    """Judge/revise loop of one cell. Returns (final response, rounds used, approved).
 
-
-def cross_feedback(backend, response: str, continent: str) -> str:
-    if not response:
-        raise ValueError("response must be non-empty")
-    prompt = render_template(
-        "synth_feedback",
-        continent=continent,
-        other_continents=", ".join(sorted(set(CONTINENTS) - {continent})),
-        response=response,
-    )
-    return backend.complete(prompt)
-
-
-def aggregate(backend, query: str, base_response: str, feedback: str, continent: str) -> str:
-    if not (query and base_response and feedback):
-        raise ValueError("query, base_response, and feedback must all be non-empty")
-    prompt = render_template(
-        "synth_aggregate",
-        continent=continent,
-        query=query,
-        base_response=base_response,
-        feedback=feedback,
-    )
-    return backend.complete(prompt)
-
-
-def self_judge_refine(
-    backend,
-    query: str,
-    response: str,
-    continent: str,
-    max_rounds: int,
-    cached: Callable[[str, Callable[[], str]], str],
-) -> tuple[str, int, bool]:
-    """Judge/revise loop. Returns (final response, rounds used, approved).
-
-    A reply containing "[Approved]" stops the loop; "[Revise]" (or any reply
-    with neither marker, which is logged and treated as a revision) feeds the
-    judge's explanation back through the aggregation step.
+    ``ask`` is `stored_reply` bound to the cell, with the cell's continent and
+    query as keywords (see `run_synthesis`). A reply containing "[Approved]"
+    stops the loop; "[Revise]" (or any reply with neither marker, which is
+    logged and treated as a revision) feeds the judge's explanation back
+    through the aggregation template.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     current = response
     for round_no in range(1, max_rounds + 1):
-        verdict = cached(
-            f"judge{round_no}",
-            lambda: backend.complete(render_template(
-                "synth_judge", continent=continent, query=query, response=current
-            )),
-        )
+        verdict = ask(f"judge{round_no}", "synth_judge", response=current)
         if APPROVED_MARKER in verdict:
             return current, round_no, True
         if REVISE_MARKER not in verdict:
             logger.warning(
                 "ambiguous judge verdict (no marker) for %s round %d; treating as revise",
-                continent, round_no,
+                ask.keywords["continent"], round_no,
             )
             explanation = verdict
         else:
             explanation = verdict.split(REVISE_MARKER, 1)[1].strip() or verdict
-        revised = current
-        current = cached(
-            f"revise{round_no}",
-            lambda: aggregate(backend, query, revised, explanation, continent),
-        )
+        current = ask(f"revise{round_no}", "synth_aggregate", base_response=current, feedback=explanation)
     return current, max_rounds, False
 
 
@@ -179,6 +133,14 @@ class StepStore:
             self._fds, self.path, {"query_id": query_id, "continent": continent, "step": step, "output": output}
         )
         return output
+
+
+def stored_reply(store: StepStore, backend, query_id: str, step: str, template: str, **fields) -> str:
+    """The reply to one step of a cell: the one ``store`` holds, or else ``template``
+    rendered with ``fields`` (the cell's continent and query among them) and sent once."""
+    return store.get_or_call(
+        query_id, fields["continent"], step, lambda: backend.complete(render_template(template, **fields))
+    )
 
 
 def load_synth_records(path) -> list[SynthRecord]:
@@ -223,26 +185,12 @@ def run_synthesis(
                 if (qid, continent) in done:
                     records.append(done[(qid, continent)])
                     continue
-                base_response = store.get_or_call(
-                    qid, continent, "response",
-                    lambda: generate_response(cfg.backend, query, continent),
-                )
-                feedback = store.get_or_call(
-                    qid, continent, "feedback",
-                    lambda: cross_feedback(cfg.backend, base_response, continent),
-                )
-                aggregated = store.get_or_call(
-                    qid, continent, "aggregate",
-                    lambda: aggregate(cfg.backend, query, base_response, feedback, continent),
-                )
-                final, rounds_used, approved = self_judge_refine(
-                    cfg.backend,
-                    query,
-                    aggregated,
-                    continent,
-                    cfg.max_rounds,
-                    cached=lambda step, fn: store.get_or_call(qid, continent, step, fn),
-                )
+                ask = functools.partial(stored_reply, store, cfg.backend, qid, continent=continent, query=query)
+                base_response = ask("response", "synth_response")
+                others = ", ".join(c for c in CONTINENTS if c != continent)
+                feedback = ask("feedback", "synth_feedback", response=base_response, other_continents=others)
+                aggregated = ask("aggregate", "synth_aggregate", base_response=base_response, feedback=feedback)
+                final, rounds_used, approved = self_judge_refine(ask, aggregated, cfg.max_rounds)
                 record = SynthRecord(
                     query_id=qid,
                     query=query,

@@ -8,6 +8,7 @@ import contextlib
 import json
 import os
 import re
+import signal
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -169,12 +170,18 @@ class ReplyServer:
     It speaks HTTP/1.0, closing the connection after each reply, unless
     ``keep_alive`` is set: then it speaks HTTP/1.1 and keeps connections open.
     With ``hang_up`` as well, it closes each connection after its first reply
-    without announcing it, as a server that drops idle connections does."""
+    without announcing it, as a server that drops idle connections does.
 
-    def __init__(self, replies, keep_alive=False, hang_up=False):
+    With ``kill_at`` = k, the k-th request is recorded and not answered: the
+    server sends SIGKILL to the process in ``child`` instead, so a client is
+    killed at an exact point of its run."""
+
+    def __init__(self, replies, keep_alive=False, hang_up=False, kill_at=None):
         self.replies = list(replies)
         self.keep_alive = keep_alive
         self.hang_up = hang_up
+        self.kill_at = kill_at
+        self.child = None  # the subprocess.Popen that kill_at kills
         self.requests_seen = []
         self._sockets = []
         self._server = None
@@ -212,6 +219,10 @@ class ReplyServer:
                     "auth": self.headers.get("Authorization"),
                     "headers": dict(self.headers),
                 })
+                if len(outer.requests_seen) == outer.kill_at:
+                    os.kill(outer.child.pid, signal.SIGKILL)
+                    self.close_connection = True
+                    return
                 status, body = outer.respond()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")

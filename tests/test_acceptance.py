@@ -21,7 +21,7 @@ from palette.agent_pipeline import OpinionItem, PipelineConfig, evaluate_country
 from palette.align_trainer import PreferenceRecord, TrainConfig, grad_check, orpo_loss, train
 from palette.backends import ScriptedMock
 from palette.common import CONTINENTS
-from palette.data_synth import StepStore, SynthConfig, run_synthesis, self_judge_refine
+from palette.data_synth import StepStore, SynthConfig, run_synthesis, self_judge_refine, stored_reply
 from palette.errors import BackendFailure, MalformedHeader
 from palette.gate_router import DEFAULT_SYSTEM_PROMPTS, init_gate, route, route_prompt, softmax_weights
 from palette.merge_engine import model_stock, moerges_fuse, task_arithmetic, ties_merge
@@ -222,15 +222,17 @@ def test_c07_dataset_arithmetic():
 @criterion("C8", "judge-loop round caps and duplicate-free resume", 5)
 def test_c08_synthesis_loop_behavior(tmp_path):
     with appending() as fds:
+        def ask(name, backend):
+            store = StepStore(tmp_path / f"{name}.jsonl", fds)
+            return functools.partial(stored_reply, store, backend, "q", continent="Asia", query="q")
+
         final, rounds, approved = self_judge_refine(
-            ScriptedMock(default="[Approved]"), "q", "resp", "Asia", max_rounds=3,
-            cached=functools.partial(StepStore(tmp_path / "approve.jsonl", fds).get_or_call, "q", "Asia"),
+            ask("approve", ScriptedMock(default="[Approved]")), "resp", max_rounds=3
         )
         assert (rounds, approved) == (1, True)
 
         final, rounds, approved = self_judge_refine(
-            ScriptedMock(default="[Revise] redo it"), "q", "resp", "Asia", max_rounds=3,
-            cached=functools.partial(StepStore(tmp_path / "revise.jsonl", fds).get_or_call, "q", "Asia"),
+            ask("revise", ScriptedMock(default="[Revise] redo it")), "resp", max_rounds=3
         )
         assert (rounds, approved) == (3, False)
 

@@ -1037,6 +1037,21 @@ def test_synth_pairs_leaves_no_partial_output(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("records", ["empty_dir", "empty_file"])
+def test_synth_pairs_over_no_record_exits_empty_dataset(tmp_path, capsys, records):
+    path, out = tmp_path / records, tmp_path / "pairs.jsonl"
+    if records == "empty_dir":
+        path.mkdir()
+        (path / "steps.jsonl").write_text("")  # a job killed before its first record
+    else:
+        path.write_text("")
+    assert run_cli("synth", "pairs", "--records", str(path), "-o", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["code"], err["context"]) == ("empty_dataset", {"path": str(path)})
+    assert err["message"] == f"no synthesis record in {path}"
+    assert not out.exists()
+
+
 def test_eval_repeated_expert_label_is_schema_mismatch_before_any_load(tmp_path, model_path, capsys):
     items, out = tmp_path / "qa.jsonl", tmp_path / "report.json"
     items.write_text(json.dumps({"question": "q", "options": ["a", "b"], "gold": [0.7, 0.3], "country": "NZL"}) + "\n")

@@ -8,20 +8,18 @@ import pytest
 
 from palette.align_trainer import PreferenceRecord
 from palette.backends import RemoteChat, ScriptedMock
-from palette.common import CONTINENTS, append_jsonl
+from palette.common import CONTINENTS, append_jsonl, iter_jsonl
 from palette.data_synth import (
     StepStore,
     SynthConfig,
     SynthRecord,
-    aggregate,
     build_preference_pairs,
-    cross_feedback,
-    generate_response,
     group_records,
     import_prism,
     load_synth_records,
     run_synthesis,
     self_judge_refine,
+    stored_reply,
 )
 from palette.errors import BackendFailure
 from palette import templates
@@ -32,48 +30,53 @@ from helpers import ReplyServer, appending, chat_body, raises_code
 HOFSTEDE = ("PDI", "IDV", "MAS", "UAI", "LTO", "IVR")
 
 
-def test_step1_mock_passthrough():
-    mock = ScriptedMock(default="a continent-aware answer")
-    out = generate_response(mock, "what is shared at meals?", "Africa")
-    assert out == "a continent-aware answer"
-    prompt = mock.calls[0]
-    assert "Africa" in prompt and "what is shared at meals?" in prompt
-    assert "{" not in prompt  # no unfilled placeholders
+def test_run_synthesis_sends_each_step_its_rendered_template(tmp_path, caplog):
+    # Per cell: three steps, a revision, a verdict with no marker (also a revision), then approval.
+    replies = ["a draft", "add a local example", "a merged answer", "[Revise] name the region",
+               "a revised answer", "no marker at all", "a second revision", "[Approved]"]
+    mock = ScriptedMock(script=[f"{reply} ({k})" for k in range(len(CONTINENTS)) for reply in replies])
+    query = "what is shared at meals?"
+    with caplog.at_level("WARNING", logger="palette.data_synth"):
+        records = run_synthesis(SynthConfig(backend=mock), [{"id": "q0", "query": query}], tmp_path)
+    rows = [row for _, row in iter_jsonl(tmp_path / "steps.jsonl")]
+    steps = ["response", "feedback", "aggregate", "judge1", "revise1", "judge2", "revise2", "judge3"]
+    assert [row["step"] for row in rows] == steps * len(CONTINENTS)
+    assert [row["output"] for row in rows] == mock.script
+    for k, continent in enumerate(CONTINENTS):
+        out = {row["step"]: row["output"] for row in rows[8 * k: 8 * k + 8]}
+        others = ", ".join(c for c in CONTINENTS if c != continent)
+        cell = {"continent": continent, "query": query}
+        prompts = [
+            render_template("synth_response", **cell),
+            render_template("synth_feedback", **cell, other_continents=others, response=out["response"]),
+            render_template("synth_aggregate", **cell, base_response=out["response"], feedback=out["feedback"]),
+            render_template("synth_judge", **cell, response=out["aggregate"]),
+            render_template("synth_aggregate", **cell, base_response=out["aggregate"],
+                            feedback=f"name the region ({k})"),
+            render_template("synth_judge", **cell, response=out["revise1"]),
+            render_template("synth_aggregate", **cell, base_response=out["revise1"], feedback=out["judge2"]),
+            render_template("synth_judge", **cell, response=out["revise2"]),
+        ]
+        assert mock.calls[8 * k: 8 * k + 8] == prompts
+        assert all(acronym in prompts[1] for acronym in HOFSTEDE)
+        assert continent in prompts[0] and query in prompts[0]
+        assert "{" not in "".join(prompts)  # no unfilled placeholders
+        assert records[k].to_dict() == {
+            "query_id": "q0", "query": query, "continent": continent, "base_response": out["response"],
+            "feedback": out["feedback"], "aggregated": out["aggregate"], "final": out["revise2"],
+            "rounds_used": 3, "approved": True,
+        }
+    assert "(Africa, America, Asia, Europe)" in mock.calls[8 * 4 + 1]  # Oceania's feedback
+    assert caplog.messages == [f"ambiguous judge verdict (no marker) for {c} round 2; treating as revise"
+                               for c in CONTINENTS]
 
 
-def test_step1_requires_query():
-    with pytest.raises(ValueError):
-        generate_response(ScriptedMock(default="x"), "", "Asia")
-
-
-def test_step2_renders_all_hofstede_dimensions():
-    mock = ScriptedMock(default="feedback text")
-    out = cross_feedback(mock, "a response", "Oceania")
-    assert out == "feedback text"
-    prompt = mock.calls[0]
-    for acronym in HOFSTEDE:
-        assert acronym in prompt
-    assert "(Africa, America, Asia, Europe)" in prompt
-
-
-def test_step3_renders_inputs():
-    mock = ScriptedMock(default="revised")
-    out = aggregate(mock, "q", "base resp", "do better", "Europe")
-    assert out == "revised"
-    prompt = mock.calls[0]
-    assert "base resp" in prompt and "do better" in prompt and "Europe" in prompt
-
-
-def test_step3_guards_empty_inputs():
-    with pytest.raises(ValueError):
-        aggregate(ScriptedMock(default="x"), "q", "", "fb", "Asia")
-
-
-def judge(mock, tmp_path, max_rounds=3):
+def judge(mock, tmp_path):
     """self_judge_refine of "resp" through a step store, as run_synthesis calls it."""
     with appending() as fds:
         store = StepStore(tmp_path / "steps.jsonl", fds)
-        return self_judge_refine(mock, "q", "resp", "Asia", max_rounds, functools.partial(store.get_or_call, "q", "Asia"))
+        ask = functools.partial(stored_reply, store, mock, "q", continent="Asia", query="q")
+        return self_judge_refine(ask, "resp", 3)
 
 
 def test_judge_immediate_approval(tmp_path):
@@ -106,9 +109,10 @@ def test_judge_ambiguous_verdict_counts_as_revise(caplog, tmp_path):
     assert any("ambiguous" in rec.message for rec in caplog.records)
 
 
-def test_judge_rounds_bounds(tmp_path):
-    with pytest.raises(ValueError):
-        judge(ScriptedMock(default="[Approved]"), tmp_path, max_rounds=0)
+def test_judge_rounds_bounds():
+    # SynthConfig holds the bound; `synth run --max-rounds 0` is a usage error before any read.
+    with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+        SynthConfig(backend=ScriptedMock(default="[Approved]"), max_rounds=0)
 
 
 def test_templates_all_render_without_placeholders():
@@ -118,7 +122,6 @@ def test_templates_all_render_without_placeholders():
         "query": "q",
         "drafts": "d",
         "options": "A. x",
-        "exemplars": "",
         "other_continents": "a, b, c, d",
         "response": "r",
         "base_response": "b",
@@ -132,7 +135,7 @@ def test_templates_all_render_without_placeholders():
 
 def test_render_missing_placeholder_raises():
     with raises_code("template_error", match="unfilled placeholder 'query'"):
-        render_template("synth_response", continent="Asia", exemplars="")
+        render_template("synth_response", continent="Asia")
 
 
 def test_two_renders_read_the_template_file_once(monkeypatch):

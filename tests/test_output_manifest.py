@@ -1,9 +1,10 @@
 """Byte manifest of the CLI outputs that run no matrix product.
 
-`walkthrough` runs `synth import-prism`, `synth run --backend mock`, `synth
-pairs`, a mock `eval` (plain and `--no-draft`) and `metrics kl|salign|pearson`
-on fixed inputs, with relative paths inside one directory. The sha256 of every
-output file and of every command's stdout must equal `output_manifest.json`.
+`walkthrough` runs `synth import-prism`, `synth run --backend mock` (scripted,
+and echoing so that the stores hold the prompts), `synth pairs`, a mock `eval`
+(plain and `--no-draft`) and `metrics kl|salign|pearson` on fixed inputs,
+with relative paths inside one directory. The sha256 of every output file and
+of every command's stdout must equal `output_manifest.json`.
 None of these outputs goes through BLAS, so the manifest holds on any host.
 
 After a deliberate change to one of these outputs, rewrite the manifest with
@@ -36,6 +37,9 @@ INPUTS = {
                    "a revised answer", "[Approved]"],
         "default": "[Approved]",
     }),
+    # Each reply is its prompt, so steps.jsonl and the records hold the prompts.
+    # The judge template names "[Approved]", so every cell is approved in round 1.
+    "synth_echo.json": json.dumps({"echo": True}),
     "items.jsonl": "".join(json.dumps(row) + "\n" for row in [
         {"question": "Freedom or equality?", "options": ["Freedom", "Equality"],
          "selections": {"NZL": [0.671, 0.242]}, "country": "NZL"},
@@ -56,6 +60,8 @@ COMMANDS = [  # (the name of its stdout entry, argv)
     ("import-prism", ["synth", "import-prism", "--input", "prism.csv", "-o", "queries.jsonl"]),
     ("synth-run", ["synth", "run", "--queries", "queries.jsonl", "--backend", "mock",
                    "--transcript", "synth_mock.json", "--out", "synth"]),
+    ("synth-run-echo", ["synth", "run", "--queries", "queries.jsonl", "--backend", "mock",
+                        "--transcript", "synth_echo.json", "--out", "synth_echo"]),
     ("synth-pairs", ["synth", "pairs", "--records", "synth", "-o", "pairs.jsonl"]),
     ("eval", [*EVAL, "-o", "report.json"]),
     ("eval-no-draft", [*EVAL, "--no-draft", "-o", "report_no_draft.json"]),
