@@ -30,6 +30,42 @@ from helpers import ReplyServer, appending, chat_body, raises_code
 HOFSTEDE = ("PDI", "IDV", "MAS", "UAI", "LTO", "IVR")
 
 
+def ask_step(mock, tmp_path, step, template, continent, query="q", **fields):
+    """One step's reply through a step store, as run_synthesis asks it."""
+    with appending() as fds:
+        store = StepStore(tmp_path / "steps.jsonl", fds)
+        return stored_reply(store, mock, "q0", step, template, continent=continent, query=query, **fields)
+
+
+def test_step1_mock_passthrough(tmp_path):
+    mock = ScriptedMock(default="a continent-aware answer")
+    out = ask_step(mock, tmp_path, "response", "synth_response", "Africa", query="what is shared at meals?")
+    assert out == "a continent-aware answer"
+    prompt = mock.calls[0]
+    assert "Africa" in prompt and "what is shared at meals?" in prompt
+    assert "{" not in prompt  # no unfilled placeholders
+
+
+def test_step2_renders_all_hofstede_dimensions(tmp_path):
+    mock = ScriptedMock(default="feedback text")
+    out = ask_step(mock, tmp_path, "feedback", "synth_feedback", "Oceania",
+                   response="a response", other_continents="Africa, America, Asia, Europe")
+    assert out == "feedback text"
+    prompt = mock.calls[0]
+    for acronym in HOFSTEDE:
+        assert acronym in prompt
+    assert "(Africa, America, Asia, Europe)" in prompt
+
+
+def test_step3_renders_inputs(tmp_path):
+    mock = ScriptedMock(default="revised")
+    out = ask_step(mock, tmp_path, "aggregate", "synth_aggregate", "Europe",
+                   base_response="base resp", feedback="do better")
+    assert out == "revised"
+    prompt = mock.calls[0]
+    assert "base resp" in prompt and "do better" in prompt and "Europe" in prompt
+
+
 def test_run_synthesis_sends_each_step_its_rendered_template(tmp_path, caplog):
     # Per cell: three steps, a revision, a verdict with no marker (also a revision), then approval.
     replies = ["a draft", "add a local example", "a merged answer", "[Revise] name the region",
