@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .common import CONTINENTS, bad_line, dumps_canonical, fingerprint, iter_jsonl
+from .common import CONTINENTS, bad_line, dumps_canonical, fingerprint, iter_jsonl, row_id
 from .errors import BackendFailure, PaletteError
 from .backends import LocalReference, option_distribution_from_scores
 from .gate_router import TEMPERATURE, GateMatrix, route_prompt
@@ -64,7 +64,7 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
     options and renormalized (logged per item); rows without data for the
     requested country are skipped.
     """
-    items = []
+    items, seen = [], {}
     for lineno, row in iter_jsonl(path, required=("question", "options")):
         selections = row.get("selections", {})
         if not isinstance(selections, dict):
@@ -97,7 +97,7 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
                 options=options,
                 gold=normalize_distribution(gold),
                 country=country,
-                qid=str(row.get("id", f"q{lineno:04d}")),
+                qid=row_id(path, lineno, row, seen, f"q{lineno:04d}"),
             )
         except (TypeError, ValueError, PaletteError) as exc:
             if isinstance(exc, PaletteError) and exc.code not in ("negative_entry", "all_zero"):

@@ -209,61 +209,6 @@ def loss_and_grads(
     return breakdown, grads
 
 
-def orpo_loss(
-    params,
-    record: PreferenceRecord,
-    lam: float = 0.1,
-    *,
-    score: str = "mean",
-) -> LossBreakdown:
-    """Loss breakdown for one preference record, from the pass of `loss_and_grads`."""
-    return loss_and_grads(params, record, lam, score=score)[0]
-
-
-def grad_check(
-    params,
-    record: PreferenceRecord,
-    lam: float = 0.1,
-    epsilon: float = 1e-4,
-    n_samples: int = 60,
-    seed: int = 0,
-    *,
-    score: str = "mean",
-) -> float:
-    """Max relative error between analytic gradients and central differences
-    over randomly sampled parameter coordinates.
-    """
-    if not (1e-5 <= epsilon <= 1e-2):
-        raise ValueError(f"epsilon must lie in [1e-5, 1e-2], got {epsilon}")
-    model = _as_model(params).clone()
-    _, grads = loss_and_grads(model, record, lam, score=score)
-
-    names = sorted(model.params)
-    sizes = np.array([model.params[n].size for n in names])
-    total = int(sizes.sum())
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(total, size=min(n_samples, total), replace=False)
-    offsets = np.cumsum(sizes)
-
-    worst = 0.0
-    for flat in sorted(int(p) for p in picks):
-        ti = int(np.searchsorted(offsets, flat, side="right"))
-        name = names[ti]
-        local = flat - (offsets[ti - 1] if ti else 0)
-        arr = model.params[name].reshape(-1)
-        orig = arr[local]
-        arr[local] = orig + epsilon
-        up = orpo_loss(model, record, lam, score=score).total
-        arr[local] = orig - epsilon
-        down = orpo_loss(model, record, lam, score=score).total
-        arr[local] = orig
-        numeric = (up - down) / (2.0 * epsilon)
-        analytic = float(grads[name].reshape(-1)[local])
-        denom = max(abs(analytic), abs(numeric), 1e-6)
-        worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
-
-
 def mean_margin(params, dataset: Sequence[PreferenceRecord]) -> float:
     """Mean over records of mean_k (norm. logprob preferred - rejected_k)."""
     model = _as_model(params)

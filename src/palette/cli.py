@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .common import (CONTINENTS, atomic_write_text, bad_file, bad_line, dumps_canonical, iter_jsonl, round9,
+from .common import (CONTINENTS, atomic_write_text, bad_file, bad_line, dumps_canonical, iter_jsonl, round9, row_id,
                      unreadable, write_jsonl)
 from .errors import PaletteError, TooLong
 from . import agent_pipeline, align_trainer, data_synth, gate_router, merge_engine, metrics
@@ -401,15 +401,11 @@ def _cmd_synth(args) -> int:
     if args.synth_command == "run":
         _check_mode(args, "synth run")
         cfg = _checked(data_synth.SynthConfig, backend=None, max_rounds=args.max_rounds)  # before any read
-        queries, lines = [], {}
-        for index, row in iter_jsonl(args.queries, required=("id", "query")):
+        queries, seen = [], {}
+        for index, row in iter_jsonl(args.queries, required=("query",)):
             if not isinstance(row["query"], str) or not row["query"]:
                 raise bad_line(args.queries, index, '"query" must be a non-empty string')
-            qid = str(row["id"])  # a job stores each step under its query's id
-            if qid in lines:
-                raise bad_line(args.queries, index, f"query id {qid!r} repeats line {lines[qid]}")
-            lines[qid] = index + 1
-            queries.append(row)
+            queries.append({"id": row_id(args.queries, index, row, seen), "query": row["query"]})
         if args.backend == "mock":
             cfg.backend = _mock_from_spec(_load_json(args.transcript), "synth", args.transcript)
         else:

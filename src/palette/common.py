@@ -111,6 +111,22 @@ def unwritable(path, exc: OSError) -> PaletteError:
     return PaletteError("io_failure", f"cannot write {path}: {exc}", path=str(path))
 
 
+def row_id(path, index: int, row, seen: dict, default: str | None = None, keys: Sequence[str] = ("id",)) -> str:
+    """The key of the row at 0-based line ``index`` of ``path``, added to ``seen`` ({key: 1-based line}): its first id
+    under ``keys`` that is present, not null and not "", else ``default``; a string, or an integer (not a bool) as its
+    decimal string. bad_input names the line of any other id, of a missing one with no default, and of a repeat."""
+    qid = next((row[key] for key in keys if row.get(key) not in (None, "")), default)
+    if qid is None:
+        raise bad_line(path, index, f"missing key {keys[0]!r}", key=keys[0])
+    if isinstance(qid, bool) or not isinstance(qid, (str, int)):
+        raise bad_line(path, index, f"an id must be a string or an integer, got {type(qid).__name__}")
+    qid = str(qid)
+    if qid in seen:
+        raise bad_line(path, index, f"query id {qid!r} repeats line {seen[qid]}")
+    seen[qid] = index + 1
+    return qid
+
+
 def iter_jsonl(path, required: Sequence[str] = ()):
     """Yield ``(index, row)`` for each non-blank line of a JSONL file.
 
@@ -219,7 +235,9 @@ def _exact(rfile, size: int) -> bytes:
 
 def _read_reply(rfile) -> tuple[int, bytes, bool]:
     """One HTTP/1.x reply after any 1xx ones, ``(status, body, keep_alive)``, its body framed
-    by chunked coding, Content-Length or the close. A bad reply raises http.client.HTTPException."""
+    by chunked coding, Content-Length or the close. A bad reply, or one with Content-Length
+    headers that differ, raises http.client.HTTPException. A chunked reply that also has a
+    Content-Length is not kept alive."""
     status = 100
     while status < 200:
         head = (line := _line(rfile)).split(None, 2)
@@ -230,7 +248,10 @@ def _read_reply(rfile) -> tuple[int, bytes, bool]:
             if len(headers) == _MAX_HEADERS:
                 raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
             name, _, value = line.partition(b":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == b"content-length" and headers.get(name, value) != value:
+                raise http.client.HTTPException("Content-Length headers that differ")
+            headers[name] = value
     connection = headers.get(b"connection", b"").lower()
     keep_alive = b"close" not in connection if head[0] == b"HTTP/1.1" else b"keep-alive" in connection
     if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
@@ -241,7 +262,7 @@ def _read_reply(rfile) -> tuple[int, bytes, bool]:
             chunks.append(_exact(rfile, int(size, 16) + 2)[:-2])  # the data, then its CRLF
         while _line(rfile) not in (b"\r\n", b"\n", b""):  # the trailer
             pass
-        return status, b"".join(chunks), keep_alive
+        return status, b"".join(chunks), keep_alive and b"content-length" not in headers  # RFC 9112 6.3
     length = b"0" if status in (204, 304) else headers.get(b"content-length")
     if length is None:
         return status, rfile.read(), False

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .align_trainer import PreferenceRecord
-from .common import CONTINENTS, append_jsonl, bad_line, drop_torn_tail, iter_jsonl, unreadable, unwritable
+from .common import CONTINENTS, append_jsonl, bad_line, drop_torn_tail, iter_jsonl, row_id, unreadable, unwritable
 from .errors import BackendFailure, PaletteError
 from .templates import render_template
 
@@ -104,9 +104,8 @@ class StepStore:
     """Append-only JSONL store of per-step backend outputs.
 
     Keys are (query_id, continent, step). `get_or_call` returns the persisted
-    output when present, otherwise invokes the function and appends its output,
-    which must be a non-empty string: anything else raises BackendFailure and
-    is not stored, so a rerun asks again. It appends on the caller's ``fds``.
+    output when present, otherwise invokes the function and appends its output.
+    It appends on the caller's ``fds``.
     """
 
     def __init__(self, path, fds: dict):
@@ -125,9 +124,6 @@ class StepStore:
         if key in self._cache:
             return self._cache[key]
         output = fn()
-        if not isinstance(output, str) or not output:
-            raise BackendFailure(f"empty or non-string reply for query {query_id!r}, {continent}, step {step!r}",
-                                 query_id=query_id, continent=continent, step=step)
         self._cache[key] = output
         append_jsonl(
             self._fds, self.path, {"query_id": query_id, "continent": continent, "step": step, "output": output}
@@ -137,10 +133,18 @@ class StepStore:
 
 def stored_reply(store: StepStore, backend, query_id: str, step: str, template: str, **fields) -> str:
     """The reply to one step of a cell: the one ``store`` holds, or else ``template``
-    rendered with ``fields`` (the cell's continent and query among them) and sent once."""
-    return store.get_or_call(
-        query_id, fields["continent"], step, lambda: backend.complete(render_template(template, **fields))
-    )
+    rendered with ``fields`` (the cell's continent and query among them) and sent once.
+    A reply that is not a non-empty string raises BackendFailure naming the backend's
+    label and is not stored, so a rerun asks again."""
+    continent = fields["continent"]
+
+    def ask() -> str:
+        reply = backend.complete(render_template(template, **fields))
+        if not isinstance(reply, str) or not reply:
+            raise BackendFailure(f"empty or non-string reply for query {query_id!r}, {continent}, step {step!r}",
+                                 backend.label, query_id=query_id, continent=continent, step=step)
+        return reply
+    return store.get_or_call(query_id, continent, step, ask)
 
 
 def load_synth_records(path) -> list[SynthRecord]:
@@ -180,7 +184,7 @@ def run_synthesis(
 
         records = []
         for row in queries:
-            qid, query = str(row["id"]), row["query"]
+            qid, query = row["id"], row["query"]
             for continent in CONTINENTS:
                 if (qid, continent) in done:
                     records.append(done[(qid, continent)])
@@ -253,34 +257,21 @@ _QUERY_FIELDS = ("question", "query", "utterance", "user_prompt", "opening_promp
 _ID_FIELDS = ("id", "question_id", "utterance_id", "conversation_id")
 
 
-def _extract(row: Mapping[str, object], index: int, path) -> dict[str, str] | None:
+def _extract(row: Mapping[str, object], index: int, line: int, path, seen: dict) -> dict[str, str] | None:
     query = next((row[f] for f in _QUERY_FIELDS if row.get(f)), "")
     if not isinstance(query, str):
-        raise bad_line(path, index, f"the query field must be a string, got {type(query).__name__}")
+        raise bad_line(path, line, f"the query field must be a string, got {type(query).__name__}")
     query = query.strip()
     if not query:
         return None
-    qid = next((str(row[f]) for f in _ID_FIELDS if row.get(f)), f"q{index:05d}")
-    return {"id": qid, "query": query}
-
-
-def _unique_ids(rows, path) -> list[dict[str, str]]:
-    """The rows `_extract` keeps from ``(index, 0-based line, row)`` triples; bad_input where an id repeats."""
-    kept, lines = [], {}
-    for index, line, row in rows:
-        if r := _extract(row, index, path):
-            if r["id"] in lines:
-                raise bad_line(path, line, f"query id {r['id']!r} repeats line {lines[r['id']]}")
-            lines[r["id"]] = line + 1
-            kept.append(r)
-    return kept
+    return {"id": row_id(path, line, row, seen, f"q{index:05d}", _ID_FIELDS), "query": query}
 
 
 def import_prism(path) -> list[dict[str, str]]:
     """Convert a question CSV or JSONL export into {"id","query"} rows with unique ids."""
-    path = Path(path)
+    path, seen = Path(path), {}
     if path.suffix.lower() != ".csv":
-        return _unique_ids(((i, i, row) for i, row in iter_jsonl(path)), path)
+        return [r for i, row in iter_jsonl(path) if (r := _extract(row, i, i, path, seen))]
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -292,7 +283,7 @@ def import_prism(path) -> list[dict[str, str]]:
     rows = csv.DictReader(io.StringIO(text, newline=""))
     try:
         # line_num is the 1-based line a row ends on once it is read.
-        return _unique_ids(((i, rows.line_num - 1, row) for i, row in enumerate(rows)), path)
+        return [r for i, row in enumerate(rows) if (r := _extract(row, i, rows.line_num - 1, path, seen))]
     except csv.Error as exc:
         # line_num counts the lines read in full, so it is the failing line's index.
         raise bad_line(path, rows.line_num, str(exc)) from exc

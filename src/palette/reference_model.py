@@ -3,7 +3,7 @@
 This is the desk-scale stand-in for the base LLM: byte-level tokenizer,
 pre-norm causal self-attention with a GELU feed-forward block, RMS norms,
 and a hand-written backward pass (validated against finite differences by
-the trainer's gradient check).
+the gradient check in ``tests/oracles.py``).
 
 Parameters live in a tensor-store Checkpoint under the naming convention
 ``layer{i}.attn.{q,k,v,o}``, ``layer{i}.ffn.{w_in,w_out}``,
@@ -32,8 +32,8 @@ bytes.
 
 Every pass runs one kernel, ``_extend``, over a per-call key/value cache.
 Inference keeps no ``Trace`` and runs the last layer only on the rows read:
-decoding on the prompt, then per new token; option scores, routing and
-``forward`` once; margins once on a record's shared prompt, then per reply.
+decoding on the prompt, then per new token; option scores and routing
+once; margins once on a record's shared prompt, then per reply.
 Training (``forward_trace``) passes it a ``Trace`` to fill for the backward
 pass, and traces the shared prompt once, as the ``prefix`` of each reply's
 trace. BLAS does not promise that some rows of a product equal those rows of
@@ -135,14 +135,6 @@ def init_model(cfg: ModelConfig) -> Checkpoint:
 
 
 # --- tokenizer --------------------------------------------------------------
-
-def tokenize(text: str, max_seq: int = ModelConfig.max_seq) -> list[int]:
-    """UTF-8 bytes as ids 0..255, wrapped BOS ... EOS."""
-    raw = text.encode("utf-8")
-    if len(raw) + 2 > max_seq:
-        raise TooLong(f"text needs {len(raw) + 2} tokens but max_seq is {max_seq}")
-    return [BOS] + list(raw) + [EOS]
-
 
 def detokenize(tokens: Sequence[int]) -> str:
     return bytes(t for t in tokens if t < 256).decode("utf-8", errors="replace")
@@ -411,15 +403,9 @@ class TinyTransformer:
         tokens = self._check_tokens(tokens)
         return self._extend(tokens, 0, *self._kv_cache(), rows=len(tokens)).mean(axis=0)
 
-    def sequence_logprob(self, prompt: Sequence[int], continuation: Sequence[int]) -> float:
-        """Sum over continuation positions of log softmax(logits)[next token]."""
-        full, continuation = self._check_pair(prompt, continuation)
-        hidden = self._extend(full[:-1], 0, *self._kv_cache(), rows=len(continuation))
-        return _continuation_logprob(hidden @ self.params["head.out"], continuation)
-
     def sequence_logprobs(self, prompt: Sequence[int], continuations: Sequence[Sequence[int]]) -> list[float]:
-        """`sequence_logprob(prompt, c)` for each c, over one K/V cache of the prompt:
-        each continuation overwrites only the positions after the prompt."""
+        """The summed log-probability of each continuation after the prompt, over one K/V cache of
+        the prompt: each continuation overwrites only the positions after the prompt."""
         prompt = self._check_tokens(prompt)
         keys, values = self._kv_cache()
         first = self._extend(prompt, 0, keys, values)
@@ -495,13 +481,3 @@ class TinyTransformer:
         if trace is not None:
             trace.x_final, trace.inv_final = x, inv
         return hidden
-
-
-# --- checkpoint-level operations -------------------------------------------
-
-def forward(params: Checkpoint, tokens: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(hidden seq x d_model, logits seq x vocab) for one token sequence."""
-    model = TinyTransformer.from_checkpoint(params)
-    tokens = model._check_tokens(tokens)
-    hidden = model._extend(tokens, 0, *model._kv_cache(), rows=len(tokens))
-    return hidden, hidden @ model.params["head.out"]

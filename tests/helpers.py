@@ -1,6 +1,6 @@
-"""Shared test helpers: an error-code check, append descriptors that close, checkpoint builders,
-toy datasets, fixture records, loopback HTTP servers with scripted replies and an entailment
-scorer on one."""
+"""Shared test helpers: an error-code check, append descriptors that close, the tokenizer and
+whole-sequence forward pass of the model's tests, checkpoint builders, toy datasets, fixture
+records, loopback HTTP servers with scripted replies and an entailment scorer on one."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ import pytest
 
 from palette.align_trainer import PreferenceRecord
 from palette.common import CONTINENTS, round9
-from palette.errors import PaletteError
-from palette.reference_model import ModelConfig, init_model
+from palette.errors import PaletteError, TooLong
+from palette.reference_model import BOS, EOS, ModelConfig, TinyTransformer, init_model
 from palette.tensor_store import Checkpoint, TensorSpec
 
 
@@ -40,6 +40,22 @@ def appending():
     finally:
         for fd in fds.values():
             os.close(fd)
+
+
+def tokenize(text: str, max_seq: int = ModelConfig.max_seq) -> list[int]:
+    """UTF-8 bytes as ids 0..255, wrapped BOS ... EOS."""
+    raw = text.encode("utf-8")
+    if len(raw) + 2 > max_seq:
+        raise TooLong(f"text needs {len(raw) + 2} tokens but max_seq is {max_seq}")
+    return [BOS] + list(raw) + [EOS]
+
+
+def forward(params: Checkpoint, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden seq x d_model, logits seq x vocab) for one token sequence."""
+    model = TinyTransformer.from_checkpoint(params)
+    tokens = model._check_tokens(tokens)
+    hidden = model._extend(tokens, 0, *model._kv_cache(), rows=len(tokens))
+    return hidden, hidden @ model.params["head.out"]
 
 
 def ckpt(metadata=None, **tensors) -> Checkpoint:

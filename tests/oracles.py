@@ -11,7 +11,8 @@ byte for byte. The decode oracle re-runs that frozen forward pass for every
 new token, so it shares no cache and no kernel with the incremental decoder.
 The preference-loss oracle scores each of a record's five sequences from
 scratch, prompt included, and back-propagates each one on its own, so it
-shares no prompt trace with the trainer's shared-prompt pass.
+shares no prompt trace with the trainer's shared-prompt pass. The gradient
+check compares the trainer's analytic gradients with central differences.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import math
 
 import numpy as np
 
-from palette.align_trainer import LossBreakdown, _score_and_slope, _sigmoid, _softplus
+from palette.align_trainer import (LossBreakdown, PreferenceRecord, _as_model, _score_and_slope, _sigmoid, _softplus,
+                                   loss_and_grads)
 from palette.reference_model import EOS, NORM_EPS, _continuation_logprob, encode_pair
 
 
@@ -294,6 +296,13 @@ def bf_greedy_decode(model, prompt, n):
     return out
 
 
+def sequence_logprob(model, prompt, continuation) -> float:
+    """Sum over continuation positions of log softmax(logits)[next token], from one pass over the sequence."""
+    full, continuation = model._check_pair(prompt, continuation)
+    hidden = model._extend(full[:-1], 0, *model._kv_cache(), rows=len(continuation))
+    return _continuation_logprob(hidden @ model.params["head.out"], continuation)
+
+
 def logprob_trace(model, prompt, continuation):
     """`sequence_logprob` and the training forward's Trace of the whole sequence."""
     full, continuation = model._check_pair(prompt, continuation)
@@ -348,10 +357,65 @@ def per_sequence_margin(model, dataset) -> float:
     total = 0.0
     for record in dataset:
         prompt, cont = encode_pair(record.query, record.preferred, model.cfg.max_seq)
-        lp_pref = model.sequence_logprob(prompt, cont) / len(cont)
+        lp_pref = sequence_logprob(model, prompt, cont) / len(cont)
         rej = 0.0
         for r in record.rejected:
             prompt, cont = encode_pair(record.query, r, model.cfg.max_seq)
-            rej += model.sequence_logprob(prompt, cont) / len(cont)
+            rej += sequence_logprob(model, prompt, cont) / len(cont)
         total += lp_pref - rej / 4
     return total / len(dataset)
+
+
+def orpo_loss(
+    params,
+    record: PreferenceRecord,
+    lam: float = 0.1,
+    *,
+    score: str = "mean",
+) -> LossBreakdown:
+    """Loss breakdown for one preference record, from the pass of `loss_and_grads`."""
+    return loss_and_grads(params, record, lam, score=score)[0]
+
+
+def grad_check(
+    params,
+    record: PreferenceRecord,
+    lam: float = 0.1,
+    epsilon: float = 1e-4,
+    n_samples: int = 60,
+    seed: int = 0,
+    *,
+    score: str = "mean",
+) -> float:
+    """Max relative error between analytic gradients and central differences
+    over randomly sampled parameter coordinates.
+    """
+    if not (1e-5 <= epsilon <= 1e-2):
+        raise ValueError(f"epsilon must lie in [1e-5, 1e-2], got {epsilon}")
+    model = _as_model(params).clone()
+    _, grads = loss_and_grads(model, record, lam, score=score)
+
+    names = sorted(model.params)
+    sizes = np.array([model.params[n].size for n in names])
+    total = int(sizes.sum())
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(total, size=min(n_samples, total), replace=False)
+    offsets = np.cumsum(sizes)
+
+    worst = 0.0
+    for flat in sorted(int(p) for p in picks):
+        ti = int(np.searchsorted(offsets, flat, side="right"))
+        name = names[ti]
+        local = flat - (offsets[ti - 1] if ti else 0)
+        arr = model.params[name].reshape(-1)
+        orig = arr[local]
+        arr[local] = orig + epsilon
+        up = orpo_loss(model, record, lam, score=score).total
+        arr[local] = orig - epsilon
+        down = orpo_loss(model, record, lam, score=score).total
+        arr[local] = orig
+        numeric = (up - down) / (2.0 * epsilon)
+        analytic = float(grads[name].reshape(-1)[local])
+        denom = max(abs(analytic), abs(numeric), 1e-6)
+        worst = max(worst, abs(analytic - numeric) / denom)
+    return worst

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from palette.agent_pipeline import OpinionItem, PipelineConfig, evaluate_country, final_decision, run_item
-from palette.align_trainer import PreferenceRecord, TrainConfig, grad_check, orpo_loss, train
+from palette.align_trainer import PreferenceRecord, TrainConfig, train
 from palette.backends import ScriptedMock
 from palette.common import CONTINENTS
 from palette.data_synth import StepStore, SynthConfig, run_synthesis, self_judge_refine, stored_reply
@@ -26,11 +26,12 @@ from palette.errors import BackendFailure, MalformedHeader
 from palette.gate_router import DEFAULT_SYSTEM_PROMPTS, init_gate, route, route_prompt, softmax_weights
 from palette.merge_engine import model_stock, moerges_fuse, task_arithmetic, ties_merge
 from palette.metrics import alignment_score, kl, normalize_distribution, pearson
-from palette.reference_model import ModelConfig, forward, init_model
+from palette.reference_model import ModelConfig, init_model
 from palette.tensor_store import Checkpoint, load_checkpoint, save_checkpoint
 
-from helpers import GRAD_CHECK_RECORD, appending, like, random_checkpoint, toy_preference_dataset
-from oracles import as_lists, bf_model_stock, bf_moerges, bf_task_arithmetic, bf_ties, max_abs_diff
+from helpers import GRAD_CHECK_RECORD, appending, forward, like, random_checkpoint, toy_preference_dataset
+from oracles import (as_lists, bf_model_stock, bf_moerges, bf_task_arithmetic, bf_ties, grad_check, max_abs_diff,
+                     orpo_loss)
 
 
 def criterion(cid, desc, budget_s):

@@ -23,10 +23,10 @@ from palette.common import CONTINENTS, fingerprint
 from palette.errors import BackendFailure
 from palette.gate_router import GateMatrix, init_gate, route, route_prompt
 from palette.metrics import alignment_score, normalize_distribution
-from palette.reference_model import TinyTransformer, init_model, tokenize
+from palette.reference_model import TinyTransformer, init_model
 from palette.templates import render_template
 
-from helpers import ReplyServer, raises_code, tiny_config, tiny_model
+from helpers import ReplyServer, raises_code, tiny_config, tiny_model, tokenize
 
 NZL_QUESTION = (
     "Most people consider both freedom and equality to be important, but if you had "

