@@ -2,9 +2,12 @@
 
 `walkthrough` runs `synth import-prism`, `synth run --backend mock` (scripted,
 and echoing so that the stores hold the prompts), `synth pairs`, a mock `eval`
-(plain and `--no-draft`) and `metrics kl|salign|pearson` on fixed inputs,
-with relative paths inside one directory. The sha256 of every output file and
-of every command's stdout must equal `output_manifest.json`.
+(plain and `--no-draft`), `merge --method ties|task|moerges` and
+`metrics kl|salign|pearson` on fixed inputs, with relative paths inside one
+directory. The merges read a base and five experts written from fixed
+float32 values with repeated magnitudes, so the TIES trim's tie rule shows
+in the bytes. The sha256 of every output file and of every command's stdout
+must equal `output_manifest.json`.
 None of these outputs goes through BLAS, so the manifest holds on any host.
 
 After a deliberate change to one of these outputs, rewrite the manifest with
@@ -15,12 +18,16 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from palette.cli import main
 from palette.common import CONTINENTS
+from palette.tensor_store import Checkpoint, TensorSpec, save_checkpoint
 
 MANIFEST = Path(__file__).with_name("output_manifest.json")
 
@@ -55,6 +62,25 @@ INPUTS = {
     }),
 }
 
+
+# (name, shape) of each tensor of the merge inputs; moerges fuses the `*.ffn.*` one.
+TENSORS = [("blocks.0.ffn.w", (3, 4)), ("blocks.0.attn.w", (2, 5)), ("embed", (7,))]
+
+
+def _checkpoint(k: int) -> Checkpoint:
+    """Merge input k (0 is the base): tenths in -0.5..0.5, -0.0 among them, with repeated magnitudes."""
+    specs = []
+    for j, (name, shape) in enumerate(TENSORS):
+        sign = -1 if (j + k) % 2 else 1
+        values = [sign * (((i * (3 + k + j) + 2 * k + j) % 11 - 5) / 10) for i in range(math.prod(shape))]
+        specs.append(TensorSpec(name, shape, np.array(values, dtype=np.float32)))
+    return Checkpoint(specs)
+
+
+CHECKPOINTS = ["base.st", "e1.st", "e2.st", "e3.st", "e4.st", "e5.st"]
+EXPERTS = [arg for k in range(1, 6) for arg in ("--expert", f"x{k}=e{k}.st")]
+MERGE = ["merge", "--base", "base.st", *EXPERTS]
+
 EVAL = ["eval", "--country", "NZL", "--items", "items.jsonl", "--meta-backend", "mock", "--transcript", "eval_mock.json"]
 COMMANDS = [  # (the name of its stdout entry, argv)
     ("import-prism", ["synth", "import-prism", "--input", "prism.csv", "-o", "queries.jsonl"]),
@@ -65,6 +91,11 @@ COMMANDS = [  # (the name of its stdout entry, argv)
     ("synth-pairs", ["synth", "pairs", "--records", "synth", "-o", "pairs.jsonl"]),
     ("eval", [*EVAL, "-o", "report.json"]),
     ("eval-no-draft", [*EVAL, "--no-draft", "-o", "report_no_draft.json"]),
+    ("merge-ties", [*MERGE, "--method", "ties", "--density", "0.3", "-o", "ties.st"]),
+    ("merge-ties-dense", [*MERGE, "--method", "ties", "--density", "1.0", "--scale", "0.7", "-o", "ties_dense.st"]),
+    ("merge-task", [*MERGE, "--method", "task", "--coeff", "0.5", "--coeff", "-0.3", "--coeff", "0.25",
+                    "--coeff", "1", "--coeff", "0.1", "-o", "task.st"]),
+    ("merge-moerges", [*MERGE, "--method", "moerges", "--gate", "0.1,0.2,0.3,0.15,0.25", "-o", "moerges.st"]),
     ("kl", ["metrics", "kl", "--p", "[0.2, 0.3, 0.5]", "--q", "[0.25, 0.25, 0.5]"]),
     ("salign", ["metrics", "salign", "--gen", "[0.7, 0.2, 0.1]", "--gold", "[0.5, 0.3, 0.2]"]),
     ("pearson", ["metrics", "pearson", "--x", "[1, 2, 3, 5]", "--y", "[2, 4, 7, 1]"]),
@@ -79,6 +110,8 @@ def walkthrough(root: Path) -> dict[str, str]:
     """Run every command in ``root``: the sha256 of each stdout and of each output file."""
     for name, text in INPUTS.items():
         (root / name).write_text(text)
+    for k, name in enumerate(CHECKPOINTS):
+        save_checkpoint(_checkpoint(k), root / name)
     digests = {}
     cwd = os.getcwd()
     os.chdir(root)
@@ -91,7 +124,7 @@ def walkthrough(root: Path) -> dict[str, str]:
     finally:
         os.chdir(cwd)
     for path in sorted(root.rglob("*")):
-        if path.is_file() and path.name not in INPUTS:
+        if path.is_file() and path.name not in INPUTS and path.name not in CHECKPOINTS:
             digests[path.relative_to(root).as_posix()] = _sha256(path.read_bytes())
     return digests
 
