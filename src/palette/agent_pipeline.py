@@ -81,14 +81,14 @@ def load_opinion_items(path, country: str) -> list[OpinionItem]:
             raise bad_line(path, lineno, f"no gold distribution for {country!r}")
         if len(gold) > len(options):
             logger.info(
-                "item %d: truncating gold from %d to %d options and renormalizing",
-                lineno, len(gold), len(options),
+                "%s:%d: truncating gold from %d to %d options and renormalizing",
+                path, lineno + 1, len(gold), len(options),
             )
             gold = gold[: len(options)]
         elif len(gold) < len(options):
             logger.info(
-                "item %d: truncating options from %d to %d gold entries",
-                lineno, len(options), len(gold),
+                "%s:%d: truncating options from %d to %d gold entries",
+                path, lineno + 1, len(options), len(gold),
             )
             options = options[: len(gold)]
         try:

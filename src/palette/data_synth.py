@@ -258,12 +258,16 @@ _ID_FIELDS = ("id", "question_id", "utterance_id", "conversation_id")
 
 
 def _extract(row: Mapping[str, object], index: int, line: int, path, seen: dict) -> dict[str, str] | None:
-    query = next((row[f] for f in _QUERY_FIELDS if row.get(f)), "")
+    for field in _QUERY_FIELDS:  # a blank alias gives way to the next one
+        query = row.get(field)
+        if isinstance(query, str):
+            query = query.strip()
+        if query:
+            break
+    else:
+        return None
     if not isinstance(query, str):
         raise bad_line(path, line, f"the query field must be a string, got {type(query).__name__}")
-    query = query.strip()
-    if not query:
-        return None
     return {"id": row_id(path, line, row, seen, f"q{index:05d}", _ID_FIELDS), "query": query}
 
 

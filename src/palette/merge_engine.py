@@ -3,7 +3,9 @@ and gate-weighted expert fusion.
 
 All methods compute in float64 and cast the result to float32. Tensors the
 method leaves untouched (non-selected tensors under gate fusion) are copied
-bit-identically from the base.
+bit-identically from the base. The trim/elect/merge keeps only the indices
+and values of each expert's surviving entries and aggregates them per index
+with `np.bincount`, never a dense (experts, len) block.
 """
 
 from __future__ import annotations
@@ -106,62 +108,61 @@ def task_arithmetic(
     return _out(base, arrays, dict(base.metadata))
 
 
-def _trim_top_magnitude(tau: np.ndarray, keep: int) -> np.ndarray:
-    """Zero all but the `keep` largest-magnitude entries (ties: lower index wins).
+def _kept_indices(tau: np.ndarray, keep: int) -> np.ndarray:
+    """The ascending indices of the `keep` largest-magnitude entries of `tau` (ties: lower index wins).
 
-    A linear-time selection: find the keep-th smallest key of -|tau|, keep
-    every entry strictly below it, then fill the remaining slots with the
-    lowest-index entries equal to it. NaN keys order last, as in a sort, so
-    NaN entries survive only when fewer than `keep` entries are not NaN.
+    A linear-time selection: find the keep-th smallest key of -|tau|, take
+    every index whose key is at most it, then drop the last of those whose
+    key equals it until `keep` are left. NaN keys order last, as in a sort,
+    so NaN entries are kept only when fewer than `keep` entries are not NaN.
     """
     if keep >= tau.size:
-        return tau.copy()
-    neg = -np.abs(tau)
+        return np.arange(tau.size)
+    neg = np.abs(tau)
+    np.negative(neg, out=neg)
     thr = np.partition(neg, keep - 1)[keep - 1]
-    if np.isnan(thr):
-        at_thr = np.isnan(neg)
-        kept = ~at_thr
-    else:
-        kept = neg < thr
-        at_thr = neg == thr
-    kept[np.flatnonzero(at_thr)[: keep - np.count_nonzero(kept)]] = True
-    return np.where(kept, tau, 0.0)
+    nan = np.isnan(thr)  # then every entry that is not NaN is kept, and the first NaN ones
+    idx = np.arange(tau.size) if nan else np.flatnonzero(neg <= thr)
+    if idx.size == keep:
+        return idx
+    at_thr = np.isnan(neg) if nan else neg[idx] == thr
+    return np.delete(idx, np.flatnonzero(at_thr)[keep - idx.size:])
 
 
-def ties_merge(
-    base: Checkpoint,
-    experts: Sequence[Checkpoint],
-    density: float,
-    scale: float = DEFAULT_SCALE,
-) -> Checkpoint:
+def ties_merge(base: Checkpoint, experts: Sequence[Checkpoint], density: float, scale: float = DEFAULT_SCALE) -> Checkpoint:
     """Trim small task-vector entries, elect per-index majority signs, then
     average only the sign-consistent survivors.
 
     Per tensor: tau_k = expert_k - base; keep the ceil(density * len) largest
     magnitudes of each tau_k; elected sign per index = sign of the sum of
-    trimmed values (exact zero elects +); merged value = mean over trimmed
-    entries matching the elected sign; result = base + scale * merged.
+    kept values (exact zero elects +); merged value = mean over kept entries
+    matching the elected sign; result = base + scale * merged. The sums and
+    counts are `np.bincount`s over the kept indices, expert after expert, so
+    they add in the order of a sum over the experts' dense trimmed vectors.
     """
     _check_experts(base, experts)
     check_ties(density, scale)
 
     arrays = {}
-    buf = np.empty(len(experts) * max((spec.data.size for spec in base.specs()), default=0))
     for name, spec in base.items():
+        n = spec.data.size
         base64 = spec.data.astype(np.float64)
-        keep = math.ceil(density * spec.data.size)
-        trimmed = buf[: len(experts) * spec.data.size].reshape(len(experts), -1)
-        for tau, e in zip(trimmed, experts):
-            np.subtract(e[name].data, base64, out=tau)
-            tau[:] = _trim_top_magnitude(tau, keep)
-        plus = trimmed.sum(axis=0) >= 0.0  # a NaN sum elects -
-        match = ((trimmed > 0.0) & plus) | ((trimmed < 0.0) & ~plus)
-        counts = match.sum(axis=0)
-        # A product, not np.where: an unmatched NaN or inf entry times 0 is NaN,
+        idx, vals = [], []
+        for e in experts:
+            tau = e[name].data - base64
+            idx.append(_kept_indices(tau, math.ceil(density * n)))
+            vals.append(tau[idx[-1]])
+        idx, vals = np.concatenate(idx), np.concatenate(vals)
+        plus = np.bincount(idx, vals, n) >= 0.0  # a NaN sum elects -
+        pos = vals > 0.0
+        match = (pos == plus[idx]) & (pos | (vals < 0.0))
+        # A product, not a mask: an unmatched NaN or inf entry times 0 is NaN,
         # so it makes the mean at its index NaN whenever another entry matched.
-        trimmed *= match
-        summed = trimmed.sum(axis=0)
-        merged = np.divide(summed, counts, out=np.zeros_like(summed), where=counts > 0)
+        vals *= match
+        counts = np.bincount(idx, match, n)
+        with np.errstate(invalid="ignore"):  # 0 / 0 where nothing matched
+            merged = np.bincount(idx, vals, n) / counts
+        merged[counts == 0] = 0.0
         arrays[name] = (base64 + scale * merged).astype(np.float32)
     return _out(base, arrays, dict(base.metadata))
 

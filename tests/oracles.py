@@ -4,10 +4,12 @@ reference model's forward and backward passes and of greedy decoding.
 The merge oracles are pure-Python loops over plain float lists, kept
 deliberately naive so they share no code path with the numpy
 implementations they check. The trim oracle is the full two-key sort that
-the linear-time TIES selection must match byte for byte. The model oracle
-is the forward and backward pass as first written, one fresh array per
-operator: the in-place kernels of `palette.reference_model` must match it
-byte for byte. The decode oracle re-runs that frozen forward pass for every
+the linear-time TIES selection must match index for index. The dense TIES
+merge is the numpy one that `ties_merge` replaced, with each pass over a
+whole (experts, len) block: working over the kept entries only, `ties_merge`
+must give the same bytes. The model oracle is the forward and backward pass
+as first written, one fresh array per operator: the in-place kernels of
+`palette.reference_model` must match it byte for byte. The decode oracle re-runs that frozen forward pass for every
 new token, so it shares no cache and no kernel with the incremental decoder.
 The preference-loss oracle scores each of a record's five sequences from
 scratch, prompt included, and back-propagates each one on its own, so it
@@ -24,6 +26,7 @@ import numpy as np
 from palette.align_trainer import (LossBreakdown, PreferenceRecord, _as_model, _score_and_slope, _sigmoid, _softplus,
                                    loss_and_grads)
 from palette.reference_model import EOS, NORM_EPS, _continuation_logprob, encode_pair
+from palette.tensor_store import Checkpoint, TensorSpec
 
 
 def as_lists(ckpt) -> dict[str, list[float]]:
@@ -43,15 +46,53 @@ def bf_task_arithmetic(base, experts, coeffs):
     return out
 
 
-def lexsort_trim_top_magnitude(tau: np.ndarray, keep: int) -> np.ndarray:
-    """Zero all but the `keep` largest-magnitude entries (ties: lower index wins)."""
+def lexsort_kept_indices(tau: np.ndarray, keep: int) -> np.ndarray:
+    """The ascending indices of the `keep` largest-magnitude entries (ties: lower index wins)."""
+    return np.sort(np.lexsort((np.arange(tau.size), -np.abs(tau)))[:keep])
+
+
+def partition_trim_top_magnitude(tau: np.ndarray, keep: int) -> np.ndarray:
+    """Zero all but the `keep` largest-magnitude entries (ties: lower index wins).
+
+    The linear-time selection of the dense TIES merge: find the keep-th
+    smallest key of -|tau|, keep every entry strictly below it, then fill the
+    remaining slots with the lowest-index entries equal to it. NaN keys order
+    last, as in a sort.
+    """
     if keep >= tau.size:
         return tau.copy()
-    order = np.lexsort((np.arange(tau.size), -np.abs(tau)))
-    out = np.zeros_like(tau)
-    kept = order[:keep]
-    out[kept] = tau[kept]
-    return out
+    neg = -np.abs(tau)
+    thr = np.partition(neg, keep - 1)[keep - 1]
+    if np.isnan(thr):
+        at_thr = np.isnan(neg)
+        kept = ~at_thr
+    else:
+        kept = neg < thr
+        at_thr = neg == thr
+    kept[np.flatnonzero(at_thr)[: keep - np.count_nonzero(kept)]] = True
+    return np.where(kept, tau, 0.0)
+
+
+def dense_ties_merge(base, experts, density, scale=1.0):
+    """TIES over a dense (experts, len) float64 block of trimmed task vectors
+    per tensor: the sign election, match, count and mean each sweep the
+    whole block. `ties_merge` must give the same bytes."""
+    arrays = {}
+    for name, spec in base.items():
+        base64 = spec.data.astype(np.float64)
+        keep = math.ceil(density * spec.data.size)
+        trimmed = np.empty((len(experts), spec.data.size))
+        for tau, e in zip(trimmed, experts):
+            np.subtract(e[name].data, base64, out=tau)
+            tau[:] = partition_trim_top_magnitude(tau, keep)
+        plus = trimmed.sum(axis=0) >= 0.0  # a NaN sum elects -
+        match = ((trimmed > 0.0) & plus) | ((trimmed < 0.0) & ~plus)
+        counts = match.sum(axis=0)
+        trimmed *= match  # an unmatched NaN or inf times 0 is NaN
+        summed = trimmed.sum(axis=0)
+        merged = np.divide(summed, counts, out=np.zeros_like(summed), where=counts > 0)
+        arrays[name] = (base64 + scale * merged).astype(np.float32)
+    return Checkpoint([TensorSpec(name, spec.shape, arrays[name]) for name, spec in base.items()], base.metadata)
 
 
 def bf_ties(base, experts, density, scale):

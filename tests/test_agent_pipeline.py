@@ -1,4 +1,5 @@
 import json
+import logging
 import threading
 
 import numpy as np
@@ -343,6 +344,21 @@ def test_load_opinion_items_truncates_and_renormalizes(tmp_path):
     expected = normalize_distribution(NZL_GOLD_FULL[:4])
     assert np.allclose(items[0].gold, expected, atol=1e-12)
     assert len(items[0].options) == 4
+
+
+def test_load_opinion_items_logs_each_truncation_at_its_file_and_line(tmp_path, caplog):
+    path = tmp_path / "qa.jsonl"
+    rows = [
+        {"question": "more gold", "options": ["a", "b"], "gold": [0.5, 0.3, 0.2], "country": "NZL"},
+        {"question": "more options", "options": ["a", "b", "c"], "gold": [0.5, 0.5], "country": "NZL"},
+    ]
+    path.write_text("\n" + "\n".join(json.dumps(r) for r in rows))  # the blank line counts
+    with caplog.at_level(logging.INFO, logger="palette.agent_pipeline"):
+        load_opinion_items(path, "NZL")
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:2: truncating gold from 3 to 2 options and renormalizing",
+        f"{path}:3: truncating options from 3 to 2 gold entries",
+    ]
 
 
 # --- fusion ------------------------------------------------------------------

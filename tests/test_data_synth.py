@@ -453,3 +453,10 @@ def test_import_prism_csv(tmp_path):
     path.write_text("id,question\n7,what makes a fair trade?\n8,\n")
     out = import_prism(path)
     assert out == [{"id": "7", "query": "what makes a fair trade?"}]
+
+
+def test_import_prism_skips_a_blank_alias_for_the_next_one(tmp_path):
+    path = tmp_path / "q.jsonl"
+    rows = [{"id": "a", "question": "   ", "query": " what is fair? "}, {"id": "b", "question": " ", "query": ""}]
+    path.write_text("\n".join(json.dumps(r) for r in rows))
+    assert import_prism(path) == [{"id": "a", "query": "what is fair?"}]

@@ -8,7 +8,7 @@ from palette.errors import EmptySelectionWarning
 from palette.tensor_store import Checkpoint
 from palette import merge_engine
 from palette.merge_engine import (
-    _trim_top_magnitude,
+    _kept_indices,
     model_stock,
     moerges_fuse,
     task_arithmetic,
@@ -22,7 +22,8 @@ from oracles import (
     bf_moerges,
     bf_task_arithmetic,
     bf_ties,
-    lexsort_trim_top_magnitude,
+    dense_ties_merge,
+    lexsort_kept_indices,
     max_abs_diff,
 )
 
@@ -133,11 +134,9 @@ def test_trim_top_magnitude_matches_the_sort_oracle(values):
     # every keep from 1 to past the size, so NaN counts fall on both sides of size - keep
     tau = np.array(values)
     for keep in range(1, tau.size + 2):
-        got = _trim_top_magnitude(tau, keep)
-        want = lexsort_trim_top_magnitude(tau, keep)
+        got = _kept_indices(tau, keep)
+        want = lexsort_kept_indices(tau, keep)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), keep
-        if keep >= tau.size:
-            assert not np.shares_memory(got, tau)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -165,7 +164,7 @@ def test_ties_integer_task_vectors_match_the_sort_oracle(monkeypatch):
     for density, scale in ((0.2, 1.0), (0.5, 0.7), (0.95, -1.0)):
         got = ties_merge(base, experts, density, scale)
         with monkeypatch.context() as patch:
-            patch.setattr(merge_engine, "_trim_top_magnitude", lexsort_trim_top_magnitude)
+            patch.setattr(merge_engine, "_kept_indices", lexsort_kept_indices)
             want = ties_merge(base, experts, density, scale)
         brute = bf_ties(base_l, experts_l, density, scale)
         for name in base.names:
@@ -180,10 +179,39 @@ def test_ties_merge_does_not_sort(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ties_merge sorted an array")
 
-    for name in ("lexsort", "argsort", "sort"):
+    for name in ("lexsort", "argsort", "sort", "unique"):
         monkeypatch.setattr(np, name, refuse)
     got = ties_merge(base, experts, 0.2)
     assert got == want
+
+
+def _mixed_values(rng, size):
+    """Integers in -3..3 (repeated magnitudes and zeros) or floats of scales 1e-3..1e3, with some
+    entries NaN, +-inf or +-0."""
+    values = np.where(rng.random(size) < 0.5, rng.integers(-3, 4, size),
+                      rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size))
+    special = rng.random(size) < rng.choice([0.0, 0.05, 0.3])
+    values[special] = rng.choice([NAN, INF, -INF, 0.0, -0.0], np.count_nonzero(special))
+    return values
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_ties_merge_matches_the_dense_merge():
+    # The merge over kept entries against the dense (experts, len) block it replaced: the same bytes,
+    # NaN payloads and signed zeros included, for 1 to 6 experts and densities from keep == 1 to 1.0.
+    rng = np.random.default_rng(15)
+    for case in range(200):
+        sizes = {"w": int(rng.integers(1, 40)), "b": int(rng.integers(1, 6))}
+        base = ckpt(**{name: _mixed_values(rng, size) for name, size in sizes.items()})
+        experts = [
+            ckpt(**{name: np.where(rng.random(size) < 0.2, base[name].data, _mixed_values(rng, size))
+                    for name, size in sizes.items()})
+            for _ in range(case % 6 + 1)
+        ]
+        density = [1.0, 1.0 / max(sizes.values()), float(rng.uniform(0.05, 1.0))][case % 3]
+        scale = float(rng.choice([1.0, -0.5, 0.7, 0.0]))
+        got, want = ties_merge(base, experts, density, scale), dense_ties_merge(base, experts, density, scale)
+        assert got == want, (case, density, scale)
 
 
 # --- model stock ----------------------------------------------------------------
