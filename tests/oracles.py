@@ -9,8 +9,9 @@ merge is the numpy one that `ties_merge` replaced, with each pass over a
 whole (experts, len) block: working over the kept entries only, `ties_merge`
 must give the same bytes. The model oracle is the forward and backward pass
 as first written, one fresh array per operator: the in-place kernels of
-`palette.reference_model` must match it byte for byte. The decode oracle re-runs that frozen forward pass for every
-new token, so it shares no cache and no kernel with the incremental decoder.
+`palette.reference_model` must match it byte for byte. The decode oracle
+re-runs that frozen forward pass for every new token, so it shares no cache
+and no kernel with the incremental decoder.
 The preference-loss oracle scores each of a record's five sequences from
 scratch, prompt included, and back-propagates each one on its own, so it
 shares no prompt trace with the trainer's shared-prompt pass. The gradient
