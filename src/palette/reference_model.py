@@ -168,9 +168,9 @@ def _causal_mask(max_seq: int) -> np.ndarray:
 
 def _softmax_rows_in_place(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in ``z`` and returned."""
-    z -= z.max(axis=-1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -211,7 +211,7 @@ def _gelu_backward(da: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + NORM_EPS)
+    inv = 1.0 / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + NORM_EPS)
     out = x * inv
     out *= gain
     return out, inv
@@ -219,16 +219,16 @@ def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _rmsnorm_backward(dy, x, inv, gain):
     w = dy * gain
-    dgain = (dy * x * inv).sum(axis=0)
-    dx = w * inv - x * inv**3 * (w * x).mean(axis=-1, keepdims=True)
+    dgain = np.add.reduce(dy * x * inv, axis=0)
+    dx = w * inv - x * inv**3 * (np.add.reduce(w * x, axis=-1, keepdims=True) / x.shape[-1])
     return dx, dgain
 
 
 def _continuation_logprob(logits: np.ndarray, continuation: list[int]) -> float:
     """Sum over rows k of log softmax(logits[k])[continuation[k]]."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1))
-    return float((shifted[np.arange(len(continuation)), continuation] - log_norm).sum())
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_norm = np.log(np.add.reduce(np.exp(shifted), axis=-1))
+    return float(np.add.reduce(shifted[np.arange(len(continuation)), continuation] - log_norm))
 
 
 def _continuation_dlogits(logits: np.ndarray, continuation: list[int], coeff: float) -> np.ndarray:
@@ -427,7 +427,7 @@ class TinyTransformer:
         keys, values = self._kv_cache()
         logits = self._extend(tokens, 0, keys, values) @ self.params["head.out"]
         while True:
-            nxt = int(np.argmax(logits))
+            nxt = int(logits.argmax())
             if nxt == EOS:
                 break
             out.append(nxt)
