@@ -15,9 +15,13 @@ and gradients are reproducible bit-for-bit.
 The hot paths write into temporaries they already made rather than
 allocating one array per operator, which saves the page faults of fresh
 large arrays:
-- the attention scores ``q @ kᵀ`` are scaled, masked and turned into
-  probabilities in their own buffer, which the trace keeps as ``probs``;
-- the causal mask is built once per ``max_seq``, read-only, and sliced;
+- attention runs in causal row tiles of ``TILE`` query rows, each over the
+  keys up to its last row (a last tile of one row joins the one before it);
+  a trace gets the tiles in a full ``probs`` buffer, zero above the diagonal;
+- a tile's scores ``q @ kᵀ`` are scaled, masked and turned into
+  probabilities in their own buffer;
+- the causal mask is built once per ``max_seq``, read-only; its top corner
+  masks a tile's last columns, the only ones that need it;
 - GELU builds its tanh argument in one buffer and takes the tanh there;
   the trace keeps that tanh for the GELU derivative;
 - RMS norm scales ``x * inv`` by the gain in place;
@@ -27,8 +31,10 @@ The results stay exact because each buffer receives the same ufunc, on
 the same operands, in the same order as the plain expression (``a * b``
 and ``b * a`` round alike), and every reduction still runs over a
 C-contiguous array of the same shape, so no sum is reordered.
-``tests/oracles.py`` keeps the allocating version and a test compares the
-bytes.
+``tests/oracles.py`` keeps the allocating version, same tiles, and a test
+compares the bytes. A tile sums over fewer columns, so a pass of over
+``TILE + 1`` rows may differ from untiled attention in the last bits (a test
+bounds it), but not from run to run or between training and inference.
 
 Every pass runs one kernel, ``_extend``, over a per-call key/value cache.
 Inference keeps no ``Trace`` and runs the last layer only on the rows read:
@@ -62,6 +68,7 @@ INIT_STD = 0.02
 NORM_EPS = 1e-6
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+TILE = 32  # query rows per attention tile in `_extend`
 
 
 @dataclass(frozen=True)
@@ -451,7 +458,7 @@ class TinyTransformer:
         n, end = len(tokens), pos + len(tokens)
         h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         x = p["embed.tok"][tokens] + p["embed.pos"][pos:end]
-        mask = _causal_mask(cfg.max_seq)[pos:end, :end] if n > 1 else None
+        mask = _causal_mask(cfg.max_seq)
         for i in range(cfg.n_layers):
             x_in = x
             n1, inv1 = _rmsnorm(x, p[f"layer{i}.ln1.gain"])
@@ -459,14 +466,22 @@ class TinyTransformer:
             values[i][:, pos:end] = (n1 @ p[f"layer{i}.attn.v"]).reshape(n, h, dh).transpose(1, 0, 2)
             if i == cfg.n_layers - 1:  # only the last `rows` rows are read; the last sees every position
                 x, n1 = x[-rows:], n1[-rows:]
-                mask = mask[-rows:] if rows > 1 else None
             q = (n1 @ p[f"layer{i}.attn.q"]).reshape(-1, h, dh).transpose(1, 0, 2)
-            scores = q @ keys[i][:, :end].transpose(0, 2, 1)
-            scores /= math.sqrt(dh)
-            if mask is not None:
-                scores += mask
-            probs = _softmax_rows_in_place(scores)
-            ctx = (probs @ values[i][:, :end]).transpose(1, 0, 2).reshape(-1, cfg.d_model)
+            m = q.shape[1]
+            ctx = np.empty((h, m, dh))
+            probs = np.zeros((h, m, end)) if trace is not None else None
+            for r0 in range(0, max(m - 1, 1), TILE):
+                r1 = r0 + TILE if r0 + TILE < m - 1 else m  # a last tile of one row joins the one before it
+                seen = end - m + r1  # the keys up to the tile's last row
+                scores = q[:, r0:r1] @ keys[i][:, :seen].transpose(0, 2, 1)
+                scores /= math.sqrt(dh)
+                if r1 - r0 > 1:  # only the tile's last r1 - r0 columns hold masked keys
+                    scores[:, :, r0 - r1 :] += mask[: r1 - r0, : r1 - r0]
+                tile = _softmax_rows_in_place(scores)
+                np.matmul(tile, values[i][:, :seen], out=ctx[:, r0:r1])
+                if trace is not None:
+                    probs[:, r0:r1, :seen] = tile
+            ctx = ctx.transpose(1, 0, 2).reshape(m, cfg.d_model)
             x = x_mid = x + ctx @ p[f"layer{i}.attn.o"]
             n2, inv2 = _rmsnorm(x, p[f"layer{i}.ln2.gain"])
             u = n2 @ p[f"layer{i}.ffn.w_in"]

@@ -8,8 +8,11 @@ the linear-time TIES selection must match index for index. The dense TIES
 merge is the numpy one that `ties_merge` replaced, with each pass over a
 whole (experts, len) block: working over the kept entries only, `ties_merge`
 must give the same bytes. The model oracle is the forward and backward pass
-as first written, one fresh array per operator: the in-place kernels of
-`palette.reference_model` must match it byte for byte. The decode oracle
+with one fresh array per operator and attention in the kernel's causal row
+tiles: the in-place kernels of `palette.reference_model` must match it byte
+for byte. The pass as first written, over the whole attention block at once,
+stays beside it; the tiles shorten the softmax sums, so the kernel is held
+to it within a bound instead. The decode oracle
 re-runs that frozen forward pass for every new token, so it shares no cache
 and no kernel with the incremental decoder.
 The preference-loss oracle scores each of a record's five sequences from
@@ -26,7 +29,7 @@ import numpy as np
 
 from palette.align_trainer import (LossBreakdown, PreferenceRecord, _as_model, _score_and_slope, _sigmoid, _softplus,
                                    loss_and_grads)
-from palette.reference_model import EOS, NORM_EPS, _continuation_logprob, encode_pair
+from palette.reference_model import EOS, NORM_EPS, TILE, _continuation_logprob, encode_pair
 from palette.tensor_store import Checkpoint, TensorSpec
 
 
@@ -276,8 +279,15 @@ class FrozenTrace:
         grads["embed.pos"][:T] += dx
 
 
-def bf_forward_trace(model, tokens) -> FrozenTrace:
-    """The model's forward pass with one fresh array per operator."""
+def _row_tiles(T: int, size: int) -> list[tuple[int, int]]:
+    """[r0, r1) bounds of `size` rows over T rows; a last tile of one row joins the one before it."""
+    bounds = list(range(0, T, size)) + [T]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _frozen_forward(model, tokens, tile: int) -> FrozenTrace:
     tokens = [int(t) for t in tokens]
     cfg, p = model.cfg, model.params
     T = len(tokens)
@@ -294,9 +304,14 @@ def bf_forward_trace(model, tokens) -> FrozenTrace:
         k = (c.n1 @ p[f"layer{i}.attn.k"]).reshape(T, h, dh).transpose(1, 0, 2)
         v = (c.n1 @ p[f"layer{i}.attn.v"]).reshape(T, h, dh).transpose(1, 0, 2)
         c.q, c.k, c.v = q, k, v
-        scores = q @ k.transpose(0, 2, 1) / math.sqrt(dh) + mask
-        c.probs = _softmax_rows(scores)
-        c.ctx = (c.probs @ v).transpose(1, 0, 2).reshape(T, cfg.d_model)
+        c.probs = np.zeros((h, T, T))
+        ctx_tiles = []
+        for r0, r1 in _row_tiles(T, tile):  # each row tile sees the keys up to its last row
+            scores = q[:, r0:r1] @ k[:, :r1].transpose(0, 2, 1) / math.sqrt(dh) + mask[r0:r1, :r1]
+            tile_probs = _softmax_rows(scores)
+            c.probs[:, r0:r1, :r1] = tile_probs
+            ctx_tiles.append(tile_probs @ v[:, :r1])
+        c.ctx = np.concatenate(ctx_tiles, axis=1).transpose(1, 0, 2).reshape(T, cfg.d_model)
         x = x + c.ctx @ p[f"layer{i}.attn.o"]
         c.x_mid = x
         c.n2, c.inv2 = _rmsnorm(x, p[f"layer{i}.ln2.gain"])
@@ -309,6 +324,16 @@ def bf_forward_trace(model, tokens) -> FrozenTrace:
     trace.hidden, trace.inv_final = _rmsnorm(x, p["final_ln.gain"])
     trace.logits = trace.hidden @ p["head.out"]
     return trace
+
+
+def bf_forward_trace(model, tokens) -> FrozenTrace:
+    """The model's forward pass with one fresh array per operator, attention in row tiles of TILE."""
+    return _frozen_forward(model, tokens, TILE)
+
+
+def bf_forward_trace_untiled(model, tokens) -> FrozenTrace:
+    """The forward pass as first written: attention over the whole (T, T) block at once."""
+    return _frozen_forward(model, tokens, len(tokens))
 
 
 def bf_logprob_dlogits(trace, prompt_len, continuation, coeff) -> np.ndarray:

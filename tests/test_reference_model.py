@@ -13,6 +13,7 @@ from palette.reference_model import (
     BOS,
     EOS,
     SEP,
+    TILE,
     ModelConfig,
     TinyTransformer,
     encode_pair,
@@ -22,7 +23,8 @@ from palette.templates import render_template
 from palette.tensor_store import load_checkpoint, save_checkpoint
 
 from helpers import FIXTURE_RECORDS, forward, raises_code, tiny_config, tiny_model, tokenize
-from oracles import bf_forward_trace, bf_greedy_decode, bf_logprob_dlogits, logprob_trace, sequence_logprob
+from oracles import (bf_forward_trace, bf_forward_trace_untiled, bf_greedy_decode, bf_logprob_dlogits, grad_check,
+                     logprob_trace, sequence_logprob)
 
 
 def test_config_validation():
@@ -393,6 +395,83 @@ def test_in_place_kernels_match_the_frozen_model_byte_for_byte(seed, d_model, n_
                 bf_logprob_dlogits(want, prompt_len, tokens[prompt_len:], coeff)[rows],
             )
         assert model.greedy_decode(tokens, 4) == bf_greedy_decode(model, tokens, 4)
+
+
+def _rel_diff(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("scale", [1.0, 25.0])
+@pytest.mark.parametrize("n_heads", [4, 8])  # head sizes 16 and 8
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tiled_attention_stays_within_a_bound_of_untiled_attention(seed, n_heads, scale):
+    # A row tile sums its softmax and its product with V over fewer columns
+    # than the whole block, so passes longer than TILE may move in the last bits.
+    model = TinyTransformer.from_checkpoint(init_model(ModelConfig(n_heads=n_heads, seed=seed)))
+    for name, arr in model.params.items():
+        if not name.endswith(".gain"):
+            arr *= scale
+    rng = np.random.default_rng(seed)
+    for length in (88, 129, 208, model.cfg.max_seq - 1, model.cfg.max_seq):
+        tokens = _random_prompt(rng, length)
+        got, want = model.forward_trace(tokens), bf_forward_trace_untiled(model, tokens)
+        assert _rel_diff(got.logits, want.logits) <= 1e-12
+        for layer, untiled in zip(got.layers, want.layers, strict=True):
+            assert np.abs(layer.probs - untiled.probs).max() <= 1e-12
+
+        dlogits = rng.standard_normal(got.logits.shape)
+        grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+        untiled_grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+        got.backward(dlogits, grads)
+        want.backward(dlogits, untiled_grads)
+        for name in grads:
+            assert _rel_diff(grads[name], untiled_grads[name]) <= 1e-12, (length, name)
+
+
+@pytest.mark.parametrize(
+    "length, tile_rows",
+    [(TILE - 1, [TILE - 1]), (TILE, [TILE]), (TILE + 1, [TILE + 1]), (2 * TILE + 1, [TILE, TILE + 1]), (256, [TILE] * 8)],
+)
+def test_attention_tiles_at_the_tile_edges(monkeypatch, length, tile_rows):
+    params = init_model(ModelConfig(n_heads=8, seed=length))
+    model = TinyTransformer.from_checkpoint(params)
+    tokens = _random_prompt(np.random.default_rng(length), length)
+    tiles = []
+    softmax = reference_model._softmax_rows_in_place
+
+    def recording_softmax(z):
+        tiles.append(z.shape)
+        return softmax(z)
+
+    monkeypatch.setattr(reference_model, "_softmax_rows_in_place", recording_softmax)
+    trace = model.forward_trace(tokens)
+    # No tile has one row, and each sees the keys up to its last row.
+    assert [rows for _, rows, _ in tiles] == tile_rows * model.cfg.n_layers
+    assert [seen for *_, seen in tiles] == list(np.cumsum(tile_rows)) * model.cfg.n_layers
+    for layer in trace.layers:
+        assert not np.triu(layer.probs, k=1).any()
+    hidden, _ = forward(params, tokens)
+    assert _same_bytes(hidden, trace.hidden)
+
+    # Continuations at pos > 0 that span tiles, as option scores make them.
+    monkeypatch.undo()
+    for prompt_len in [n for n in (1, TILE - 1, TILE + 1) if n < length]:
+        cont = [int(t) for t in np.random.default_rng(prompt_len).integers(0, 260, length - prompt_len)]
+        want = sequence_logprob(model, tokens[:prompt_len], cont)
+        assert abs(model.sequence_logprobs(tokens[:prompt_len], [cont])[0] - want) <= 1e-12 * abs(want)
+
+
+def test_grad_check_with_replies_longer_than_a_tile():
+    # Each reply is traced at pos > 0, after the shared prompt, in two or three row tiles.
+    record = PreferenceRecord(
+        query="what do guests bring to a shared meal?",
+        preferred="a dish to share, and something to drink for the table",
+        rejected=("flowers for the host, chosen with some care", "nothing at all, since the host plans the meal",
+                  "a small gift from home for the host's family", "their appetite, and some stories to tell"),
+    )
+    assert min(len(r) for r in (record.preferred, *record.rejected)) > TILE + 1
+    params = tiny_model(n_layers=2)
+    assert grad_check(params, record, lam=0.1, epsilon=1e-4, n_samples=60, seed=5) < 1e-3
 
 
 def test_cached_causal_mask_is_read_only_and_sized_per_max_seq(monkeypatch):
