@@ -108,10 +108,12 @@ class RemoteChat:
 class LocalReference:
     """Greedy deterministic decoding of up to MAX_NEW_TOKENS tokens over the tiny reference model.
 
-    Prompts longer than the context window are truncated to their byte tail
-    (the question and options sit at the end of pipeline prompts). In
-    `score_options`, options are scored as continuations of one prompt, cut
-    once to leave room for the longest option.
+    Prompts longer than the context window are truncated to their byte tail,
+    which at the default max_seq keeps no question or options: only the
+    closing instruction of a draft (naming the continent) or of a regulate
+    prompt (naming the country), and the regulated text in the score prompt.
+    In `score_options`, options are scored as continuations of one prompt,
+    cut once to leave room for the longest option.
     """
 
     kind = "local"
