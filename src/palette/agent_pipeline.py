@@ -219,20 +219,6 @@ def routing_text(country: str, query: str | None) -> str:
     return f"{preamble} {query}"
 
 
-def fuse_meta(
-    base: Checkpoint,
-    experts: Mapping[str, Checkpoint],
-    gate_matrix: GateMatrix,
-    country: str,
-    query: str | None = None,
-) -> Checkpoint:
-    """Route the country preamble, plus ``query`` unless it is None, through the
-    gate and fuse the experts' feed-forward tensors onto the base. The fused
-    checkpoint records the gate it used in its ``gate`` metadata."""
-    weights = route_prompt(base, gate_matrix, routing_text(country, query))
-    return moerges_fuse(base, [experts[c] for c in CONTINENTS], weights)
-
-
 class FusedLocalMeta:
     """Meta-backend provider whose parameters are gate-fused.
 
@@ -267,9 +253,9 @@ class FusedLocalMeta:
             return self._base_backend
         if self.mode == "per-country" and country in self._country_cache:
             return self._country_cache[country]
-        fused = fuse_meta(
-            self.base, self.experts, self.gate_matrix, country, query if self.mode == "per-request" else None
-        )
+        text = routing_text(country, query if self.mode == "per-request" else None)
+        weights = route_prompt(self.base, self.gate_matrix, text)
+        fused = moerges_fuse(self.base, [self.experts[c] for c in CONTINENTS], weights)
         backend = LocalReference(fused, label="meta-fused")
         if self.mode == "per-country":
             self._country_cache[country] = backend
@@ -280,7 +266,7 @@ class FusedLocalMeta:
             "kind": "local-fused",
             "mode": self.mode,
             "no_fuse": self.no_fuse,
-            # The constants fuse_meta routes and fuses with; every eval
+            # The constants backend_for routes and fuses with; every eval
             # report's config_fingerprint hashes these two keys.
             "ffn_pattern": FFN_PATTERN,
             "temperature": TEMPERATURE,

@@ -149,10 +149,6 @@ def _score_and_slope(lp_sum: float, n_tokens: int, score: str):
     raise ValueError(f"score must be one of {SCORES}, got {score!r}")
 
 
-def _as_model(params) -> TinyTransformer:
-    return params if isinstance(params, TinyTransformer) else TinyTransformer.from_checkpoint(params)
-
-
 def _encode_record(record: PreferenceRecord, max_seq: int, index: int | None = None):
     """The shared prompt BOS q SEP and the five continuations r EOS, preferred first.
     TooLong names the record's index in the dataset and the field of the response."""
@@ -165,13 +161,12 @@ def _encode_record(record: PreferenceRecord, max_seq: int, index: int | None = N
 
 
 def loss_and_grads(
-    params,
+    model: TinyTransformer,
     record: PreferenceRecord,
     lam: float = 0.1,
     *,
     score: str = "mean",
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    model = _as_model(params)
     prompt, conts = _encode_record(record, model.cfg.max_seq)
     # One trace of the prompt; each reply's first token is scored from its last row.
     prefix = model.forward_trace(prompt)
@@ -209,9 +204,8 @@ def loss_and_grads(
     return breakdown, grads
 
 
-def mean_margin(params, dataset: Sequence[PreferenceRecord]) -> float:
+def mean_margin(model: TinyTransformer, dataset: Sequence[PreferenceRecord]) -> float:
     """Mean over records of mean_k (norm. logprob preferred - rejected_k)."""
-    model = _as_model(params)
     total = 0.0
     for index, record in enumerate(dataset):
         prompt, conts = _encode_record(record, model.cfg.max_seq, index)
@@ -227,7 +221,7 @@ def train(
     if not dataset:
         raise PaletteError("empty_dataset", "training dataset is empty")
 
-    model = _as_model(params).clone()
+    model = TinyTransformer.from_checkpoint(params)  # a float64 copy, trained in place
     velocity = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     rng = np.random.default_rng(cfg.seed)
     report = TrainReport(

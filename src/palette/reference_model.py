@@ -371,9 +371,6 @@ class TinyTransformer:
         specs = [TensorSpec.from_array(name, arr.astype(np.float32)) for name, arr in self.params.items()]
         return Checkpoint(specs, {"config": self.cfg.to_json()})
 
-    def clone(self) -> "TinyTransformer":
-        return TinyTransformer(self.cfg, {k: v.copy() for k, v in self.params.items()})
-
     def _check_tokens(self, tokens: Sequence[int], start: int = 0) -> list[int]:
         tokens = [int(t) for t in tokens]
         if not tokens:
@@ -383,14 +380,6 @@ class TinyTransformer:
         if any(t < 0 or t >= self.cfg.vocab_size for t in tokens):
             raise ValueError("token id outside vocabulary")
         return tokens
-
-    def _check_pair(self, prompt: Sequence[int], continuation: Sequence[int]) -> tuple[list[int], list[int]]:
-        if len(continuation) == 0:
-            raise PaletteError("empty_continuation", "continuation must be non-empty")
-        if len(prompt) == 0:
-            raise ValueError("prompt must be non-empty")
-        full = self._check_tokens(list(prompt) + list(continuation))
-        return full, full[len(full) - len(continuation) :]
 
     def forward_trace(self, tokens: Sequence[int], prefix: Trace | None = None) -> Trace:
         P = 0 if prefix is None else len(prefix.tokens)
@@ -418,7 +407,9 @@ class TinyTransformer:
         first = self._extend(prompt, 0, keys, values)
         scores = []
         for cont in continuations:
-            _, cont = self._check_pair(prompt, cont)
+            if len(cont) == 0:
+                raise PaletteError("empty_continuation", "continuation must be non-empty")
+            cont = self._check_tokens(cont, len(prompt))
             rest = self._extend(cont[:-1], len(prompt), keys, values, rows=len(cont) - 1)
             scores.append(_continuation_logprob(np.concatenate([first, rest]) @ self.params["head.out"], cont))
         return scores

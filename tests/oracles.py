@@ -27,9 +27,10 @@ import math
 
 import numpy as np
 
-from palette.align_trainer import (LossBreakdown, PreferenceRecord, _as_model, _score_and_slope, _sigmoid, _softplus,
+from palette.align_trainer import (LossBreakdown, PreferenceRecord, _score_and_slope, _sigmoid, _softplus,
                                    loss_and_grads)
-from palette.reference_model import EOS, NORM_EPS, TILE, _continuation_logprob, encode_pair
+from palette.errors import PaletteError
+from palette.reference_model import EOS, NORM_EPS, TILE, TinyTransformer, _continuation_logprob, encode_pair
 from palette.tensor_store import Checkpoint, TensorSpec
 
 
@@ -363,16 +364,26 @@ def bf_greedy_decode(model, prompt, n):
     return out
 
 
+def check_pair(model, prompt, continuation) -> tuple[list[int], list[int]]:
+    """The whole sequence and the continuation, each token checked as one sequence of `model`."""
+    if len(continuation) == 0:
+        raise PaletteError("empty_continuation", "continuation must be non-empty")
+    if len(prompt) == 0:
+        raise ValueError("prompt must be non-empty")
+    full = model._check_tokens(list(prompt) + list(continuation))
+    return full, full[len(full) - len(continuation) :]
+
+
 def sequence_logprob(model, prompt, continuation) -> float:
     """Sum over continuation positions of log softmax(logits)[next token], from one pass over the sequence."""
-    full, continuation = model._check_pair(prompt, continuation)
+    full, continuation = check_pair(model, prompt, continuation)
     hidden = model._extend(full[:-1], 0, *model._kv_cache(), rows=len(continuation))
     return _continuation_logprob(hidden @ model.params["head.out"], continuation)
 
 
 def logprob_trace(model, prompt, continuation):
     """`sequence_logprob` and the training forward's Trace of the whole sequence."""
-    full, continuation = model._check_pair(prompt, continuation)
+    full, continuation = check_pair(model, prompt, continuation)
     trace = model.forward_trace(full)
     rows = trace.logits[len(full) - len(continuation) - 1 : -1]
     return _continuation_logprob(rows, continuation), trace
@@ -434,18 +445,18 @@ def per_sequence_margin(model, dataset) -> float:
 
 
 def orpo_loss(
-    params,
+    model: TinyTransformer,
     record: PreferenceRecord,
     lam: float = 0.1,
     *,
     score: str = "mean",
 ) -> LossBreakdown:
     """Loss breakdown for one preference record, from the pass of `loss_and_grads`."""
-    return loss_and_grads(params, record, lam, score=score)[0]
+    return loss_and_grads(model, record, lam, score=score)[0]
 
 
 def grad_check(
-    params,
+    params: Checkpoint,
     record: PreferenceRecord,
     lam: float = 0.1,
     epsilon: float = 1e-4,
@@ -459,7 +470,7 @@ def grad_check(
     """
     if not (1e-5 <= epsilon <= 1e-2):
         raise ValueError(f"epsilon must lie in [1e-5, 1e-2], got {epsilon}")
-    model = _as_model(params).clone()
+    model = TinyTransformer.from_checkpoint(params)  # a float64 copy, which the differences perturb
     _, grads = loss_and_grads(model, record, lam, score=score)
 
     names = sorted(model.params)

@@ -26,7 +26,7 @@ from palette.errors import BackendFailure, MalformedHeader
 from palette.gate_router import DEFAULT_SYSTEM_PROMPTS, init_gate, route, route_prompt, softmax_weights
 from palette.merge_engine import model_stock, moerges_fuse, task_arithmetic, ties_merge
 from palette.metrics import alignment_score, kl, normalize_distribution, pearson
-from palette.reference_model import ModelConfig, init_model
+from palette.reference_model import ModelConfig, TinyTransformer, init_model
 from palette.tensor_store import Checkpoint, load_checkpoint, save_checkpoint
 
 from helpers import GRAD_CHECK_RECORD, appending, forward, like, random_checkpoint, toy_preference_dataset
@@ -136,13 +136,14 @@ def test_c04_orpo_correctness():
     err = grad_check(params, GRAD_CHECK_RECORD, lam=0.1, epsilon=1e-4, n_samples=60, seed=1)
     assert err < 1e-3, f"gradient check failed: {err}"
 
+    model = TinyTransformer.from_checkpoint(params)
     record = PreferenceRecord(query="q?", preferred="same", rejected=("same",) * 4)
-    lb = orpo_loss(params, record, 0.1)
+    lb = orpo_loss(model, record, 0.1)
     assert abs(lb.contrastive - 4 * math.log(2)) < 1e-9
 
-    base = orpo_loss(params, GRAD_CHECK_RECORD, 0.0)
+    base = orpo_loss(model, GRAD_CHECK_RECORD, 0.0)
     for lam in (0.0, 0.1, 1.0, 3.5):
-        lb = orpo_loss(params, GRAD_CHECK_RECORD, lam)
+        lb = orpo_loss(model, GRAD_CHECK_RECORD, lam)
         assert abs(lb.total - (base.sft + lam * base.contrastive)) < 1e-9
 
 

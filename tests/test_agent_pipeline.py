@@ -13,7 +13,6 @@ from palette.agent_pipeline import (
     draft,
     evaluate_country,
     final_decision,
-    fuse_meta,
     load_opinion_items,
     routing_text,
     run_item,
@@ -375,20 +374,22 @@ def fusion_setup():
     return base, experts, gate
 
 
-def test_fuse_meta_uniform_gate_identical_experts(fusion_setup):
+def test_backend_for_fuses_identical_experts_under_a_uniform_gate(fusion_setup, fusions):
     base, experts, gate = fusion_setup
     same = {c: experts["Asia"] for c in CONTINENTS}
     uniform = GateMatrix(np.tile(gate.matrix[:, :1], (1, len(CONTINENTS))))  # five equal columns
-    fused = fuse_meta(base, same, uniform, "NZL")
+    FusedLocalMeta(base, same, uniform, mode="per-country").backend_for("NZL", "a question")
+    [fused] = fusions
     assert fused.metadata["gate"] == "0.2,0.2,0.2,0.2,0.2"
     for name in base.names:
         if ".ffn." in name:
             assert np.allclose(fused[name].data, experts["Asia"][name].data, atol=1e-7)
 
 
-def test_fuse_meta_routes_through_gate(fusion_setup):
+def test_backend_for_routes_through_gate(fusion_setup, fusions):
     base, experts, gate = fusion_setup
-    fused = fuse_meta(base, experts, gate, "NZL", "a question")
+    FusedLocalMeta(base, experts, gate, mode="per-request").backend_for("NZL", "a question")
+    [fused] = fusions
     weights = route_prompt(base, gate, routing_text("NZL", "a question"))
     assert abs(sum(weights) - 1.0) < 1e-9
     assert fused.metadata["gate"] == ",".join(f"{w:.9g}" for w in weights)
@@ -396,12 +397,12 @@ def test_fuse_meta_routes_through_gate(fusion_setup):
 
 @pytest.fixture
 def fusions(monkeypatch):
-    """The gate of every moerges_fuse call the pipeline makes."""
+    """The checkpoint of every moerges_fuse call the pipeline makes; its metadata records the gate."""
     seen, fuse = [], agent_pipeline.moerges_fuse
 
     def recording_fuse(base, experts, gate):
-        seen.append(gate)
-        return fuse(base, experts, gate)
+        seen.append(fuse(base, experts, gate))
+        return seen[-1]
 
     monkeypatch.setattr(agent_pipeline, "moerges_fuse", recording_fuse)
     return seen

@@ -31,7 +31,7 @@ FIXTURE_EXPECTED = [
 
 @pytest.fixture(scope="module")
 def seed42_model():
-    return init_model(ModelConfig())
+    return TinyTransformer.from_checkpoint(init_model(ModelConfig()))
 
 
 def test_record_requires_four_rejections():
@@ -89,7 +89,7 @@ def test_frozen_fixture_values(seed42_model):
 
 def test_fixture_against_straight_line_reimplementation(seed42_model):
     # recompute the formula directly from sequence logprobs
-    model = TinyTransformer.from_checkpoint(seed42_model)
+    model = seed42_model
     for record in FIXTURE_RECORDS:
         prompt, cont = encode_pair(record.query, record.preferred, model.cfg.max_seq)
         lp_pref = sequence_logprob(model, prompt, cont) / len(cont)
@@ -148,31 +148,32 @@ def test_zero_head_gradients_finite():
 
 
 def test_true_odds_mode_differs():
-    params = tiny_model()
-    plain = orpo_loss(params, GRAD_CHECK_RECORD, 0.1)
-    odds = orpo_loss(params, GRAD_CHECK_RECORD, 0.1, score="odds")
+    model = TinyTransformer.from_checkpoint(tiny_model())
+    plain = orpo_loss(model, GRAD_CHECK_RECORD, 0.1)
+    odds = orpo_loss(model, GRAD_CHECK_RECORD, 0.1, score="odds")
     assert plain.contrastive != odds.contrastive
 
 
 def test_raw_sum_mode_differs():
-    params = tiny_model()
-    plain = orpo_loss(params, GRAD_CHECK_RECORD, 0.1)
-    raw = orpo_loss(params, GRAD_CHECK_RECORD, 0.1, score="sum")
+    model = TinyTransformer.from_checkpoint(tiny_model())
+    plain = orpo_loss(model, GRAD_CHECK_RECORD, 0.1)
+    raw = orpo_loss(model, GRAD_CHECK_RECORD, 0.1, score="sum")
     assert plain.per_rejection_ratios != raw.per_rejection_ratios
 
 
 def test_too_long_record():
     params = tiny_model(max_seq=32)
+    model = TinyTransformer.from_checkpoint(params)
     record = PreferenceRecord(query="x" * 40, preferred="y", rejected=("a", "b", "c", "d"))
     with pytest.raises(TooLong) as exc:
-        orpo_loss(params, record, 0.1)
+        orpo_loss(model, record, 0.1)
     assert exc.value.context == {"record": None, "field": "preferred"}
     # The query fits with every reply but the third rejected one.
     fits = PreferenceRecord(query="q" * 20, preferred="y", rejected=("a", "b", "c", "d"))
     long_reply = PreferenceRecord(query="q" * 20, preferred="y", rejected=("a", "b", "c" * 12, "d"))
-    for run in (mean_margin, lambda p, ds: train(p, ds, TrainConfig())):
+    for run in (lambda ds: mean_margin(model, ds), lambda ds: train(params, ds, TrainConfig())):
         with pytest.raises(TooLong) as exc:
-            run(params, [fits, long_reply])
+            run([fits, long_reply])
         assert exc.value.context == {"record": 1, "field": "rejected[2]"}
 
 
@@ -182,6 +183,15 @@ def test_train_zero_lr_is_identity():
     cfg = TrainConfig(learning_rate=0.0, epochs=1, batch_size=4, seed=0)
     trained, _ = train(params, ds, cfg)
     assert trained == params
+
+
+def test_train_converts_its_checkpoint_once_and_leaves_it_unchanged(monkeypatch):
+    calls, convert = [], TinyTransformer.from_checkpoint
+    monkeypatch.setattr(TinyTransformer, "from_checkpoint", lambda ckpt: calls.append(ckpt) or convert(ckpt))
+    params = tiny_model()
+    trained, _ = train(params, toy_preference_dataset(n_queries=1), TrainConfig(learning_rate=0.01, batch_size=2))
+    assert len(calls) == 1 and calls[0] is params
+    assert params == tiny_model() and trained != params
 
 
 def test_train_empty_dataset():
@@ -222,7 +232,7 @@ def test_unknown_score_is_refused():
     with pytest.raises(ValueError, match="score must be one of"):
         TrainConfig(score="bogus")
     with pytest.raises(ValueError, match="score must be one of"):
-        loss_and_grads(tiny_model(), GRAD_CHECK_RECORD, 0.1, score="bogus")
+        loss_and_grads(TinyTransformer.from_checkpoint(tiny_model()), GRAD_CHECK_RECORD, 0.1, score="bogus")
 
 
 def test_mean_margin_matches_direct_computation():
@@ -239,7 +249,7 @@ def test_mean_margin_matches_direct_computation():
             rej += sequence_logprob(model, p, c) / len(c)
         expected += lp - rej / 4
     expected /= len(ds)
-    assert mean_margin(params, ds) == pytest.approx(expected, abs=1e-12)
+    assert mean_margin(model, ds) == pytest.approx(expected, abs=1e-12)
 
 
 def test_records_jsonl_round_trip(tmp_path):

@@ -440,8 +440,8 @@ def test_eval_gate_mode_per_country_fuses_once_per_country(tmp_path, model_path,
     for i, c in enumerate(CONTINENTS):
         save_checkpoint(tiny_model(seed=100 + i), tmp_path / f"{c}.st")
         experts += ["--expert", f"{c}={tmp_path / f'{c}.st'}"]
-    fused, fuse_meta = [], agent_pipeline.fuse_meta
-    monkeypatch.setattr(agent_pipeline, "fuse_meta", lambda *a, **kw: fused.append(a[3]) or fuse_meta(*a, **kw))
+    fused, routing_text = [], agent_pipeline.routing_text  # one routing text, naming the country, per fusion
+    monkeypatch.setattr(agent_pipeline, "routing_text", lambda *a: fused.append(a[0]) or routing_text(*a))
     fingerprints = {}
     for mode in ("per-request", "per-country"):
         fused.clear()

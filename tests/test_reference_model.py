@@ -200,7 +200,7 @@ def test_greedy_decode_stops_at_eos():
     # EOS gets twice the head column of the token decoded k-th, so it beats
     # that token wherever it wins with a positive logit: here first at k.
     for k in (0, 5):
-        stopped = model.clone()
+        stopped = TinyTransformer(model.cfg, {name: arr.copy() for name, arr in model.params.items()})
         stopped.params["head.out"][:, EOS] = 2.0 * stopped.params["head.out"][:, free[k]]
         out = stopped.greedy_decode(prompt, 48)
         assert out == bf_greedy_decode(stopped, prompt, 48)
@@ -289,7 +289,7 @@ def test_inference_builds_no_trace(monkeypatch):
 
     monkeypatch.setattr(TinyTransformer, "forward_trace", no_forward_trace)
     assert len(LocalReference(params).score_options("Pick one.", ["yes", "no", ""])) == 3
-    assert np.isfinite(mean_margin(params, FIXTURE_RECORDS))
+    assert np.isfinite(mean_margin(model, FIXTURE_RECORDS))
     assert abs(sum(route_prompt(params, init_gate(params), "You are answering for NZL.")) - 1.0) < 1e-9
     assert model.mean_hidden(tokens).shape == (16,)
     assert forward(params, tokens)[1].shape == (len(tokens), 260)
@@ -315,7 +315,7 @@ def test_training_traces_run_the_inference_kernel(monkeypatch):
     assert calls == [(prompt, 0, len(prompt), True)] + [(r, len(prompt), len(r), True) for r in replies]
 
     calls.clear()
-    mean_margin(params, [record])
+    mean_margin(model, [record])
     LocalReference(params).score_options("Pick one.", ["yes", "no"])
     model.greedy_decode(prompt, 4)
     assert calls and not any(traced for *_, traced in calls)
