@@ -115,9 +115,12 @@ class StepStore:
         if self.path.exists():
             drop_torn_tail(self.path)
             rows = iter_jsonl(self.path, required=("query_id", "continent", "step", "output"))
-            for _, row in rows:  # an empty or null output, which older runs stored, is asked again
+            for index, row in rows:  # an empty or null output, which older runs stored, is asked again
+                key = (row["query_id"], row["continent"], row["step"])
+                if not all(isinstance(part, str) for part in key):
+                    raise bad_line(self.path, index, "query_id, continent and step must be strings")
                 if isinstance(row["output"], str) and row["output"]:
-                    self._cache[(row["query_id"], row["continent"], row["step"])] = row["output"]
+                    self._cache[key] = row["output"]
 
     def get_or_call(self, query_id: str, continent: str, step: str, fn: Callable[[], str]) -> str:
         key = (query_id, continent, step)

@@ -81,6 +81,9 @@ class ModelConfig:
     seed: int = 42
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise PaletteError("bad_config", f"{name} must be an integer, got {type(value).__name__}")
         if min(self.vocab_size, self.d_model, self.n_layers, self.n_heads, self.max_seq) < 1:
             raise PaletteError("bad_config", "all model dimensions must be >= 1")
         if self.vocab_size < 256 + N_SPECIAL:

@@ -14,7 +14,7 @@ import palette
 from palette import cli
 from palette.cli import main
 from palette.common import CONTINENTS
-from palette.tensor_store import load_checkpoint, save_checkpoint
+from palette.tensor_store import Checkpoint, load_checkpoint, save_checkpoint
 
 from helpers import ReplyServer, chat_body, tiny_model, toy_preference_dataset
 from palette import agent_pipeline, gate_router
@@ -134,6 +134,23 @@ def test_a_checkpoint_of_the_wrong_kind_names_its_file(tmp_path, model_path, cap
     assert (err["code"], err["message"]) == (code, f"{files[named]}: {message}")
     assert err["context"]["path"] == str(files[named])
     assert not files["out"].exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("d_model", "16", "d_model must be an integer, got str"),
+    ("d_model", 16.0, "d_model must be an integer, got float"),
+    ("seed", None, "seed must be an integer, got NoneType"),
+], ids=["d_model-string", "d_model-float", "seed-null"])
+def test_a_model_config_field_of_the_wrong_type_is_bad_config_naming_the_file(tmp_path, capsys, field, value, message):
+    model, out = tmp_path / "m.st", tmp_path / "g.st"
+    ckpt = tiny_model()
+    config = {**json.loads(ckpt.metadata["config"]), field: value}
+    save_checkpoint(Checkpoint(ckpt.specs(), {"config": json.dumps(config)}), model)
+    assert run_cli("gate", "init", "--model", str(model), "-o", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["code"], err["message"]) == ("bad_config", f"{model}: {message}")
+    assert err["context"] == {"path": str(model)}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -928,6 +945,21 @@ def test_synth_resume_over_a_garbled_complete_line_is_bad_input(tmp_path, capsys
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "bad_input"
     assert err["context"] == {"path": str(steps), "line": len(text.splitlines())}
+
+
+@pytest.mark.parametrize("key, value", [("query_id", ["q"]), ("continent", None), ("step", 1)])
+def test_synth_resume_over_a_step_row_whose_key_is_not_a_string_is_bad_input(tmp_path, capsys, key, value):
+    out_dir, argv = _synth_dir(tmp_path, 1)
+    steps = out_dir / "steps.jsonl"
+    lines = steps.read_text().splitlines(keepends=True)
+    row = {"query_id": "q0", "continent": "Asia", "step": "response", "output": "x", key: value}
+    steps.write_text(lines[0] + json.dumps(row) + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "bad_input"
+    assert err["message"] == f"{steps}:2: query_id, continent and step must be strings"
+    assert err["context"] == {"path": str(steps), "line": 2}
 
 
 def test_synth_record_with_an_extra_key_exits_bad_input(tmp_path, capsys):

@@ -36,6 +36,8 @@ def test_config_validation():
         ModelConfig(vocab_size=100).validate()
     with raises_code("bad_config", match="seed must be >= 0, got -1"):
         ModelConfig(seed=-1).validate()
+    with raises_code("bad_config", match="n_heads must be an integer, got bool"):
+        ModelConfig(d_model=16, n_heads=True).validate()
     ModelConfig().validate()
 
 
